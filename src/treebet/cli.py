@@ -36,11 +36,11 @@ from .formats import (
 from .local import LocalGamble, lower_expectation, upper_expectation
 from .martingale import check_supermartingale, kelly_gamble
 from .randtest import (
+    _level_series,
+    _threshold_test,
     assemble_test_supermartingale,
     combine_universal,
-    martingale_to_test,
     schnorr_test_from_martingale,
-    supermartingale_from_test,
     validate_ml_test,
     validate_schnorr_tail,
 )
@@ -141,7 +141,8 @@ def cmd_convert(args) -> int:
             where = sorted(negative, key=lambda s: (len(s), s))[0] if negative else violations[0]
             print(f"not a test supermartingale: check fails at {where or '@'}", file=sys.stderr)
             return 3
-        test = martingale_to_test(process, fs)
+        # the checks above are martingale_to_test's own
+        test = _threshold_test(process)
         if not _report_budgets(validate_ml_test(fs, test)):
             return 3
         print("all budgets pass")
@@ -154,9 +155,9 @@ def cmd_convert(args) -> int:
         test = load(args.test, parse_test)
         if test.max_depth > args.depth_cap:
             raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
-        cutoff = test.max_depth + 1
-        value, remainder = supermartingale_from_test(fs, test, args.levels, cutoff)
+        # assembling validates the levels and budgets for the series as well
         process = assemble_test_supermartingale(fs, test, args.levels)
+        value, remainder = _level_series(fs, test, args.levels, test.max_depth + 1)
         violations = check_supermartingale(fs, process)
         print(f"root {value} normalized 1")
         print(f"remainder bound {remainder}")

@@ -8,12 +8,13 @@ lower probabilities of partial cuts and cylinder sets are special cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
-from .forecast import ForecastingSystem, IntervalForecast
+from .forecast import ONE, ZERO, ForecastingSystem, IntervalForecast
 from .local import LocalGamble, lower_expectation, upper_expectation
 from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation
 
@@ -54,16 +55,8 @@ class DepthGamble:
     @classmethod
     def indicator(cls, cut: Iterable[str], depth: int) -> "DepthGamble":
         """Indicator of the cylinder union of ``cut`` at the given depth."""
-        members = require_antichain(cut)
-        values = [Fraction(0)] * (1 << depth)
-        for t in members:
-            if len(t) > depth:
-                raise DomainError(f"cut member {t!r} deeper than gamble depth {depth}")
-            width = depth - len(t)
-            base = _leaf_index(t) << width
-            for j in range(base, base + (1 << width)):
-                values[j] = Fraction(1)
-        return cls(depth, tuple(values))
+        leaves = _cut_leaves(require_antichain(cut), depth)
+        return cls(depth, tuple(ONE if v else ZERO for v in leaves))
 
     def at(self, leaf: str) -> Fraction:
         if len(leaf) != self.depth:
@@ -74,29 +67,106 @@ class DepthGamble:
         return DepthGamble(self.depth, tuple(-v for v in self.values))
 
 
-def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, rule: _LocalRule) -> Fraction:
+def _cut_leaves(members: Iterable[str], depth: int) -> list[int]:
+    """1 on the depth-``depth`` leaves inside the cylinder union of an antichain, else 0."""
+    leaves = [0] * (1 << depth)
+    for t in members:
+        if len(t) > depth:
+            raise DomainError(f"cut member {t!r} deeper than gamble depth {depth}")
+        width = depth - len(t)
+        base = _leaf_index(t) << width
+        leaves[base:base + (1 << width)] = [1] * (1 << width)
+    return leaves
+
+
+# The integer fold kernel.  Situations below a root s are taken level by
+# level in heap order (lexicographic within a level), as situations_up_to
+# yields them.  Every endpoint is scaled by L, the lcm of the system's
+# endpoint denominators, so with leaf denominator D the values h levels
+# above the leaves share the denominator D * L**h and each one-step
+# expectation is integer arithmetic with an integer endpoint comparison.
+
+def _endpoints(fs: ForecastingSystem, s: str, height: int, lower: bool = False):
+    """(L, rows): rows[w][j] is the scaled endpoint pair at s + bits(j, w), w < height.
+
+    A pair is (L times the endpoint the upper expectation takes when
+    f(1) >= f(0), L times the other one); ``lower`` swaps them.
+    """
+    intervals = list(fs.intervals())
+    scale = math.lcm(*(x.denominator for i in intervals for x in (i.lo, i.hi)))
+    pairs = {}
+    for i in intervals:
+        lo = i.lo.numerator * (scale // i.lo.denominator)
+        hi = i.hi.numerator * (scale // i.hi.denominator)
+        pairs[id(i)] = (lo, hi) if lower else (hi, lo)
+    if len(set(pairs.values())) == 1:
+        pair = pairs[id(intervals[0])]
+        return scale, [[pair] * (1 << w) for w in range(height)]
+    at, names, rows = fs.at, [s], []
+    for w in range(height):
+        # ``at`` returns one of the interval objects ``intervals()`` yields
+        rows.append([pairs[id(at(t))] for t in names])
+        if w + 1 < height:
+            names = [t + c for t in names for c in "01"]
+    return scale, rows
+
+
+def _fold_levels(scale: int, rows: list, leaves: list[int]) -> Iterator[list[int]]:
+    """The numerators of every level, leaves first: level h has denominator D * scale**h."""
+    level = leaves
+    yield level
+    for row in reversed(rows):
+        level = [scale * a + (p if b >= a else q) * (b - a)
+                 for a, b, (p, q) in zip(level[::2], level[1::2], row)]
+        yield level
+
+
+def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fraction:
     m = g.depth - len(s)
     if m < 0:
         raise DomainError(f"situation {s!r} deeper than gamble depth {g.depth}")
     base = _leaf_index(s) << m
-    level = list(g.values[base:base + (1 << m)])
-    for width in range(m - 1, -1, -1):
-        level = [
-            rule(fs.at(s + bits(j, width)), LocalGamble(on1=level[2 * j + 1], on0=level[2 * j]))
-            for j in range(1 << width)
-        ]
-    return level[0]
+    leaves = g.values[base:base + (1 << m)]
+    den = math.lcm(*(v.denominator for v in leaves))
+    scale, rows = _endpoints(fs, s, m, lower)
+    *_, root = _fold_levels(scale, rows, [v.numerator * (den // v.denominator) for v in leaves])
+    return Fraction(root[0], den * scale ** m)
+
+
+def _cut_value_sum(
+    fs: ForecastingSystem, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False
+) -> dict[str, Fraction]:
+    """sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight, cut) pairs.
+
+    Each cut is folded once into one running numerator table; each value is
+    reduced to a Fraction once, at the end, in heap order.
+    """
+    scale, rows = _endpoints(fs, ROOT, depth, lower)
+    total = [[0] * (1 << (depth - h)) for h in range(depth + 1)]
+    for weight, cut in weighted_cuts:
+        if any(len(t) > depth for t in cut):
+            raise DomainError("cut member deeper than the requested sweep depth")
+        if not cut:
+            continue
+        for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
+            total[h] = [x + weight * v for x, v in zip(total[h], level)]
+    values: dict[str, Fraction] = {}
+    for w in range(depth + 1):
+        den = divisor * scale ** (depth - w)
+        for j, v in enumerate(total.pop()):
+            values[bits(j, w)] = Fraction(v, den)
+    return values
 
 
 def cond_upper(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:
     """Conditional upper expectation of ``g`` at ``s``, by backward recursion."""
     require_situation(s)
-    return _fold(fs, g, s, upper_expectation)
+    return _fold(fs, g, s, lower=False)
 
 
 def cond_lower(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:
     require_situation(s)
-    return _fold(fs, g, s, lower_expectation)
+    return _fold(fs, g, s, lower=True)
 
 
 def _sparse_cut_value(fs, t: str, below: list[str], rule: _LocalRule) -> Fraction:
@@ -144,28 +214,7 @@ def cut_value_map(
 
     One bottom-up sweep; requires ``depth`` at or below no cut member.
     """
-    members = require_antichain(cut)
-    if any(len(t) > depth for t in members):
-        raise DomainError("cut member deeper than the requested sweep depth")
-    rule = lower_expectation if lower else upper_expectation
-    values: dict[str, Fraction] = {}
-    level = []
-    for j in range(1 << depth):
-        leaf = bits(j, depth)
-        status = cut_status(leaf, members)
-        hit = status in (CutStatus.IN_CUT, CutStatus.FOLLOWS_STRICTLY)
-        value = Fraction(1) if hit else Fraction(0)
-        values[leaf] = value
-        level.append(value)
-    for width in range(depth - 1, -1, -1):
-        next_level = []
-        for j in range(1 << width):
-            t = bits(j, width)
-            value = rule(fs.at(t), LocalGamble(on1=level[2 * j + 1], on0=level[2 * j]))
-            values[t] = value
-            next_level.append(value)
-        level = next_level
-    return values
+    return _cut_value_sum(fs, [(1, require_antichain(cut))], depth, lower=lower)
 
 
 def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:

@@ -24,7 +24,11 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL.match(text):
         raise ParseError(f"not a rational (want p/q or an integer): {text!r}")
-    return Fraction(text)
+    numerator, _, denominator = text.partition("/")
+    q = int(denominator) if denominator else 1
+    if q == 0:
+        raise ParseError(f"zero denominator in rational {text!r}")
+    return Fraction(int(numerator), q)
 
 
 def _strip(line: str) -> str:

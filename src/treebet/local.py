@@ -31,10 +31,16 @@ def gamble(on1, on0) -> LocalGamble:
 
 
 def precise_expectation(p: Fraction, f: LocalGamble) -> Fraction:
-    """p*f(1) + (1-p)*f(0) for a precise forecast p in [0, 1]."""
-    if not (0 <= p <= 1):
+    """p*f(1) + (1-p)*f(0) for a precise forecast p in [0, 1].
+
+    Computed as f(0) + p*(f(1) - f(0)) over integers, reducing once.
+    """
+    pn, pd = p.numerator, p.denominator
+    if not 0 <= pn <= pd:
         raise DomainError(f"precise forecast {p} outside [0, 1]")
-    return p * f.on1 + (1 - p) * f.on0
+    an, ad = f.on1.numerator, f.on1.denominator
+    bn, bd = f.on0.numerator, f.on0.denominator
+    return Fraction(bn * pd * ad + pn * (an * bd - bn * ad), pd * ad * bd)
 
 
 def upper_expectation(forecast: IntervalForecast, f: LocalGamble) -> Fraction:

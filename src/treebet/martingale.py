@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Literal
 
 from .errors import ContractError, DomainError
-from .expectation import cut_upper_prob
+from .expectation import _endpoints, cut_upper_prob
 from .forecast import ForecastingSystem, IntervalForecast
-from .local import LocalGamble, upper_expectation
-from .tree import ROOT, minimal_antichain, require_situation, situations_up_to
+from .local import LocalGamble
+from .tree import ROOT, bits, minimal_antichain, require_situation, situations_up_to
 
 # Query interface standing in for a computable process: q(s, N) must be
 # within 2**-N of the target value at s.
@@ -75,12 +76,22 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
 
     An empty list certifies the supermartingale property on the truncated tree.
     """
-    violations = [
-        s
-        for s in situations_up_to(process.depth - 1)
-        if upper_expectation(fs.at(s), process.delta(s)) > 0
-    ] if process.depth > 0 else []
-    return sorted(violations, key=lambda s: (len(s), s))
+    scale, rows = _endpoints(fs, ROOT, process.depth)
+    heap = map(process.values.__getitem__, situations_up_to(process.depth))
+    here = [next(heap)]
+    violations = []
+    for w, row in enumerate(rows):
+        below = list(islice(heap, 2 << w))
+        for j, (v, f0, f1, (p, q)) in enumerate(zip(here, below[::2], below[1::2], row)):
+            # with L the scale, the gain's upper expectation is positive
+            # iff L*f0 + P*(f1 - f0) > L*v, P the endpoint it takes
+            n0, d0, n1, d1 = f0.numerator, f0.denominator, f1.numerator, f1.denominator
+            rise = n1 * d0 - n0 * d1
+            lhs = (scale * n0 * d1 + (p if rise >= 0 else q) * rise) * v.denominator
+            if lhs > scale * v.numerator * d0 * d1:
+                violations.append(bits(j, w))
+        here = below
+    return violations
 
 
 def check_test_supermartingale(fs: ForecastingSystem, process: Process) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ContractError, DomainError
-from .expectation import cut_upper_prob, cut_value_map
+from .expectation import _cut_value_sum, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, check_test_supermartingale
@@ -119,6 +119,35 @@ def _require_budgets(fs, test, up_to: int) -> None:
             )
 
 
+def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
+    """Level n: each situation s with crossed(p, q, |s|) > n, p/q its value in
+    lowest terms, that has no strict prefix with the same property.
+
+    One pass in heap order carries down each path the highest level crossed
+    so far; a situation joins every level between that and its own.
+    """
+    levels: list[list[str]] = []
+    reached: list[int] = []
+    for i, s in enumerate(situations_up_to(process.depth)):
+        before = reached[(i - 1) >> 1] if i else 0
+        value = process.values[s]
+        here = crossed(value.numerator, value.denominator, len(s))
+        if here > before:
+            levels.extend([] for _ in range(len(levels), here))
+            for n in range(before, here):
+                levels[n].append(s)
+            before = here
+        reached.append(before)
+    return tuple(frozenset(level) for level in levels)
+
+
+def _threshold_test(process: Process) -> RandomnessTest:
+    """martingale_to_test without its test-supermartingale check."""
+    # 2**n < p/q iff 2**n <= (p - 1) // q: the levels crossed are that quotient's bits
+    levels = _first_passages(process, lambda p, q, n: max(0, (p - 1) // q).bit_length())
+    return RandomnessTest(levels, max_depth=process.depth)
+
+
 def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTest:
     """Threshold cuts of a test supermartingale: level n collects first passages above 2**n.
 
@@ -127,14 +156,7 @@ def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTes
     """
     if not check_test_supermartingale(fs, process):
         raise ContractError("input is not a test supermartingale for the given system")
-    top = process.max_value()
-    levels = []
-    n = 0
-    while (1 << n) < top:
-        hits = [s for s in situations_up_to(process.depth) if process.values[s] > (1 << n)]
-        levels.append(minimal_antichain(hits))
-        n += 1
-    return RandomnessTest(tuple(levels), max_depth=process.depth)
+    return _threshold_test(process)
 
 
 def supermartingale_from_test(
@@ -149,6 +171,11 @@ def supermartingale_from_test(
     if not 0 <= n_max < test.num_levels:
         raise DomainError(f"levels 0..{n_max} not all stored")
     _require_budgets(fs, test, n_max)
+    return _level_series(fs, test, n_max, cutoff, s)
+
+
+def _level_series(fs, test, n_max, cutoff, s=ROOT) -> tuple[Fraction, Fraction]:
+    """supermartingale_from_test without its level and budget checks."""
     value = Fraction(0)
     for n in range(n_max + 1):
         cut = test.level_below(n, cutoff)
@@ -156,6 +183,16 @@ def supermartingale_from_test(
             value += cut_upper_prob(fs, cut, s)
     remainder = cumulative_bound(fs, s) * Fraction(1, 1 << n_max)
     return value / 2, remainder
+
+
+def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool) -> Process:
+    """Half the weighted sum of the cuts' upper-probability maps, as a Process."""
+    values = _cut_value_sum(fs, weighted_cuts, depth, divisor=2)
+    if normalize_root:
+        if values[ROOT] > 1:
+            raise ContractError("assembled root exceeds 1; refusing to normalise")
+        values[ROOT] = Fraction(1)
+    return Process(depth, values)
 
 
 def assemble_test_supermartingale(
@@ -179,19 +216,8 @@ def assemble_test_supermartingale(
         cutoff = test.max_depth + 1
     if depth is None:
         depth = test.max_depth
-    total = {s: Fraction(0) for s in situations_up_to(depth)}
-    for n in range(n_max + 1):
-        cut = test.level_below(n, cutoff)
-        if not cut:
-            continue
-        for s, v in cut_value_map(fs, cut, depth).items():
-            total[s] += v
-    values = {s: v / 2 for s, v in total.items()}
-    if normalize_root:
-        if values[ROOT] > 1:
-            raise ContractError("assembled root exceeds 1; refusing to normalise")
-        values[ROOT] = Fraction(1)
-    return Process(depth, values)
+    cuts = ((1, test.level_below(n, cutoff)) for n in range(n_max + 1))
+    return _summed_process(fs, cuts, depth, normalize_root)
 
 
 def schnorr_test_from_martingale(
@@ -208,21 +234,12 @@ def schnorr_test_from_martingale(
     """
     if not check_test_supermartingale(fs, process):
         raise ContractError("input is not a test supermartingale for the given system")
-    levels = []
-    n = 0
-    while True:
-        hits = [
-            s
-            for s in situations_up_to(process.depth)
-            if process.values[s] >= rho(len(s)) >= (1 << n)
-        ]
-        cut = minimal_antichain(hits)
-        if not cut:
-            break
-        levels.append(cut)
-        n += 1
-    test = RandomnessTest(tuple(levels), max_depth=process.depth)
-    deepest = test.deepest_member()
+    thresholds = [rho(n) for n in range(process.depth + 1)]
+    # rho(|s|) >= 2**n for the first rho(|s|).bit_length() levels n
+    levels = _first_passages(
+        process, lambda p, q, n: thresholds[n].bit_length() if p >= thresholds[n] * q else 0
+    )
+    deepest = max((len(t) for cut in levels for t in cut), default=-1)
     prefix = []
     k = 0
     while True:
@@ -233,7 +250,7 @@ def schnorr_test_from_martingale(
         k += 1
     slack = max(0, prefix[-1] - len(prefix))
     tail = GrowthFunction(tuple(prefix), 1, slack, 1)
-    return RandomnessTest(tuple(levels), max_depth=process.depth, tail=tail)
+    return RandomnessTest(levels, max_depth=process.depth, tail=tail)
 
 
 def sigma_from_tailbound(tail: GrowthFunction) -> GrowthFunction:
@@ -298,22 +315,12 @@ def assemble_schnorr_supermartingale(
         depth = test.max_depth
     sigma = sigma_from_tailbound(test.tail)
     k_cap = sigma.last_at_most(test.deepest_member())
-    total = {s: Fraction(0) for s in situations_up_to(depth)}
-    for k in range(k_cap + 1):
-        cutoff = sigma(k)
-        for n in range(test.num_levels):
-            deep = test.level_at_least(n, cutoff)
-            if not deep:
-                continue
-            weight = 1 << k
-            for s, v in cut_value_map(fs, deep, depth).items():
-                total[s] += weight * v
-    values = {s: v / 2 for s, v in total.items()}
-    if normalize_root:
-        if values[ROOT] > 1:
-            raise ContractError("assembled root exceeds 1; refusing to normalise")
-        values[ROOT] = Fraction(1)
-    return Process(depth, values)
+    cuts = (
+        (1 << k, test.level_at_least(n, sigma(k)))
+        for k in range(k_cap + 1)
+        for n in range(test.num_levels)
+    )
+    return _summed_process(fs, cuts, depth, normalize_root)
 
 
 def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> GrowthFunction:

@@ -12,11 +12,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from treebet import DepthGamble, IntervalForecast, LocalGamble, Table, interval
+from treebet import DepthGamble, IntervalForecast, LocalGamble, Process, Table, interval
 from treebet.errors import DomainError, ResourceError
 from treebet.forecast import ForecastingSystem, is_precise
-from treebet.local import precise_expectation
-from treebet.tree import bits
+from treebet.growth import GrowthFunction
+from treebet.local import lower_expectation, precise_expectation, upper_expectation
+from treebet.tree import CutStatus, bits, cut_status, minimal_antichain, situations_up_to
 
 
 def path_weight(fs: ForecastingSystem, leaf: str) -> Fraction:
@@ -98,3 +99,80 @@ def grid_extremes(
             candidates.add(p)
     values = [precise_expectation(p, f) for p in candidates]
     return max(values), min(values)
+
+
+# Per-node references for the integer tree kernel: one one-step Fraction
+# evaluation per interior situation, one scan of the tree per level.
+
+def fold_by_nodes(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool = False) -> Fraction:
+    """cond_upper (cond_lower) by a backward fold of one-step expectations."""
+    rule = lower_expectation if lower else upper_expectation
+    m = g.depth - len(s)
+    base = (int(s, 2) if s else 0) << m
+    level = list(g.values[base:base + (1 << m)])
+    for width in range(m - 1, -1, -1):
+        level = [
+            rule(fs.at(s + bits(j, width)), LocalGamble(on1=level[2 * j + 1], on0=level[2 * j]))
+            for j in range(1 << width)
+        ]
+    return level[0]
+
+
+def cut_value_map_by_nodes(
+    fs: ForecastingSystem, cut, depth: int, lower: bool = False
+) -> dict[str, Fraction]:
+    """cut_value_map with one cut_status call per leaf and one-step calls per node."""
+    rule = lower_expectation if lower else upper_expectation
+    members = frozenset(cut)
+    values: dict[str, Fraction] = {}
+    for leaf in (bits(j, depth) for j in range(1 << depth)):
+        status = cut_status(leaf, members)
+        hit = status in (CutStatus.IN_CUT, CutStatus.FOLLOWS_STRICTLY)
+        values[leaf] = Fraction(1) if hit else Fraction(0)
+    for width in range(depth - 1, -1, -1):
+        for j in range(1 << width):
+            t = bits(j, width)
+            f = LocalGamble(on1=values[t + "1"], on0=values[t + "0"])
+            values[t] = rule(fs.at(t), f)
+    return values
+
+
+def check_supermartingale_by_delta(fs: ForecastingSystem, process: Process) -> list[str]:
+    """Interior situations whose one-step difference has positive upper expectation."""
+    if process.depth == 0:
+        return []
+    violations = [
+        s
+        for s in situations_up_to(process.depth - 1)
+        if upper_expectation(fs.at(s), process.delta(s)) > 0
+    ]
+    return sorted(violations, key=lambda s: (len(s), s))
+
+
+def threshold_levels_by_scans(process: Process) -> tuple[frozenset[str], ...]:
+    """martingale_to_test's levels: one tree scan per threshold 2**n below the maximum."""
+    top = process.max_value()
+    levels = []
+    n = 0
+    while (1 << n) < top:
+        hits = [s for s in situations_up_to(process.depth) if process.values[s] > (1 << n)]
+        levels.append(minimal_antichain(hits))
+        n += 1
+    return tuple(levels)
+
+
+def schnorr_levels_by_scans(process: Process, rho: GrowthFunction) -> tuple[frozenset[str], ...]:
+    """schnorr_test_from_martingale's levels: scan for capital >= rho(depth) >= 2**n."""
+    levels = []
+    n = 0
+    while True:
+        hits = [
+            s
+            for s in situations_up_to(process.depth)
+            if process.values[s] >= rho(len(s)) >= (1 << n)
+        ]
+        cut = minimal_antichain(hits)
+        if not cut:
+            return tuple(levels)
+        levels.append(cut)
+        n += 1

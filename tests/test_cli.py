@@ -173,3 +173,20 @@ def test_analyze_zero_stake_is_flat(workdir, capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert main(["cutprob", "--fs", "nope.fs", "--cut", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local", "--interval", "1/0", "1", "--gamble", "1", "0"],
+        ["cutprob", "--fs", "zero.fs", "--cut", "1"],
+        ["convert", "to-test", "--process", "zero.proc", "--fs", "fair.fs", "--out", "a.test"],
+        ["analyze", "--fs", "fair.fs", "--seq", "seq.txt", "--kelly", "1/0,on-one"],
+    ],
+    ids=["local-interval", "fs-file", "proc-file", "kelly-stake"],
+)
+def test_zero_denominator_is_input_error(workdir, capsys, argv):
+    (workdir / "zero.fs").write_text("kind: stationary\ninterval: 0 1/0\n")
+    (workdir / "zero.proc").write_text("depth: 1\n@ 1\n0 1/0\n1 1\n")
+    assert main(argv) == 2
+    assert "zero denominator" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from gen import ones_test, rand_supermartingale, rand_system
 def test_parse_rational():
     assert parse_rational("7/10") == Fraction(7, 10)
     assert parse_rational("-3") == Fraction(-3)
-    for bad in ("0.5", "1/2/3", "x", ""):
+    for bad in ("0.5", "1/2/3", "x", "", "1/0", "-3/00"):
         with pytest.raises(ParseError):
             parse_rational(bad)
 
