@@ -135,10 +135,11 @@ def cmd_convert(args) -> int:
         if process.root != 1:
             print(f"not a test supermartingale: root is {process.root}, not 1", file=sys.stderr)
             return 3
+        # heap order puts the shortest, then lexicographically first, negative first
         negative = [s for s, v in process.values.items() if v < 0]
         violations = check_supermartingale(fs, process)
         if negative or violations:
-            where = sorted(negative, key=lambda s: (len(s), s))[0] if negative else violations[0]
+            where = (negative or violations)[0]
             print(f"not a test supermartingale: check fails at {where or '@'}", file=sys.stderr)
             return 3
         # the checks above are martingale_to_test's own
@@ -233,34 +234,26 @@ def cmd_analyze(args) -> int:
     out = sys.stdout
     out.write("# n\tbit\t" + "\t".join(labels) + "\tmax_log2_capital\ttest_hits\n")
 
-    # members of every supplied test, grouped by depth for O(1) lookup per step
-    by_depth: dict[int, list[tuple[int, str]]] = {}
+    # the levels hit at each depth: those with a member that is a prefix of the sequence
+    hits_at: dict[int, set[int]] = {}
     for test in tests:
         for level, cut in enumerate(test.levels):
             for member in cut:
-                by_depth.setdefault(len(member), []).append((level, member))
-    test_horizon = max(by_depth, default=-1)
+                if sequence.startswith(member):
+                    hits_at.setdefault(len(member), set()).add(level)
+    # the test_hits column, from each depth where it changes
+    hit_levels: set[int] = set()
+    label_at: dict[int, str] = {}
+    for depth in sorted(hits_at):
+        hit_levels |= hits_at[depth]
+        label_at[depth] = ",".join(str(n) for n in sorted(hit_levels))
 
     cursor = ForecastCursor(fs)
     capitals = [Fraction(1)] * len(strategies)
     max_capital = Fraction(1)
     max_log2 = _log2_label(max_capital)
-    hit_levels: set[int] = set()
-    prefix_buffer: list[str] = []
-
-    def hits_label() -> str:
-        return ",".join(str(n) for n in sorted(hit_levels)) if hit_levels else "-"
-
-    def check_hits(depth: int) -> None:
-        if depth > test_horizon:
-            return
-        here = "".join(prefix_buffer)
-        for level, member in by_depth.get(depth, []):
-            if member == here:
-                hit_levels.add(level)
-
-    check_hits(0)
-    chunk = ["0\t-\t" + "\t".join(str(c) for c in capitals) + f"\t{max_log2}\t{hits_label()}"]
+    hits = label_at.get(0, "-")
+    chunk = ["0\t-\t" + "\t".join(str(c) for c in capitals) + f"\t{max_log2}\t{hits}"]
     for n, bit in enumerate(sequence, start=1):
         forecast = cursor.current()
         for i, (stake, direction) in enumerate(strategies):
@@ -273,11 +266,9 @@ def cmd_analyze(args) -> int:
                 max_capital = capitals[i]
                 max_log2 = _log2_label(max_capital)
         cursor.push(bit)
-        if n <= test_horizon:
-            prefix_buffer.append(bit)
-            check_hits(n)
+        hits = label_at.get(n, hits)
         capital_cols = "\t".join(str(c) for c in capitals)
-        chunk.append(f"{n}\t{bit}\t{capital_cols}\t{max_log2}\t{hits_label()}")
+        chunk.append(f"{n}\t{bit}\t{capital_cols}\t{max_log2}\t{hits}")
         if len(chunk) >= 65536:
             out.write("\n".join(chunk) + "\n")
             chunk = []

@@ -16,7 +16,7 @@ from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, T
 from .growth import GrowthFunction
 from .martingale import Process
 from .randtest import RandomnessTest
-from .tree import format_situation, parse_situation, situations_up_to
+from .tree import format_situation, parse_situation
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -42,6 +42,13 @@ def _meaningful(text: str) -> list[tuple[int, str]]:
         if line:
             out.append((number, line))
     return out
+
+
+def _int(text: str, what: str, number: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", number) from None
 
 
 def _key_value(line: str, number: int) -> tuple[str, str]:
@@ -111,10 +118,7 @@ def parse_forecasting_system(text: str) -> ForecastingSystem:
                 key, value = _key_value(line, number)
                 if key != "order":
                     raise ParseError(f"unexpected key {key!r} in markov config", number)
-                try:
-                    order = int(value)
-                except ValueError:
-                    raise ParseError(f"bad order {value!r}", number) from None
+                order = _int(value, "order", number)
         if order is None:
             raise ParseError("markov config missing 'order:'")
         return Markov(order, rows)
@@ -148,10 +152,7 @@ def parse_process(text: str) -> Process:
     key, value = _key_value(first, number)
     if key != "depth":
         raise ParseError(f"process file must start with 'depth:', got {first!r}", number)
-    try:
-        depth = int(value)
-    except ValueError:
-        raise ParseError(f"bad depth {value!r}", number) from None
+    depth = _int(value, "depth", number)
     values = {}
     for number, line in lines[1:]:
         parts = line.split()
@@ -169,8 +170,7 @@ def parse_process(text: str) -> Process:
 
 def dump_process(process: Process) -> str:
     lines = [f"depth: {process.depth}"]
-    for s in situations_up_to(process.depth):
-        lines.append(f"{format_situation(s)} {process.values[s]}")
+    lines += (f"{format_situation(s)} {v}" for s, v in process.values.items())
     return "\n".join(lines) + "\n"
 
 
@@ -210,23 +210,14 @@ def parse_test(text: str) -> RandomnessTest:
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError(f"expected 'level <n> <situation>', got {line!r}", number)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad level index {parts[1]!r}", number) from None
+            n = _int(parts[1], "level index", number)
             members.setdefault(n, set()).add(parse_situation(parts[2]))
             continue
         key, value = _key_value(line, number)
         if key == "levels":
-            try:
-                num_levels = int(value)
-            except ValueError:
-                raise ParseError(f"bad level count {value!r}", number) from None
+            num_levels = _int(value, "level count", number)
         elif key == "depth":
-            try:
-                depth = int(value)
-            except ValueError:
-                raise ParseError(f"bad depth {value!r}", number) from None
+            depth = _int(value, "depth", number)
         elif key == "tail":
             tail = parse_growth(value)
         else:

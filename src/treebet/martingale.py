@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from operator import eq
 from typing import Callable, Literal
 
 from .errors import ContractError, DomainError
@@ -27,7 +27,13 @@ KellyDirection = Literal["on-one", "on-zero"]
 
 
 class Process:
-    """A total rational-valued map on the tree truncated at ``depth``."""
+    """A total rational-valued map on the tree truncated at ``depth``.
+
+    ``values`` keeps the situations in heap order, the order ``situations_up_to``
+    yields (a mapping in another order is rebuilt): the supermartingale, Ville
+    and bound checks, the first-passage levels, ``dump_process`` and the CLI's
+    diagnosis read it in place and rely on that order.
+    """
 
     __slots__ = ("depth", "values")
 
@@ -37,9 +43,11 @@ class Process:
         expected = (1 << (depth + 1)) - 1
         if len(values) != expected:
             raise DomainError(f"depth-{depth} process needs {expected} values, got {len(values)}")
-        for s in situations_up_to(depth):
-            if s not in values:
-                raise DomainError(f"process missing value at {s or '@'!r}")
+        if not all(map(eq, situations_up_to(depth), values)):
+            try:
+                values = {s: values[s] for s in situations_up_to(depth)}
+            except KeyError as exc:
+                raise DomainError(f"process missing value at {exc.args[0] or '@'!r}") from None
         self.depth = depth
         self.values = values
 
@@ -77,11 +85,12 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
     An empty list certifies the supermartingale property on the truncated tree.
     """
     scale, rows = _endpoints(fs, ROOT, process.depth)
-    heap = map(process.values.__getitem__, situations_up_to(process.depth))
-    here = [next(heap)]
+    heap = list(process.values.values())
     violations = []
     for w, row in enumerate(rows):
-        below = list(islice(heap, 2 << w))
+        # level w is heap[2**w - 1 : 2**(w+1) - 1], its children the next level
+        here = heap[(1 << w) - 1:(2 << w) - 1]
+        below = heap[(2 << w) - 1:(4 << w) - 1]
         for j, (v, f0, f1, (p, q)) in enumerate(zip(here, below[::2], below[1::2], row)):
             # with L the scale, the gain's upper expectation is positive
             # iff L*f0 + P*(f1 - f0) > L*v, P the endpoint it takes
@@ -90,7 +99,6 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
             lhs = (scale * n0 * d1 + (p if rise >= 0 else q) * rise) * v.denominator
             if lhs > scale * v.numerator * d0 * d1:
                 violations.append(bits(j, w))
-        here = below
     return violations
 
 
@@ -128,25 +136,26 @@ def ville_threshold(fs: ForecastingSystem, process: Process, threshold) -> Ville
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise DomainError("threshold must be positive")
-    hits = [s for s in situations_up_to(process.depth) if process.values[s] >= threshold]
-    cut = minimal_antichain(hits)
+    cut = minimal_antichain([s for s, v in process.values.items() if v >= threshold])
     bound = process.root / threshold
-    actual = cut_upper_prob(fs, cut) if cut else Fraction(0)
+    actual = cut_upper_prob(fs, cut)
     return VilleThreshold(cut=cut, bound=bound, actual=actual)
 
 
 def bound_check(fs: ForecastingSystem, process: Process) -> bool:
     """Verify value(s) <= root * cumulative_bound(s) at every situation."""
     root = process.root
-    ceiling: dict[str, Fraction] = {ROOT: Fraction(1)}
-    for s in situations_up_to(process.depth):
-        if s:
-            parent = s[:-1]
-            scale = min(1 - fs.at(parent).lo, fs.at(parent).hi)
+    ceilings: list[Fraction] = []
+    for i, (s, v) in enumerate(process.values.items()):
+        ceiling = Fraction(1)
+        if i:
+            forecast = fs.at(s[:-1])
+            scale = min(1 - forecast.lo, forecast.hi)
             if scale == 0:
-                raise DomainError(f"degenerate forecast at {parent or '@'!r}")
-            ceiling[s] = ceiling[parent] / scale
-        if process.values[s] > root * ceiling[s]:
+                raise DomainError(f"degenerate forecast at {s[:-1] or '@'!r}")
+            ceiling = ceilings[(i - 1) >> 1] / scale
+        ceilings.append(ceiling)
+        if v > root * ceiling:
             return False
     return True
 
@@ -189,11 +198,11 @@ def kelly_process(
     stake = Fraction(stake)
     if not (0 <= stake <= 1):
         raise DomainError("stake must lie in [0, 1]")
-    values: dict[str, Fraction] = {ROOT: Fraction(1)}
-    for s in situations_up_to(depth):
-        if s:
-            parent = s[:-1]
-            g = kelly_gamble(fs.at(parent), direction)
-            gain = g.on1 if s[-1] == "1" else g.on0
-            values[s] = values[parent] * (1 + stake * gain)
-    return Process(depth, values)
+    # heap order: the children of the i-th situation are appended as it is read
+    names, capital = [ROOT], [Fraction(1)]
+    for i in range((1 << depth) - 1):
+        s, here = names[i], capital[i]
+        g = kelly_gamble(fs.at(s), direction)
+        names += (s + "0", s + "1")
+        capital += (here * (1 + stake * g.on0), here * (1 + stake * g.on1))
+    return Process(depth, dict(zip(names, capital)))

@@ -21,7 +21,7 @@ from .expectation import _cut_value_sum, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, check_test_supermartingale
-from .tree import ROOT, minimal_antichain, require_antichain, situations_up_to
+from .tree import ROOT, minimal_antichain, require_antichain
 
 DEFAULT_HORIZON = 1 << 20
 
@@ -87,7 +87,7 @@ def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelR
     reports = []
     for n, cut in enumerate(test.levels):
         budget = Fraction(1, 1 << n)
-        actual = cut_upper_prob(fs, cut) if cut else Fraction(0)
+        actual = cut_upper_prob(fs, cut)
         reports.append(LevelReport(n, budget, actual, actual <= budget))
     return reports
 
@@ -104,19 +104,18 @@ def validate_schnorr_tail(
         budget = Fraction(1, 1 << k)
         worst = Fraction(0)
         for n in range(test.num_levels):
-            deep = test.level_at_least(n, cutoff)
-            actual = cut_upper_prob(fs, deep) if deep else Fraction(0)
-            worst = max(worst, actual)
+            worst = max(worst, cut_upper_prob(fs, test.level_at_least(n, cutoff)))
         reports.append(TailReport(k, cutoff, budget, worst, worst <= budget))
     return reports
 
 
 def _require_budgets(fs, test, up_to: int) -> None:
-    for report in validate_ml_test(fs, test)[: up_to + 1]:
-        if not report.passed:
-            raise ContractError(
-                f"level {report.level} over budget: {report.actual} > {report.budget}"
-            )
+    """validate_ml_test on levels 0..up_to only, raising at the first failure."""
+    for n, cut in enumerate(test.levels[: up_to + 1]):
+        budget = Fraction(1, 1 << n)
+        actual = cut_upper_prob(fs, cut)
+        if actual > budget:
+            raise ContractError(f"level {n} over budget: {actual} > {budget}")
 
 
 def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
@@ -128,9 +127,8 @@ def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
     """
     levels: list[list[str]] = []
     reached: list[int] = []
-    for i, s in enumerate(situations_up_to(process.depth)):
+    for i, (s, value) in enumerate(process.values.items()):
         before = reached[(i - 1) >> 1] if i else 0
-        value = process.values[s]
         here = crossed(value.numerator, value.denominator, len(s))
         if here > before:
             levels.extend([] for _ in range(len(levels), here))
@@ -335,8 +333,7 @@ def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> Gr
     _require_budgets(fs, test, test.num_levels - 1)
 
     def residual(n: int, cutoff: int) -> Fraction:
-        deep = test.level_at_least(n, cutoff)
-        return cut_upper_prob(fs, deep) if deep else Fraction(0)
+        return cut_upper_prob(fs, test.level_at_least(n, cutoff))
 
     top = test.deepest_member() + 1
 
@@ -374,8 +371,7 @@ def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTes
         threshold = Fraction(3, 1 << (n + 2))
         best = 0
         for cutoff in range(1, test.max_depth + 2):
-            below = frozenset(t for t in cut if len(t) < cutoff)
-            mass = cut_upper_prob(fs, below) if below else Fraction(0)
+            mass = cut_upper_prob(fs, frozenset(t for t in cut if len(t) < cutoff))
             if mass > threshold:
                 break
             best = cutoff
@@ -422,8 +418,7 @@ def approx_level_prob(
     if test.tail is None:
         raise DomainError("test carries no tail bound")
     cutoff = test.tail(accuracy)
-    below = test.level_below(n, cutoff)
-    value = cut_upper_prob(fs, below) if below else Fraction(0)
+    value = cut_upper_prob(fs, test.level_below(n, cutoff))
     exact = not test.level_at_least(n, cutoff)
     error = Fraction(0) if exact else Fraction(1, 1 << accuracy)
     return value, error

@@ -32,7 +32,7 @@ class CutStatus(Enum):
 
 
 def require_situation(s: str) -> str:
-    if any(ch not in "01" for ch in s):
+    if s.strip("01"):
         raise DomainError(f"not a situation: {s!r}")
     return s
 

@@ -82,6 +82,29 @@ def test_convert_to_test_rejects_non_supermartingale(workdir, capsys):
     assert "check fails at @" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("negatives", [{}, {"10": "-1", "01": "-2"}], ids=["valid", "negative"])
+def test_convert_to_test_ignores_line_order(workdir, capsys, negatives):
+    lines = (workdir / "doubler.proc").read_text().splitlines()
+    for k, line in enumerate(lines[1:], start=1):
+        s = line.split()[0]
+        if s in negatives:
+            lines[k] = f"{s} {negatives[s]}"
+    (workdir / "canon.proc").write_text("\n".join(lines) + "\n")
+    # deepest situations first, and within a level in reverse
+    (workdir / "shuffled.proc").write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    runs = []
+    for name in ("canon", "shuffled"):
+        code = main(["convert", "to-test", "--process", f"{name}.proc", "--fs", "fair.fs",
+                     "--out", f"{name}.test"])
+        out = workdir / f"{name}.test"
+        runs.append((code, *capsys.readouterr(), out.read_text() if out.exists() else None))
+    assert runs[0] == runs[1]
+    if negatives:
+        assert runs[0][:3] == (3, "", "not a test supermartingale: check fails at 01\n")
+    else:
+        assert runs[0][0] == 0 and runs[0][3] is not None
+
+
 def test_convert_to_martingale_golden(workdir, capsys):
     main(["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs",
           "--out", "ones.test"])
@@ -161,6 +184,28 @@ def test_analyze_golden(workdir, capsys):
         "3\t1\t8\t3\t0,1,2\n"
         "4\t1\t16\t4\t0,1,2\n"
         "# summary max_log2_capital=4 test_deficiency=3 max_capital=16 ville_bound=1/16\n"
+    )
+
+
+def test_analyze_test_hits_golden(workdir, capsys):
+    # an @ member, an off-path member (10), one deeper than the sequence
+    # (111111), and levels 1 and 2 both hit at depth 2
+    (workdir / "hits.test").write_text(
+        "levels: 4\ndepth: 6\nlevel 0 @\nlevel 1 11\nlevel 2 0\nlevel 2 11\n"
+        "level 3 10\nlevel 3 111111\n"
+    )
+    code = main(["analyze", "--fs", "fair.fs", "--seq", "seq.txt",
+                 "--kelly", "1/2,on-one", "--test", "hits.test"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "# n\tbit\tkelly(1/2,on-one)\tmax_log2_capital\ttest_hits\n"
+        "0\t-\t1\t0\t0\n"
+        "1\t1\t3/2\t0.584963\t0\n"
+        "2\t1\t9/4\t1.16993\t0,1,2\n"
+        "3\t1\t27/8\t1.75489\t0,1,2\n"
+        "4\t1\t81/16\t2.33985\t0,1,2\n"
+        "# summary max_log2_capital=2.33985 test_deficiency=3 max_capital=81/16 "
+        "ville_bound=16/81\n"
     )
 
 

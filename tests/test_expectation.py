@@ -7,7 +7,9 @@ import pytest
 
 from treebet import (
     DepthGamble,
+    Markov,
     Stationary,
+    Table,
     cond_lower,
     cond_upper,
     cut_lower_prob,
@@ -69,6 +71,22 @@ def test_cut_prob_decisive_cases():
     assert cut_upper_prob(FAIR, {"11"}, "110") == 1
     assert cut_upper_prob(FAIR, {"11"}, "0") == 0
     assert cut_upper_prob(FAIR, set(), "0") == 0
+
+
+@pytest.mark.parametrize("s", ["", "0", "101"])
+@pytest.mark.parametrize(
+    "fs",
+    [
+        WIDE,
+        Table(interval("1/2"), {"": interval("1/4", "3/4"), "10": interval(0, 1)}),
+        Markov(1, {"": interval("2/5"), "0": interval(1), "1": interval("1/4", "7/10")}),
+    ],
+    ids=["stationary", "table", "markov"],
+)
+def test_empty_cut_is_exact_zero(fs, s):
+    # callers pass empty cuts without a guard and rely on this answer
+    for prob in (cut_upper_prob(fs, frozenset(), s), cut_lower_prob(fs, frozenset(), s)):
+        assert type(prob) is Fraction and prob == 0
 
 
 def test_cut_prob_rejects_non_antichain():

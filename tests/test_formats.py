@@ -119,6 +119,23 @@ def test_test_file_rejects_bad_levels():
         parse_test("depth: 2\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_forecasting_system, "kind: markov\norder: x\n", "line 2: bad order 'x'"),
+        (parse_process, "depth: 1.5\n@ 1\n", "line 1: bad depth '1.5'"),
+        (parse_test, "levels: two\ndepth: 2\n", "line 1: bad level count 'two'"),
+        (parse_test, "levels: 1\n# comment\ndepth: -\n", "line 3: bad depth '-'"),
+        (parse_test, "levels: 1\ndepth: 2\nlevel 0x 01\n", "line 3: bad level index '0x'"),
+    ],
+    ids=["markov-order", "process-depth", "test-levels", "test-depth", "test-level-index"],
+)
+def test_bad_integer_messages(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_sequence_parsing():
     assert parse_sequence("01 10\n# all ones\n11\n") == "011011"
     with pytest.raises(ParseError):

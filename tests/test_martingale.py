@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import treebet.martingale
 from treebet import (
     Process,
     bound_check,
@@ -19,9 +21,10 @@ from treebet import (
     ville_threshold,
 )
 from treebet.errors import ContractError, DomainError
+from treebet.formats import dump_process
 from treebet.tree import situations_up_to
 
-from gen import FAIR, WIDE, rand_supermartingale, rand_system
+from gen import FAIR, WIDE, rand_fraction, rand_supermartingale, rand_system
 
 DOUBLER = kelly_process(FAIR, 1, "on-one", 4)
 
@@ -31,6 +34,25 @@ def test_process_totality_enforced():
         Process(1, {"": Fraction(1), "0": Fraction(1)})
     with pytest.raises(DomainError):
         Process(0, {"": Fraction(1), "0": Fraction(1), "1": Fraction(1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=6))
+def test_process_values_in_heap_order(seed, depth):
+    rng = random.Random(seed)
+    heap = list(situations_up_to(depth))
+    in_order = Process(depth, {s: rand_fraction(rng) for s in heap})
+    items = list(in_order.values.items())
+    rng.shuffle(items)
+    shuffled = Process(depth, dict(items))
+    assert list(shuffled.values) == list(in_order.values) == heap
+    assert shuffled.values == in_order.values
+    assert dump_process(shuffled) == dump_process(in_order)
+
+
+def test_process_missing_value_named_in_heap_order():
+    with pytest.raises(DomainError, match="process missing value at '0'"):
+        Process(1, {"1": Fraction(1), "": Fraction(1), "00": Fraction(1)})
 
 
 def test_doubler_is_test_supermartingale():
@@ -192,6 +214,19 @@ def test_kelly_process_cases():
     half = kelly_process(WIDE, Fraction(1, 2), "on-one", 2)
     assert half.at("11") / half.at("1") == Fraction(17, 14)
     assert check_test_supermartingale(WIDE, half)
+
+
+def test_kelly_process_one_gamble_per_interior_node(monkeypatch):
+    calls = []
+
+    def counted(forecast, direction):
+        calls.append(forecast)
+        return kelly_gamble(forecast, direction)
+
+    monkeypatch.setattr(treebet.martingale, "kelly_gamble", counted)
+    process = kelly_process(WIDE, Fraction(1, 2), "on-zero", 4)
+    assert len(calls) == (1 << 4) - 1
+    assert list(process.values) == list(situations_up_to(4))
 
 
 def test_kelly_gamble_zero_upper_expectation(seed=79):

@@ -118,6 +118,14 @@ def test_summed_levels_contract():
         supermartingale_from_test(FAIR, bad, 1, 5)
 
 
+def test_summed_levels_ignore_budgets_above_n_max():
+    over = RandomnessTest((frozenset({"1"}), frozenset({"0", "1"})), max_depth=1)
+    assert supermartingale_from_test(FAIR, over, 0, 5) == (Fraction(1, 4), Fraction(1))
+    assert assemble_test_supermartingale(FAIR, over, 0).at("1") == Fraction(1, 2)
+    with pytest.raises(ContractError, match="level 1 over budget: 1 > 1/2"):
+        supermartingale_from_test(FAIR, over, 1, 5)
+
+
 def test_assembled_supermartingale_ones():
     ones = ones_test(7, max_depth=7)
     process = assemble_test_supermartingale(FAIR, ones, 6)

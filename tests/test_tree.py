@@ -11,6 +11,7 @@ from treebet.tree import (
     is_antichain,
     parse_situation,
     require_antichain,
+    require_situation,
     situations_up_to,
 )
 
@@ -106,6 +107,12 @@ def test_situation_round_trip():
     assert format_situation("01") == "01"
     with pytest.raises(DomainError):
         parse_situation("01a")
+
+
+@pytest.mark.parametrize("bad", ["01a", "2", "0 1", "01\n", "@"])
+def test_require_situation_rejects(bad):
+    with pytest.raises(DomainError):
+        require_situation(bad)
 
 
 def test_situations_up_to_is_total():
