@@ -110,12 +110,11 @@ def validate_schnorr_tail(
 
 
 def _require_budgets(fs, test, up_to: int) -> None:
-    """validate_ml_test on levels 0..up_to only, raising at the first failure."""
-    for n, cut in enumerate(test.levels[: up_to + 1]):
-        budget = Fraction(1, 1 << n)
-        actual = cut_upper_prob(fs, cut)
-        if actual > budget:
-            raise ContractError(f"level {n} over budget: {actual} > {budget}")
+    for report in validate_ml_test(fs, test)[: up_to + 1]:
+        if not report.passed:
+            raise ContractError(
+                f"level {report.level} over budget: {report.actual} > {report.budget}"
+            )
 
 
 def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
@@ -176,9 +175,7 @@ def _level_series(fs, test, n_max, cutoff, s=ROOT) -> tuple[Fraction, Fraction]:
     """supermartingale_from_test without its level and budget checks."""
     value = Fraction(0)
     for n in range(n_max + 1):
-        cut = test.level_below(n, cutoff)
-        if cut:
-            value += cut_upper_prob(fs, cut, s)
+        value += cut_upper_prob(fs, test.level_below(n, cutoff), s)
     remainder = cumulative_bound(fs, s) * Fraction(1, 1 << n_max)
     return value / 2, remainder
 
