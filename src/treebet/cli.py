@@ -136,7 +136,7 @@ def cmd_convert(args) -> int:
             print(f"not a test supermartingale: root is {process.root}, not 1", file=sys.stderr)
             return 3
         # heap order puts the shortest, then lexicographically first, negative first
-        negative = [s for s, v in process.values.items() if v < 0]
+        negative = [s for s, v in process.values.items() if v.numerator < 0]
         violations = check_supermartingale(fs, process)
         if negative or violations:
             where = (negative or violations)[0]

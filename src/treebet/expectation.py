@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import DomainError
 from .forecast import ONE, ZERO, ForecastingSystem, IntervalForecast
 from .local import LocalGamble, lower_expectation, upper_expectation
-from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation
+from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation, situations_up_to
 
 _LocalRule = Callable[[IntervalForecast, LocalGamble], Fraction]
 
@@ -138,8 +138,8 @@ def _cut_value_sum(
 ) -> dict[str, Fraction]:
     """sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight, cut) pairs.
 
-    Each cut is folded once into one running numerator table; each value is
-    reduced to a Fraction once, at the end, in heap order.
+    Each cut is folded once into one running numerator table; a level's values
+    share one denominator, so each distinct numerator becomes a Fraction once.
     """
     scale, rows = _endpoints(fs, ROOT, depth, lower)
     total = [[0] * (1 << (depth - h)) for h in range(depth + 1)]
@@ -150,12 +150,13 @@ def _cut_value_sum(
             continue
         for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
             total[h] = [x + weight * v for x, v in zip(total[h], level)]
-    values: dict[str, Fraction] = {}
+    heap: list[Fraction] = []
     for w in range(depth + 1):
         den = divisor * scale ** (depth - w)
-        for j, v in enumerate(total.pop()):
-            values[bits(j, w)] = Fraction(v, den)
-    return values
+        level = total.pop()
+        made = {v: Fraction(v, den) for v in set(level)}
+        heap += map(made.__getitem__, level)
+    return dict(zip(situations_up_to(depth), heap))
 
 
 def cond_upper(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:

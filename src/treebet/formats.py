@@ -154,14 +154,20 @@ def parse_process(text: str) -> Process:
         raise ParseError(f"process file must start with 'depth:', got {first!r}", number)
     depth = _int(value, "depth", number)
     values = {}
+    # value texts repeat heavily, so each distinct one is parsed once
+    rationals: dict[str, Fraction] = {}
     for number, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected '<situation> <rational>', got {line!r}", number)
-        s = parse_situation(parts[0])
+        name, literal = parts
+        s = parse_situation(name)
         if s in values:
-            raise ParseError(f"duplicate situation {parts[0]!r}", number)
-        values[s] = parse_rational(parts[1])
+            raise ParseError(f"duplicate situation {name!r}", number)
+        v = rationals.get(literal)
+        if v is None:
+            v = rationals[literal] = parse_rational(literal)
+        values[s] = v
     try:
         return Process(depth, values)
     except Exception as exc:

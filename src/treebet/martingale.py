@@ -106,7 +106,7 @@ def check_test_supermartingale(fs: ForecastingSystem, process: Process) -> bool:
     """Root value 1, non-negative everywhere, and no supermartingale violations."""
     if process.root != 1:
         return False
-    if any(v < 0 for v in process.values.values()):
+    if any(v.numerator < 0 for v in process.values.values()):
         return False
     return not check_supermartingale(fs, process)
 

@@ -109,7 +109,10 @@ def bits(value: int, width: int) -> str:
 
 
 def situations_up_to(depth: int) -> Iterator[str]:
-    """All situations of depth at most ``depth``, level by level, lexicographic."""
+    """All situations of depth at most ``depth``, level by level, lexicographic;
+    each level's names are the previous level's with '0', then '1', appended."""
+    level = [ROOT]
     for n in range(depth + 1):
-        for j in range(1 << n):
-            yield bits(j, n)
+        yield from level
+        if n < depth:
+            level = [t + c for t in level for c in "01"]

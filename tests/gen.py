@@ -20,7 +20,7 @@ from treebet import (
     interval,
     kelly_gamble,
 )
-from treebet.tree import bits, situations_up_to
+from treebet.tree import bits, format_situation, situations_up_to
 
 ENDPOINT_POOL = [Fraction(0), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2),
                  Fraction(7, 10), Fraction(1)]
@@ -180,3 +180,55 @@ def decaying_system(rng: random.Random, precise: bool = False):
     order = rng.randint(1, 2)
     rows = {bits(j, n): one() for n in range(order + 1) for j in range(1 << n)}
     return Markov(order, rows)
+
+
+def _rational_text(rng: random.Random, value: Fraction) -> str:
+    """``value`` written canonically, unreduced, with a '+' sign, or as '-0'."""
+    form = rng.randrange(4)
+    if form == 1:
+        k = rng.randint(2, 4)
+        return f"{value.numerator * k}/{value.denominator * k}"
+    if form == 2 and value >= 0:
+        return f"+{value}"
+    if form == 3 and value == 0:
+        return "-0"
+    return str(value)
+
+
+def rand_proc_text(rng: random.Random) -> str:
+    """A .proc text, canonical or with one kind of damage.
+
+    Values come from a small pool in several spellings, so value texts
+    repeat, and equal values are written differently.  The kinds: canonical,
+    shuffled lines, comments and blank lines, a duplicate situation, a bad
+    situation, a bad or zero-denominator rational, two faults on one line,
+    and a missing line.
+    """
+    depth = rng.randint(0, 4)
+    pool = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    lines = [
+        f"{format_situation(s)} {_rational_text(rng, rng.choice(pool))}"
+        for s in situations_up_to(depth)
+    ]
+    kind = rng.choice(["canonical", "shuffled", "comments", "duplicate", "bad situation",
+                       "bad rational", "two faults", "missing"])
+    at = rng.randrange(len(lines))
+    if kind == "shuffled":
+        rng.shuffle(lines)
+    elif kind == "comments":
+        for _ in range(rng.randint(1, 4)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "  ", "# note", "\t# x"]))
+        lines[at] += "  # trailing"
+    elif kind == "duplicate":
+        situation = lines[at].split()[0]
+        lines.insert(rng.randint(0, len(lines)), f"{situation} {rng.choice(pool)}")
+    elif kind == "bad situation":
+        lines[at] = rng.choice(["2", "0a", "@@", "0 1"]) + " " + lines[at].split()[1]
+    elif kind == "bad rational":
+        lines[at] = lines[at].split()[0] + " " + rng.choice(["1/0", "0.5", "x", "-3/00", "1/2/3"])
+    elif kind == "two faults":
+        situation = rng.choice(["2", lines[at].split()[0], lines[-1].split()[0]])
+        lines.insert(rng.randint(at, len(lines)), f"{situation} {rng.choice(['1/0', 'x'])}")
+    elif kind == "missing":
+        del lines[at]
+    return "\n".join([f"depth: {depth}"] + lines) + "\n"

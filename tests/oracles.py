@@ -13,11 +13,19 @@ from itertools import product
 from typing import Callable
 
 from treebet import DepthGamble, IntervalForecast, LocalGamble, Process, Table, interval
-from treebet.errors import DomainError, ResourceError
+from treebet.errors import DomainError, ParseError, ResourceError
 from treebet.forecast import ForecastingSystem, is_precise
+from treebet.formats import _int, _key_value, _meaningful, parse_rational
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
-from treebet.tree import CutStatus, bits, cut_status, minimal_antichain, situations_up_to
+from treebet.tree import (
+    CutStatus,
+    bits,
+    cut_status,
+    minimal_antichain,
+    parse_situation,
+    situations_up_to,
+)
 
 
 def path_weight(fs: ForecastingSystem, leaf: str) -> Fraction:
@@ -176,3 +184,28 @@ def schnorr_levels_by_scans(process: Process, rho: GrowthFunction) -> tuple[froz
             return tuple(levels)
         levels.append(cut)
         n += 1
+
+
+def parse_process_by_lines(text: str) -> Process:
+    """parse_process with one parse_rational call per value line."""
+    lines = _meaningful(text)
+    if not lines:
+        raise ParseError("empty process file")
+    number, first = lines[0]
+    key, value = _key_value(first, number)
+    if key != "depth":
+        raise ParseError(f"process file must start with 'depth:', got {first!r}", number)
+    depth = _int(value, "depth", number)
+    values = {}
+    for number, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected '<situation> <rational>', got {line!r}", number)
+        s = parse_situation(parts[0])
+        if s in values:
+            raise ParseError(f"duplicate situation {parts[0]!r}", number)
+        values[s] = parse_rational(parts[1])
+    try:
+        return Process(depth, values)
+    except Exception as exc:
+        raise ParseError(str(exc)) from None

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebet import Markov, RandomnessTest, Stationary, Table, affine, interval
 from treebet.errors import ConfigError, ParseError
@@ -20,7 +21,8 @@ from treebet.formats import (
     parse_test,
 )
 
-from gen import ones_test, rand_supermartingale, rand_system
+from gen import ones_test, rand_proc_text, rand_supermartingale, rand_system
+from oracles import parse_process_by_lines
 
 
 def test_parse_rational():
@@ -84,6 +86,21 @@ def test_process_missing_node():
         parse_process("depth: 1\n@ 1\n0 1\n")
     with pytest.raises(ParseError):
         parse_process("depth: 1\n@ 1\n0 1\n1 1\n0 2\n")
+
+
+def _outcome(parse, text):
+    try:
+        process = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return process.depth, list(process.values.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_parse_process_matches_line_by_line_reference(seed):
+    text = rand_proc_text(random.Random(seed))
+    assert _outcome(parse_process, text) == _outcome(parse_process_by_lines, text)
 
 
 def test_growth_spec_round_trip():

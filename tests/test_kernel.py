@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from treebet import (
     DepthGamble,
     GrowthFunction,
+    IntervalForecast,
     Process,
+    Table,
     assemble_schnorr_supermartingale,
     assemble_test_supermartingale,
     check_supermartingale,
@@ -25,6 +27,7 @@ from treebet import (
     martingale_to_test,
     schnorr_test_from_martingale,
 )
+from treebet.expectation import _cut_value_sum
 from treebet.tree import bits, situations_up_to
 
 from gen import (
@@ -195,3 +198,27 @@ def test_assembled_sums_match_node_sweeps(seed):
                 for s, v in cut_value_map_by_nodes(fs, deep, 6).items():
                     expected[s] += (1 << k) * v
     assert assembled.values == {s: v / 2 for s, v in expected.items()}
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_assembled_sum_with_all_values_distinct(lower):
+    # a different interval at every node and a different power-of-two weight
+    # on each leaf cut, shuffled so no level is in numerator order: no two
+    # situations share a value, so no Fraction is shared either
+    depth = 6
+    weights = [1 << j for j in range(1 << depth)]
+    random.Random(6).shuffle(weights)
+    overrides = {
+        s: IntervalForecast(Fraction(1, k + 3), Fraction(1, 2) + Fraction(1, k + 4))
+        for k, s in enumerate(situations_up_to(depth - 1))
+    }
+    fs = Table(IntervalForecast(Fraction(1, 2), Fraction(1, 2)), overrides)
+    leaf_cuts = [(weight, frozenset({bits(j, depth)})) for j, weight in enumerate(weights)]
+    values = _cut_value_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)
+    maps = [cut_value_map_by_nodes(fs, cut, depth, lower) for _, cut in leaf_cuts]
+    expected = [
+        (s, sum(weight * m[s] for (weight, _), m in zip(leaf_cuts, maps)) / 2)
+        for s in situations_up_to(depth)
+    ]
+    assert list(values.items()) == expected
+    assert len(set(values.values())) == len(values)
