@@ -7,6 +7,7 @@ verification failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -208,10 +209,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _log2_label(value: Fraction) -> str:
-    if value <= 0:
+def _log2_label(num: int, den: int) -> str:
+    if num <= 0:
         return "-inf"
-    return f"{math.log2(value.numerator) - math.log2(value.denominator):.6g}"
+    return f"{math.log2(num) - math.log2(den):.6g}"
 
 
 def _parse_kelly(spec: str) -> tuple[Fraction, str]:
@@ -222,6 +223,22 @@ def _parse_kelly(spec: str) -> tuple[Fraction, str]:
     if not 0 <= stake <= 1:
         raise ParseError(f"kelly stake {stake} outside [0, 1]")
     return stake, parts[1]
+
+
+# Exact integer arithmetic on decimal integers: str() of a Decimal is linear
+# in its digits, where int.__str__ is quadratic and capped by
+# sys.get_int_max_str_digits().  Inexact or Rounded would mean a lost digit.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded],
+)
+_FLUSH_CHARS = 1 << 20
+
+
+def _ratio_text(num: decimal.Decimal, den: decimal.Decimal) -> str:
+    """A reduced non-negative ratio as str(Fraction) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def cmd_analyze(args) -> int:
@@ -248,38 +265,69 @@ def cmd_analyze(args) -> int:
         hit_levels |= hits_at[depth]
         label_at[depth] = ",".join(str(n) for n in sorted(hit_levels))
 
+    # Each capital is a reduced pair twice over: integers (num, den) for the
+    # gcds and comparisons, and Decimal integers for the text, with the
+    # text re-rendered only when the capital changes.
+    k = len(strategies)
+    num, den = [1] * k, [1] * k
+    dnum, dden = [decimal.Decimal(1)] * k, [decimal.Decimal(1)] * k
+    cols = ["1"] * k
+    best = (1, 1, decimal.Decimal(1), decimal.Decimal(1))
+    max_log2 = _log2_label(1, 1)
+    # the reduced factors 1 + stake * gain, built when first needed, keyed
+    # by the identity of the cursor's interval objects and the bit
+    factors: dict[tuple[int, str], list] = {}
     cursor = ForecastCursor(fs)
-    capitals = [Fraction(1)] * len(strategies)
-    max_capital = Fraction(1)
-    max_log2 = _log2_label(max_capital)
     hits = label_at.get(0, "-")
-    chunk = ["0\t-\t" + "\t".join(str(c) for c in capitals) + f"\t{max_log2}\t{hits}"]
+    chunk = ["0\t-\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}"]
+    size = 0
     for n, bit in enumerate(sequence, start=1):
         forecast = cursor.current()
-        for i, (stake, direction) in enumerate(strategies):
-            if capitals[i] == 0:
+        row = factors.get((id(forecast), bit))
+        if row is None:
+            row = factors[(id(forecast), bit)] = [None] * k
+        for i in range(k):
+            a, b = num[i], den[i]
+            if a == 0:
                 continue
-            g = kelly_gamble(forecast, direction)
-            gain = g.on1 if bit == "1" else g.on0
-            capitals[i] *= 1 + stake * gain
-            if capitals[i] > max_capital:
-                max_capital = capitals[i]
-                max_log2 = _log2_label(max_capital)
+            f = row[i]
+            if f is None:
+                stake, direction = strategies[i]
+                g = kelly_gamble(forecast, direction)
+                f = 1 + stake * (g.on1 if bit == "1" else g.on0)
+                f = row[i] = (f.numerator, f.denominator)
+            p, q = f
+            if p == q:
+                continue
+            if p == 0:
+                num[i], den[i], cols[i] = 0, 1, "0"
+                continue
+            # (a/b) * (p/q) stays reduced: divide out gcd(a, q) and gcd(p, b)
+            g1, g2 = math.gcd(a, q), math.gcd(p, b)
+            a, b = a // g1 * (p // g2), b // g2 * (q // g1)
+            da = _EXACT.multiply(_EXACT.divide_int(dnum[i], g1), p // g2)
+            db = _EXACT.multiply(_EXACT.divide_int(dden[i], g2), q // g1)
+            num[i], den[i], dnum[i], dden[i] = a, b, da, db
+            cols[i] = _ratio_text(da, db)
+            if a * best[1] > best[0] * b:
+                best = (a, b, da, db)
+                max_log2 = _log2_label(a, b)
         cursor.push(bit)
         hits = label_at.get(n, hits)
-        capital_cols = "\t".join(str(c) for c in capitals)
-        chunk.append(f"{n}\t{bit}\t{capital_cols}\t{max_log2}\t{hits}")
-        if len(chunk) >= 65536:
+        line = f"{n}\t{bit}\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}"
+        chunk.append(line)
+        size += len(line)
+        if size >= _FLUSH_CHARS:
             out.write("\n".join(chunk) + "\n")
-            chunk = []
+            chunk, size = [], 0
     if chunk:
         out.write("\n".join(chunk) + "\n")
 
     deficiency = max(hit_levels) + 1 if hit_levels else 0
-    ville_bound = 1 / max_capital
+    # max_capital >= 1, so its inverse is its pair swapped
     out.write(
         f"# summary max_log2_capital={max_log2} test_deficiency={deficiency} "
-        f"max_capital={max_capital} ville_bound={ville_bound}\n"
+        f"max_capital={_ratio_text(best[2], best[3])} ville_bound={_ratio_text(best[3], best[2])}\n"
     )
     return 0
 

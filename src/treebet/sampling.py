@@ -4,18 +4,16 @@ The generator is splitmix64, fixed here so that a given seed reproduces the
 same bits on every run of the same release.  Each step picks a precise
 probability inside the current interval forecast (an endpoint, the
 midpoint, or a uniformly drawn point) and then draws the bit exactly by
-comparing a 64-bit word against the scaled probability.
+comparing a 64-bit word against the scaled probability, with integer
+constants built once per interval of the system.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DomainError
 from .forecast import ForecastCursor, ForecastingSystem, IntervalForecast
 
 _MASK = (1 << 64) - 1
-_SCALE = 1 << 64
 
 SELECTORS = ("low", "high", "mid", "uniform")
 
@@ -29,41 +27,42 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-class BitSampler:
-    """Draws bits along a path, one situation at a time."""
-
-    def __init__(self, selector: str, seed: int):
-        if selector not in SELECTORS:
-            raise DomainError(f"unknown selector {selector!r}")
-        self.selector = selector
-        self._state = seed & _MASK
-
-    def _word(self) -> int:
-        self._state, word = splitmix64(self._state)
-        return word
-
-    def _pick_probability(self, forecast: IntervalForecast) -> Fraction:
-        if self.selector == "low":
-            return forecast.lo
-        if self.selector == "high":
-            return forecast.hi
-        if self.selector == "mid":
-            return (forecast.lo + forecast.hi) / 2
-        spread = forecast.hi - forecast.lo
-        return forecast.lo + spread * Fraction(self._word(), _SCALE)
-
-    def draw(self, forecast: IntervalForecast) -> str:
-        p = self._pick_probability(forecast)
-        return "1" if Fraction(self._word(), _SCALE) < p else "0"
+def _constants(forecast: IntervalForecast, selector: str):
+    """The integers that turn one draw under ``forecast`` into one comparison."""
+    lo, hi = forecast.lo, forecast.hi
+    if selector == "uniform":
+        # p = lo + spread * pick / 2**64, and word / 2**64 < p iff
+        # word * b * d < (lo.num * d << 64) + spread.num * b * pick
+        spread = hi - lo
+        b, d = lo.denominator, spread.denominator
+        return b * d, lo.numerator * d << 64, spread.numerator * b
+    p = {"low": lo, "high": hi, "mid": (lo + hi) / 2}[selector]
+    # ceil(p * 2**64): a 64-bit word w has w / 2**64 < p iff w < this
+    return -((-p.numerator << 64) // p.denominator)
 
 
 def sample_path(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
     """n bits drawn under a compatible precise system chosen by ``selector``."""
-    sampler = BitSampler(selector, seed)
+    if selector not in SELECTORS:
+        raise DomainError(f"unknown selector {selector!r}")
+    uniform = selector == "uniform"
+    # keyed by identity: the cursor returns the system's own interval objects
+    constants: dict[int, object] = {}
     cursor = ForecastCursor(fs)
+    state = seed & _MASK
     bits = []
     for _ in range(n):
-        bit = sampler.draw(cursor.current())
+        forecast = cursor.current()
+        c = constants.get(id(forecast))
+        if c is None:
+            c = constants[id(forecast)] = _constants(forecast, selector)
+        if uniform:
+            state, pick = splitmix64(state)
+            state, word = splitmix64(state)
+            bit = "1" if word * c[0] < c[1] + c[2] * pick else "0"
+        else:
+            state, word = splitmix64(state)
+            bit = "1" if word < c else "0"
         bits.append(bit)
         cursor.push(bit)
     return "".join(bits)

@@ -8,16 +8,20 @@ assignments, or plain partial summation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Callable
 
 from treebet import DepthGamble, IntervalForecast, LocalGamble, Process, Table, interval
 from treebet.errors import DomainError, ParseError, ResourceError
-from treebet.forecast import ForecastingSystem, is_precise
+from treebet.forecast import ForecastCursor, ForecastingSystem, is_precise
 from treebet.formats import _int, _key_value, _meaningful, parse_rational
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
+from treebet.martingale import kelly_gamble
+from treebet.randtest import RandomnessTest
+from treebet.sampling import SELECTORS, splitmix64
 from treebet.tree import (
     CutStatus,
     bits,
@@ -209,3 +213,109 @@ def parse_process_by_lines(text: str) -> Process:
         return Process(depth, values)
     except Exception as exc:
         raise ParseError(str(exc)) from None
+
+
+# Per-row references for the streaming commands: Fraction capitals rendered
+# with str() on every row, and one Fraction comparison per drawn bit.
+
+def _log2_label_of(value: Fraction) -> str:
+    if value <= 0:
+        return "-inf"
+    return f"{math.log2(value.numerator) - math.log2(value.denominator):.6g}"
+
+
+def analyze_by_fractions(
+    fs: ForecastingSystem,
+    sequence: str,
+    strategies: list[tuple[Fraction, str]],
+    tests: list[RandomnessTest],
+) -> str:
+    """The whole stdout of ``treebet analyze``: one Fraction capital per bettor,
+    a kelly_gamble per bit and live bettor, every capital rendered on every row.
+
+    Raises what the command raises (DomainError for a bet against a {0} or
+    {1} forecast while the bettor is alive).
+    """
+    labels = [f"kelly({stake},{direction})" for stake, direction in strategies]
+    lines = ["# n\tbit\t" + "\t".join(labels) + "\tmax_log2_capital\ttest_hits"]
+    hits_at: dict[int, set[int]] = {}
+    for test in tests:
+        for level, cut in enumerate(test.levels):
+            for member in cut:
+                if sequence.startswith(member):
+                    hits_at.setdefault(len(member), set()).add(level)
+    hit_levels: set[int] = set()
+    label_at: dict[int, str] = {}
+    for depth in sorted(hits_at):
+        hit_levels |= hits_at[depth]
+        label_at[depth] = ",".join(str(n) for n in sorted(hit_levels))
+
+    cursor = ForecastCursor(fs)
+    capitals = [Fraction(1)] * len(strategies)
+    max_capital = Fraction(1)
+    max_log2 = _log2_label_of(max_capital)
+    hits = label_at.get(0, "-")
+    lines.append("0\t-\t" + "\t".join(str(c) for c in capitals) + f"\t{max_log2}\t{hits}")
+    for n, bit in enumerate(sequence, start=1):
+        forecast = cursor.current()
+        for i, (stake, direction) in enumerate(strategies):
+            if capitals[i] == 0:
+                continue
+            g = kelly_gamble(forecast, direction)
+            gain = g.on1 if bit == "1" else g.on0
+            capitals[i] *= 1 + stake * gain
+            if capitals[i] > max_capital:
+                max_capital = capitals[i]
+                max_log2 = _log2_label_of(max_capital)
+        cursor.push(bit)
+        hits = label_at.get(n, hits)
+        capital_cols = "\t".join(str(c) for c in capitals)
+        lines.append(f"{n}\t{bit}\t{capital_cols}\t{max_log2}\t{hits}")
+    deficiency = max(hit_levels) + 1 if hit_levels else 0
+    lines.append(
+        f"# summary max_log2_capital={max_log2} test_deficiency={deficiency} "
+        f"max_capital={max_capital} ville_bound={1 / max_capital}"
+    )
+    return "\n".join(lines) + "\n"
+
+
+class BitSampler:
+    """Draws bits along a path, one situation at a time, with Fraction arithmetic."""
+
+    _SCALE = 1 << 64
+
+    def __init__(self, selector: str, seed: int):
+        if selector not in SELECTORS:
+            raise DomainError(f"unknown selector {selector!r}")
+        self.selector = selector
+        self._state = seed & (self._SCALE - 1)
+
+    def _word(self) -> int:
+        self._state, word = splitmix64(self._state)
+        return word
+
+    def _pick_probability(self, forecast: IntervalForecast) -> Fraction:
+        if self.selector == "low":
+            return forecast.lo
+        if self.selector == "high":
+            return forecast.hi
+        if self.selector == "mid":
+            return (forecast.lo + forecast.hi) / 2
+        spread = forecast.hi - forecast.lo
+        return forecast.lo + spread * Fraction(self._word(), self._SCALE)
+
+    def draw(self, forecast: IntervalForecast) -> str:
+        p = self._pick_probability(forecast)
+        return "1" if Fraction(self._word(), self._SCALE) < p else "0"
+
+
+def sample_path_by_sampler(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
+    """sample_path with one BitSampler.draw per bit."""
+    sampler = BitSampler(selector, seed)
+    cursor = ForecastCursor(fs)
+    drawn = []
+    for _ in range(n):
+        bit = sampler.draw(cursor.current())
+        drawn.append(bit)
+        cursor.push(bit)
+    return "".join(drawn)

@@ -1,0 +1,293 @@
+"""The streaming commands: `analyze` and `sample` against their per-row
+references in ``oracles``, the long default-battery run, and the exit code
+of every generated command line.
+"""
+
+import contextlib
+import io
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treebet import Markov, RandomnessTest, Stationary, Table, interval
+from treebet.cli import DEFAULT_BATTERY, main
+from treebet.errors import DomainError
+from treebet.formats import dump_forecasting_system, dump_test, parse_forecasting_system
+from treebet.martingale import kelly_gamble
+from treebet.sampling import SELECTORS, sample_path
+from treebet.tree import bits
+
+from oracles import analyze_by_fractions, sample_path_by_sampler
+
+# {0}, {1}, [0, 1], precise and imprecise intervals with mixed denominators
+INTERVALS = [
+    interval("0"), interval("1"), interval("0", "1"), interval("1/2"), interval("1/3"),
+    interval("2/5", "7/10"), interval("1/4", "3/5"), interval("5/9", "6/7"),
+]
+# mostly intervals that let every bettor live, so long runs are common
+forecasts = st.one_of(st.sampled_from(INTERVALS[3:]), st.sampled_from(INTERVALS))
+situations = st.integers(0, 4).flatmap(
+    lambda n: st.builds(bits, st.integers(0, (1 << n) - 1), st.just(n)))
+
+
+@st.composite
+def systems(draw):
+    kind = draw(st.sampled_from(["stationary", "table", "markov"]))
+    if kind == "stationary":
+        return Stationary(draw(forecasts))
+    if kind == "table":
+        return Table(draw(forecasts), draw(st.dictionaries(situations, forecasts, max_size=6)))
+    order = draw(st.integers(0, 2))
+    rows = {bits(j, n): draw(forecasts) for n in range(order + 1) for j in range(1 << n)}
+    return Markov(order, rows)
+
+
+STAKES = ["0", "1", "1/2", "5/6"]
+kelly_specs = st.lists(
+    st.builds("{},{}".format, st.sampled_from(STAKES), st.sampled_from(["on-one", "on-zero"])),
+    min_size=1, max_size=5,
+)
+
+
+@st.composite
+def randomness_tests(draw, sequence: str):
+    """A test whose members are prefixes of ``sequence`` (hits) or off-path situations."""
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        if sequence and draw(st.booleans()):
+            levels.append(frozenset({sequence[:draw(st.integers(0, len(sequence)))]}))
+        else:
+            levels.append(frozenset(draw(st.lists(situations, max_size=1))))
+    depth = max((len(t) for cut in levels for t in cut), default=0)
+    return RandomnessTest(tuple(levels), max_depth=depth)
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def analyze_argv(tmp: Path, fs, sequence: str, specs, tests) -> list[str]:
+    (tmp / "s.fs").write_text(dump_forecasting_system(fs))
+    (tmp / "s.seq").write_text(sequence + "\n")
+    argv = ["analyze", "--fs", str(tmp / "s.fs"), "--seq", str(tmp / "s.seq")]
+    for spec in specs or []:
+        argv += ["--kelly", spec]
+    for t, test in enumerate(tests):
+        (tmp / f"{t}.test").write_text(dump_test(test))
+        argv += ["--test", str(tmp / f"{t}.test")]
+    return argv
+
+
+def parsed(spec: str) -> tuple[Fraction, str]:
+    stake, direction = spec.split(",")
+    return Fraction(stake), direction
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), systems(), st.text("01", max_size=300), st.one_of(st.none(), kelly_specs))
+def test_analyze_matches_fraction_rows(data, fs, sequence, specs):
+    tests = data.draw(st.lists(randomness_tests(sequence), max_size=2))
+    strategies = [parsed(spec) for spec in specs or DEFAULT_BATTERY]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run(analyze_argv(Path(tmp), fs, sequence, specs, tests))
+    try:
+        want = analyze_by_fractions(fs, sequence, strategies, tests)
+    except DomainError as exc:
+        assert (code, err) == (2, f"treebet: {exc}\n")
+        assert out == out.split("\n", 1)[0] + "\n"   # the header, no rows this short
+        return
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+def test_analyze_hits_and_mixed_stakes_match():
+    # a fixed case with every feature at once: hits at several depths,
+    # a repeated strategy, a mixed-denominator stake, a stake-0 bettor
+    fs = Table(INTERVALS[5], {"1": INTERVALS[6], "10": INTERVALS[2]})
+    sequence = "1011001110" * 20
+    tests = [RandomnessTest((frozenset({"1"}), frozenset({"0"}), frozenset({sequence[:7]})), 7)]
+    specs = ["5/6,on-one", "1/2,on-zero", "5/6,on-one", "0,on-zero"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run(analyze_argv(Path(tmp), fs, sequence, specs, tests))
+    assert (code, err) == (0, "")
+    assert out == analyze_by_fractions(fs, sequence, [parsed(s) for s in specs], tests)
+
+
+seeds = st.one_of(
+    st.integers(-(1 << 70), -1), st.just(0), st.integers(1, (1 << 64) - 1),
+    st.integers(1 << 64, 1 << 70),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.sampled_from(SELECTORS), st.integers(0, 200), seeds)
+def test_sample_path_matches_bit_sampler(fs, selector, n, seed):
+    assert sample_path(fs, selector, n, seed) == sample_path_by_sampler(fs, selector, n, seed)
+
+
+def _seed_for_word(word: int) -> int:
+    """The seed whose first splitmix64 output is ``word`` (the mix is a bijection)."""
+    mask = (1 << 64) - 1
+
+    def unxorshift(y: int, k: int) -> int:
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unxorshift(word, 31)
+    z = unxorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    z = unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+@pytest.mark.parametrize("selector", ["low", "mid"])
+def test_sample_draw_is_exact_at_the_threshold(selector):
+    # p = 1/3: the words just below and at 2**64 / 3 (not an integer) draw 1 and 0
+    fs = Stationary(interval("1/3"))
+    below = ((1 << 64) - 1) // 3
+    assert sample_path(fs, selector, 1, _seed_for_word(below)) == "1"
+    assert sample_path(fs, selector, 1, _seed_for_word(below + 1)) == "0"
+    for word in (below, below + 1):
+        seed = _seed_for_word(word)
+        assert sample_path(fs, selector, 1, seed) == sample_path_by_sampler(fs, selector, 1, seed)
+
+
+def test_sample_path_rejects_unknown_selector():
+    with pytest.raises(DomainError):
+        sample_path(Stationary(INTERVALS[3]), "median", 0, 0)
+
+
+def test_default_battery_past_the_int_str_limit(tmp_path):
+    # the 1/2-stake capitals' denominators pass Python's 4300-digit
+    # int-to-str limit near 6,000 bits on this system
+    fs = Stationary(interval("2/5", "7/10"))
+    rng = random.Random(7)
+    n = 7200
+    sequence = "".join(rng.choice("01") for _ in range(n))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(analyze_argv(tmp_path, fs, sequence, None, []))
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    assert out.count("\n") == n + 3
+    summary = out.rstrip("\n").rsplit("\n", 1)[-1]
+    fields = dict(part.split("=", 1) for part in summary.split()[2:])
+
+    # unreduced integer capitals, compared by cross-multiplication
+    best = (1, 1)
+    for stake, direction in map(parsed, DEFAULT_BATTERY):
+        g = kelly_gamble(fs.interval, direction)
+        factor = {"1": 1 + stake * g.on1, "0": 1 + stake * g.on0}
+        num, den = 1, 1
+        for bit in sequence:
+            num, den = num * factor[bit].numerator, den * factor[bit].denominator
+            if num * best[1] > best[0] * den:
+                best = (num, den)
+    assert Fraction(fields["max_capital"]) == Fraction(*best)
+    assert Fraction(fields["ville_bound"]) == Fraction(best[1], best[0])
+
+
+ZERO_AFTER_ONE = "kind: markov\norder: 1\nrow @ 1/2 1/2\nrow 0 1/2 1/2\nrow 1 0 0\n"
+
+
+@pytest.mark.parametrize("sequence, code", [("010", 0), ("0011", 0), ("10", 2), ("110", 2)])
+def test_bet_against_zero_forecast_only_while_alive(tmp_path, sequence, code):
+    # the stake-1 bettor on one dies at the first 0; the {0} forecast
+    # after every 1 then only matters while it lives
+    fs = parse_forecasting_system(ZERO_AFTER_ONE)
+    got, out, err = run(analyze_argv(tmp_path, fs, sequence, ["1,on-one"], []))
+    assert got == code
+    if code == 2:
+        assert err == "treebet: betting on 1 against a {0} forecast\n"
+    else:
+        assert err == ""
+        assert out.count("\n") == len(sequence) + 3
+
+
+# ------------------------------------------------------------ exit codes
+
+RATIONALS = ["0", "1", "1/2", "2/5", "7/10", "3/2", "-1", "-0", "+1/3", "4/8", "1/0", "0.5",
+             "x", "", "1/2/3"]
+SITUATIONS = ["@", "0", "1", "01", "110", "", "2", "0a", "1" * 24]
+INTS = ["0", "1", "2", "3", "-1", "x", ""]
+rationals = st.sampled_from(RATIONALS)
+
+
+def _line(*parts):
+    return st.tuples(*parts).map(" ".join)
+
+
+fs_lines = st.one_of(
+    st.sampled_from(["kind: stationary", "kind: table", "kind: markov", "kind: other", "junk",
+                     "# note", ""]),
+    _line(st.just("interval:"), rationals, rationals),
+    _line(st.just("default:"), rationals, rationals),
+    _line(st.just("node"), st.sampled_from(SITUATIONS), rationals, rationals),
+    _line(st.just("row"), st.sampled_from(SITUATIONS[:5]), rationals, rationals),
+    _line(st.just("order:"), st.sampled_from(INTS)),
+)
+kinds = st.sampled_from(["kind: stationary", "kind: table", "kind: markov"])
+fs_texts = st.tuples(kinds, st.lists(fs_lines, max_size=8)).map(
+    lambda t: "\n".join([t[0], *t[1]]) + "\n")
+seq_texts = st.text("01 \n#x", max_size=60)
+test_lines = st.one_of(
+    _line(st.just("levels:"), st.sampled_from(INTS)),
+    _line(st.just("depth:"), st.sampled_from(INTS + ["30"])),
+    _line(st.just("level"), st.sampled_from(INTS), st.sampled_from(SITUATIONS)),
+    st.sampled_from(["tail: table 1 2 ; affine 1 0 1", "tail: table ; affine x", "junk", ""]),
+)
+test_texts = st.lists(test_lines, max_size=8).map(lambda lines: "\n".join(lines) + "\n")
+kelly_args = st.builds("{},{}".format, rationals, st.sampled_from(["on-one", "on-zero", "up"]))
+
+
+@st.composite
+def command_lines(draw):
+    """(argv naming its files by bare name, {name: text}); missing.fs is never written."""
+    files = {"a.fs": draw(fs_texts)}
+    command = draw(st.sampled_from(["local", "cutprob", "sample", "analyze"]))
+    if command == "local":
+        return ["local", "--interval", draw(rationals), draw(rationals),
+                "--gamble", draw(rationals), draw(rationals)], files
+    fs = draw(st.sampled_from(["a.fs", "missing.fs"]))
+    if command == "cutprob":
+        cut = ",".join(draw(st.lists(st.sampled_from(SITUATIONS), min_size=1, max_size=4)))
+        argv = ["cutprob", "--fs", fs, "--cut", cut, "--cond", draw(st.sampled_from(SITUATIONS))]
+        if draw(st.booleans()):
+            argv.append("--lower")
+        if draw(st.booleans()):
+            argv += ["--depth-cap", str(draw(st.integers(0, 26)))]
+        return argv, files
+    if command == "sample":
+        return ["sample", "--fs", fs, "--selector", draw(st.sampled_from(SELECTORS)),
+                "--n", str(draw(st.integers(-2, 40))),
+                "--seed", str(draw(st.integers(-(1 << 65), 1 << 65)))], files
+    files["a.seq"] = draw(seq_texts)
+    argv = ["analyze", "--fs", fs, "--seq", "a.seq"]
+    # "--kelly=SPEC", so argparse does not read a spec like "-1,on-one" as a flag
+    argv += [f"--kelly={spec}" for spec in draw(st.lists(kelly_args, max_size=3))]
+    for t in range(draw(st.integers(0, 2))):
+        files[f"{t}.test"] = draw(test_texts)
+        argv += ["--test", f"{t}.test"]
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_documented_exit_code(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        argv = [str(Path(tmp) / a) if a in files or a == "missing.fs" else a for a in argv]
+        code, _, err = run(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.startswith("treebet: ")
