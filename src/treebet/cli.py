@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -21,10 +22,12 @@ from .errors import (
     ResourceError,
 )
 from .expectation import cut_lower_prob, cut_upper_prob
-from .forecast import ForecastCursor, IntervalForecast
+from .forecast import IntervalForecast
 from .formats import (
+    _ratio_text,
     dump_process,
     dump_test,
+    format_rational,
     load,
     parse_forecasting_system,
     parse_growth,
@@ -37,7 +40,6 @@ from .formats import (
 from .local import LocalGamble, lower_expectation, upper_expectation
 from .martingale import check_supermartingale, kelly_gamble
 from .randtest import (
-    _level_series,
     _threshold_test,
     assemble_test_supermartingale,
     combine_universal,
@@ -46,14 +48,16 @@ from .randtest import (
     validate_schnorr_tail,
 )
 from .sampling import SELECTORS, sample_path
-from .tree import parse_situation, require_antichain
+from .tree import ROOT, parse_situation, require_antichain
 
 DEFAULT_DEPTH_CAP = 22
 DEFAULT_HORIZON = 1 << 20
 DEFAULT_BATTERY = ("1,on-one", "1,on-zero", "1/2,on-one", "1/2,on-zero")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(prog="treebet")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,14 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_interval_args(lo: str, hi: str) -> IntervalForecast:
-    return IntervalForecast(parse_rational(lo), parse_rational(hi))
-
-
 def cmd_local(args) -> int:
-    forecast = _parse_interval_args(*args.interval)
+    forecast = IntervalForecast(*map(parse_rational, args.interval))
     f = LocalGamble(parse_rational(args.gamble[0]), parse_rational(args.gamble[1]))
-    print(f"upper {upper_expectation(forecast, f)}  lower {lower_expectation(forecast, f)}")
+    upper, lower = upper_expectation(forecast, f), lower_expectation(forecast, f)
+    print(f"upper {format_rational(upper)}  lower {format_rational(lower)}")
     return 0
 
 
@@ -113,14 +114,15 @@ def cmd_cutprob(args) -> int:
         raise ResourceError(f"cut deeper than --depth-cap {args.depth_cap}")
     cond = parse_situation(args.cond)
     prob = cut_lower_prob(fs, cut, cond) if args.lower else cut_upper_prob(fs, cut, cond)
-    print(prob)
+    print(format_rational(prob))
     return 0
 
 
 def _report_budgets(reports) -> bool:
     for r in reports:
         verdict = "pass" if r.passed else "FAIL"
-        print(f"level {r.level}: actual {r.actual} budget {r.budget} {verdict}")
+        actual, budget = format_rational(r.actual), format_rational(r.budget)
+        print(f"level {r.level}: actual {actual} budget {budget} {verdict}")
     return all(r.passed for r in reports)
 
 
@@ -157,12 +159,13 @@ def cmd_convert(args) -> int:
         test = load(args.test, parse_test)
         if test.max_depth > args.depth_cap:
             raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
-        # assembling validates the levels and budgets for the series as well
-        process = assemble_test_supermartingale(fs, test, args.levels)
-        value, remainder = _level_series(fs, test, args.levels, test.max_depth + 1)
+        # once the budgets pass, the root (half the level probabilities) is below 1
+        process = assemble_test_supermartingale(fs, test, args.levels, normalize_root=False)
+        value = process.root
+        process.values[ROOT] = Fraction(1)
         violations = check_supermartingale(fs, process)
-        print(f"root {value} normalized 1")
-        print(f"remainder bound {remainder}")
+        print(f"root {format_rational(value)} normalized 1")
+        print(f"remainder bound {format_rational(Fraction(1, 1 << args.levels))}")
         if violations:
             print(f"supermartingale check FAIL at {violations[0] or '@'}")
             return 3
@@ -182,7 +185,8 @@ def cmd_convert(args) -> int:
         tail_reports = validate_schnorr_tail(fs, test, k_max=max(4, test.num_levels))
         for r in tail_reports:
             verdict = "pass" if r.passed else "FAIL"
-            print(f"tail K={r.k}: cutoff {r.cutoff} worst {r.worst_actual} budget {r.budget} {verdict}")
+            worst, budget = format_rational(r.worst_actual), format_rational(r.budget)
+            print(f"tail K={r.k}: cutoff {r.cutoff} worst {worst} budget {budget} {verdict}")
         if not budgets_ok or not all(r.passed for r in tail_reports):
             return 3
         print("all budgets pass")
@@ -236,11 +240,6 @@ _EXACT = decimal.Context(
 _FLUSH_CHARS = 1 << 20
 
 
-def _ratio_text(num: decimal.Decimal, den: decimal.Decimal) -> str:
-    """A reduced non-negative ratio as str(Fraction) writes it."""
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def cmd_analyze(args) -> int:
     fs = load(args.fs, parse_forecasting_system)
     sequence = load(args.seq, parse_sequence)
@@ -275,17 +274,18 @@ def cmd_analyze(args) -> int:
     best = (1, 1, decimal.Decimal(1), decimal.Decimal(1))
     max_log2 = _log2_label(1, 1)
     # the reduced factors 1 + stake * gain, built when first needed, keyed
-    # by the identity of the cursor's interval objects and the bit
+    # by the slot of the system's positional rule and the bit
     factors: dict[tuple[int, str], list] = {}
-    cursor = ForecastCursor(fs)
+    intervals, slot, follow = fs.intervals, fs._slot, fs._follow
+    position = 1
     hits = label_at.get(0, "-")
     chunk = ["0\t-\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}"]
     size = 0
     for n, bit in enumerate(sequence, start=1):
-        forecast = cursor.current()
-        row = factors.get((id(forecast), bit))
+        here = slot(position)
+        row = factors.get((here, bit))
         if row is None:
-            row = factors[(id(forecast), bit)] = [None] * k
+            row = factors[(here, bit)] = [None] * k
         for i in range(k):
             a, b = num[i], den[i]
             if a == 0:
@@ -293,7 +293,7 @@ def cmd_analyze(args) -> int:
             f = row[i]
             if f is None:
                 stake, direction = strategies[i]
-                g = kelly_gamble(forecast, direction)
+                g = kelly_gamble(intervals[here], direction)
                 f = 1 + stake * (g.on1 if bit == "1" else g.on0)
                 f = row[i] = (f.numerator, f.denominator)
             p, q = f
@@ -312,7 +312,7 @@ def cmd_analyze(args) -> int:
             if a * best[1] > best[0] * b:
                 best = (a, b, da, db)
                 max_log2 = _log2_label(a, b)
-        cursor.push(bit)
+        position = follow(position, bit)
         hits = label_at.get(n, hits)
         line = f"{n}\t{bit}\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}"
         chunk.append(line)
@@ -342,8 +342,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ConfigError, DomainError, OSError) as exc:

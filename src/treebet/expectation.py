@@ -90,25 +90,20 @@ def _endpoints(fs: ForecastingSystem, s: str, height: int, lower: bool = False):
     """(L, rows): rows[w][j] is the scaled endpoint pair at s + bits(j, w), w < height.
 
     A pair is (L times the endpoint the upper expectation takes when
-    f(1) >= f(0), L times the other one); ``lower`` swaps them.
+    f(1) >= f(0), L times the other one); ``lower`` swaps them.  Level w
+    below s spans the positions [first << w, (first + 1) << w).
     """
-    intervals = list(fs.intervals())
-    scale = math.lcm(*(x.denominator for i in intervals for x in (i.lo, i.hi)))
-    pairs = {}
-    for i in intervals:
+    scale = math.lcm(*(x.denominator for i in fs.intervals for x in (i.lo, i.hi)))
+    pairs = []
+    for i in fs.intervals:
         lo = i.lo.numerator * (scale // i.lo.denominator)
         hi = i.hi.numerator * (scale // i.hi.denominator)
-        pairs[id(i)] = (lo, hi) if lower else (hi, lo)
-    if len(set(pairs.values())) == 1:
-        pair = pairs[id(intervals[0])]
-        return scale, [[pair] * (1 << w) for w in range(height)]
-    at, names, rows = fs.at, [s], []
-    for w in range(height):
-        # ``at`` returns one of the interval objects ``intervals()`` yields
-        rows.append([pairs[id(at(t))] for t in names])
-        if w + 1 < height:
-            names = [t + c for t in names for c in "01"]
-    return scale, rows
+        pairs.append((lo, hi) if lower else (hi, lo))
+    if len(set(pairs)) == 1:
+        return scale, [[pairs[0]] * (1 << w) for w in range(height)]
+    first, slot = int("1" + s, 2), fs._slot
+    return scale, [[pairs[slot(p)] for p in range(first << w, (first + 1) << w)]
+                   for w in range(height)]
 
 
 def _fold_levels(scale: int, rows: list, leaves: list[int]) -> Iterator[list[int]]:
@@ -170,9 +165,9 @@ def cond_lower(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction
     return _fold(fs, g, s, lower=True)
 
 
-def _sparse_cut_value(fs, t: str, below: list[str], rule: _LocalRule) -> Fraction:
-    # ``below`` holds the cut members extending t; only their ancestors are
-    # visited, so the recursion is linear in the total member length.
+def _sparse_cut_value(fs, t: str, p: int, below: list[str], rule: _LocalRule) -> Fraction:
+    # ``below`` holds the cut members extending t, at position p; only their
+    # ancestors are visited, so the recursion is linear in the total member length.
     if not below:
         return Fraction(0)
     if t in below:
@@ -181,10 +176,10 @@ def _sparse_cut_value(fs, t: str, below: list[str], rule: _LocalRule) -> Fractio
     ones = [m for m in below if m[at] == "1"]
     zeros = [m for m in below if m[at] == "0"]
     return rule(
-        fs.at(t),
+        fs.intervals[fs._slot(p)],
         LocalGamble(
-            on1=_sparse_cut_value(fs, t + "1", ones, rule),
-            on0=_sparse_cut_value(fs, t + "0", zeros, rule),
+            on1=_sparse_cut_value(fs, t + "1", 2 * p + 1, ones, rule),
+            on0=_sparse_cut_value(fs, t + "0", 2 * p, zeros, rule),
         ),
     )
 
@@ -196,7 +191,7 @@ def _cut_prob(fs, cut, s, rule: _LocalRule) -> Fraction:
         return Fraction(1)
     if status is CutStatus.INCOMPARABLE:
         return Fraction(0)
-    return _sparse_cut_value(fs, s, [m for m in members if m.startswith(s)], rule)
+    return _sparse_cut_value(fs, s, int("1" + s, 2), [m for m in members if m.startswith(s)], rule)
 
 
 def cut_upper_prob(fs: ForecastingSystem, cut: Iterable[str], s: str = ROOT) -> Fraction:
@@ -223,8 +218,10 @@ def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:
     require_situation(s)
     upper = Fraction(1)
     lower = Fraction(1)
-    for k, bit in enumerate(s):
-        forecast = fs.at(s[:k])
+    p = 1
+    for bit in s:
+        forecast = fs.intervals[fs._slot(p)]
+        p = fs._follow(p, bit)
         if bit == "1":
             upper *= forecast.hi
             lower *= forecast.lo

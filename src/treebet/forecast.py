@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ConfigError, DomainError
-from .tree import bits, require_situation
+from .tree import require_situation, situations_up_to
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,17 +47,31 @@ def interval(lo, hi=None) -> IntervalForecast:
     return IntervalForecast(Fraction(lo), Fraction(hi))
 
 
+# Every kind answers by one positional rule.  Situation s sits at position
+# int("1" + s, 2) (root 1, children 2p and 2p + 1; p - 1 indexes Process.values);
+# ``_slot(p)`` indexes ``intervals`` and ``_follow(p, bit)`` is the child's
+# position, bounded along any path.  Overrides and rows are read once, at construction.
+
+def _at(fs: ForecastingSystem, s: str) -> IntervalForecast:
+    return fs.intervals[fs._slot(int("1" + s, 2))]
+
+
 @dataclass(frozen=True)
 class Stationary:
     """The same interval forecast in every situation."""
 
     interval: IntervalForecast
 
-    def at(self, s: str) -> IntervalForecast:
-        return self.interval
+    def __post_init__(self):
+        object.__setattr__(self, "intervals", (self.interval,))
 
-    def intervals(self) -> Iterator[IntervalForecast]:
-        yield self.interval
+    at = _at
+
+    def _slot(self, p: int) -> int:
+        return 0
+
+    def _follow(self, p: int, bit: str) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -68,15 +82,20 @@ class Table:
     overrides: Mapping[str, IntervalForecast] = field(default_factory=dict)
 
     def __post_init__(self):
-        for s in self.overrides:
-            require_situation(s)
+        # slot 0 is the default, which every position past the deepest override reads
+        slots = {int("1" + require_situation(s), 2): k for k, s in enumerate(self.overrides, 1)}
+        object.__setattr__(self, "intervals", (self.default, *self.overrides.values()))
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_cap", 1 << (max(map(len, self.overrides), default=-1) + 1))
 
-    def at(self, s: str) -> IntervalForecast:
-        return self.overrides.get(s, self.default)
+    at = _at
 
-    def intervals(self) -> Iterator[IntervalForecast]:
-        yield self.default
-        yield from self.overrides.values()
+    def _slot(self, p: int) -> int:
+        return self._slots.get(p, 0)
+
+    def _follow(self, p: int, bit: str) -> int:
+        q = (p << 1) | (bit == "1")
+        return q if q < self._cap else self._cap
 
 
 @dataclass(frozen=True)
@@ -93,18 +112,25 @@ class Markov:
     def __post_init__(self):
         if self.order < 0:
             raise ConfigError("markov order must be non-negative")
-        for n in range(self.order + 1):
-            for j in range(1 << n):
-                ctx = bits(j, n)
-                if ctx not in self.rows:
-                    raise ConfigError(f"markov rows incomplete: missing context {ctx or '@'!r}")
+        # context c at slot int("1" + c, 2) - 1; rows longer than the order come last
+        slots = []
+        for ctx in situations_up_to(self.order):
+            if ctx not in self.rows:
+                raise ConfigError(f"markov rows incomplete: missing context {ctx or '@'!r}")
+            slots.append(self.rows[ctx])
+        slots += (i for ctx, i in self.rows.items() if len(ctx) > self.order)
+        object.__setattr__(self, "intervals", tuple(slots))
+        object.__setattr__(self, "_top", 1 << self.order)
 
-    def at(self, s: str) -> IntervalForecast:
-        ctx = s[-self.order:] if self.order else ""
-        return self.rows[ctx]
+    at = _at
 
-    def intervals(self) -> Iterator[IntervalForecast]:
-        yield from self.rows.values()
+    def _slot(self, p: int) -> int:
+        top = self._top
+        return (p if p < top else top | (p & (top - 1))) - 1
+
+    def _follow(self, p: int, bit: str) -> int:
+        q, top = (p << 1) | (bit == "1"), self._top
+        return q if q < top else top | (q & (top - 1))
 
 
 ForecastingSystem = Union[Stationary, Table, Markov]
@@ -112,11 +138,11 @@ ForecastingSystem = Union[Stationary, Table, Markov]
 
 def is_non_degenerate(fs: ForecastingSystem) -> bool:
     """True when no representable interval pins the next bit ({0} or {1})."""
-    return all(i.hi > ZERO and i.lo < ONE for i in fs.intervals())
+    return all(i.hi > ZERO and i.lo < ONE for i in fs.intervals)
 
 
 def is_precise(fs: ForecastingSystem) -> bool:
-    return all(i.precise for i in fs.intervals())
+    return all(i.precise for i in fs.intervals)
 
 
 def local_scale(forecast: IntervalForecast) -> Fraction:
@@ -131,12 +157,13 @@ def cumulative_bound(fs: ForecastingSystem, s: str) -> Fraction:
     bound, which is 1 at the root and doubles per step for a fair coin.
     """
     require_situation(s)
-    total = ONE
-    for k in range(len(s)):
-        scale = local_scale(fs.at(s[:k]))
+    total, p = ONE, 1
+    for k, bit in enumerate(s):
+        scale = local_scale(fs.intervals[fs._slot(p)])
         if scale == 0:
             raise DomainError(f"degenerate forecast at {s[:k] or '@'!r}")
         total /= scale
+        p = fs._follow(p, bit)
     return total
 
 
@@ -152,41 +179,13 @@ def integer_log_bound(x) -> int:
 
 
 class ForecastCursor:
-    """The forecast along a growing path, updated in O(1) per observed bit.
-
-    Streaming workloads walk a single path for millions of steps; this
-    avoids materialising the prefix for the three finite system kinds.
-    """
+    """The forecast along a growing path, in O(1) per bit: a bounded position, not the prefix."""
 
     def __init__(self, fs: ForecastingSystem):
-        self._fs = fs
-        self._depth = 0
-        if isinstance(fs, Table):
-            self._window: list[str] = []
-            self._horizon = max((len(s) for s in fs.overrides), default=-1)
-        elif isinstance(fs, Markov):
-            self._window = []
-            self._horizon = fs.order
-        else:
-            self._window = []
-            self._horizon = -1
+        self._fs, self._position = fs, 1
 
     def current(self) -> IntervalForecast:
-        fs = self._fs
-        if isinstance(fs, Stationary):
-            return fs.interval
-        if isinstance(fs, Table):
-            if self._depth > self._horizon:
-                return fs.default
-            return fs.overrides.get("".join(self._window), fs.default)
-        return fs.rows["".join(self._window)]
+        return self._fs.intervals[self._fs._slot(self._position)]
 
     def push(self, bit: str) -> None:
-        self._depth += 1
-        if self._horizon < 0:
-            return
-        self._window.append(bit)
-        if isinstance(self._fs, Markov) and len(self._window) > self._horizon:
-            del self._window[0]
-        elif isinstance(self._fs, Table) and self._depth > self._horizon:
-            self._window.clear()
+        self._position = self._fs._follow(self._position, bit)

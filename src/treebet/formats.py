@@ -9,6 +9,8 @@ parse/serialise round trip of our own output is byte identical.
 from __future__ import annotations
 
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
@@ -25,10 +27,24 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL.match(text):
         raise ParseError(f"not a rational (want p/q or an integer): {text!r}")
     numerator, _, denominator = text.partition("/")
-    q = int(denominator) if denominator else 1
-    if q == 0:
-        raise ParseError(f"zero denominator in rational {text!r}")
-    return Fraction(int(numerator), q)
+    try:  # int() refuses numerals past sys.get_int_max_str_digits()
+        q = int(denominator) if denominator else 1
+        if q == 0:
+            raise ParseError(f"zero denominator in rational {text!r}")
+        return Fraction(int(numerator), q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"numeral over {limit} digits in rational {text[:20]!r}...") from None
+
+
+def _ratio_text(num, den) -> str:
+    """A reduced ratio of integers or decimal integers, as str(Fraction) writes it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def format_rational(x: Fraction) -> str:
+    """str(x) with no digit limit: a Decimal built from an int prints it in full."""
+    return _ratio_text(Decimal(x.numerator), Decimal(x.denominator))
 
 
 def _strip(line: str) -> str:

@@ -15,7 +15,7 @@ from typing import Callable, Literal
 
 from .errors import ContractError, DomainError
 from .expectation import _endpoints, cut_upper_prob
-from .forecast import ForecastingSystem, IntervalForecast
+from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
 from .tree import ROOT, bits, minimal_antichain, require_situation, situations_up_to
 
@@ -145,12 +145,13 @@ def ville_threshold(fs: ForecastingSystem, process: Process, threshold) -> Ville
 def bound_check(fs: ForecastingSystem, process: Process) -> bool:
     """Verify value(s) <= root * cumulative_bound(s) at every situation."""
     root = process.root
+    scales = [local_scale(i) for i in fs.intervals]
     ceilings: list[Fraction] = []
     for i, (s, v) in enumerate(process.values.items()):
         ceiling = Fraction(1)
         if i:
-            forecast = fs.at(s[:-1])
-            scale = min(1 - forecast.lo, forecast.hi)
+            # the i-th situation has position i + 1, its parent (i + 1) >> 1
+            scale = scales[fs._slot((i + 1) >> 1)]
             if scale == 0:
                 raise DomainError(f"degenerate forecast at {s[:-1] or '@'!r}")
             ceiling = ceilings[(i - 1) >> 1] / scale
@@ -198,11 +199,10 @@ def kelly_process(
     stake = Fraction(stake)
     if not (0 <= stake <= 1):
         raise DomainError("stake must lie in [0, 1]")
-    # heap order: the children of the i-th situation are appended as it is read
-    names, capital = [ROOT], [Fraction(1)]
+    # heap order: the children of the i-th situation (position i + 1) follow it
+    intervals, capital = fs.intervals, [Fraction(1)]
     for i in range((1 << depth) - 1):
-        s, here = names[i], capital[i]
-        g = kelly_gamble(fs.at(s), direction)
-        names += (s + "0", s + "1")
+        g = kelly_gamble(intervals[fs._slot(i + 1)], direction)
+        here = capital[i]
         capital += (here * (1 + stake * g.on0), here * (1 + stake * g.on1))
-    return Process(depth, dict(zip(names, capital)))
+    return Process(depth, dict(zip(situations_up_to(depth), capital)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ContractError, DomainError
 from .expectation import _cut_value_sum, cut_upper_prob
@@ -82,14 +82,16 @@ class TailReport:
     passed: bool
 
 
-def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelReport]:
-    """Check every stored level against its 2**-n upper-probability budget."""
-    reports = []
-    for n, cut in enumerate(test.levels):
+def _level_reports(fs, levels) -> Iterator[LevelReport]:
+    for n, cut in enumerate(levels):
         budget = Fraction(1, 1 << n)
         actual = cut_upper_prob(fs, cut)
-        reports.append(LevelReport(n, budget, actual, actual <= budget))
-    return reports
+        yield LevelReport(n, budget, actual, actual <= budget)
+
+
+def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelReport]:
+    """Check every stored level against its 2**-n upper-probability budget."""
+    return list(_level_reports(fs, test.levels))
 
 
 def validate_schnorr_tail(
@@ -110,7 +112,7 @@ def validate_schnorr_tail(
 
 
 def _require_budgets(fs, test, up_to: int) -> None:
-    for report in validate_ml_test(fs, test)[: up_to + 1]:
+    for report in _level_reports(fs, test.levels[: up_to + 1]):
         if not report.passed:
             raise ContractError(
                 f"level {report.level} over budget: {report.actual} > {report.budget}"
@@ -168,11 +170,6 @@ def supermartingale_from_test(
     if not 0 <= n_max < test.num_levels:
         raise DomainError(f"levels 0..{n_max} not all stored")
     _require_budgets(fs, test, n_max)
-    return _level_series(fs, test, n_max, cutoff, s)
-
-
-def _level_series(fs, test, n_max, cutoff, s=ROOT) -> tuple[Fraction, Fraction]:
-    """supermartingale_from_test without its level and budget checks."""
     value = Fraction(0)
     for n in range(n_max + 1):
         value += cut_upper_prob(fs, test.level_below(n, cutoff), s)

@@ -5,13 +5,13 @@ same bits on every run of the same release.  Each step picks a precise
 probability inside the current interval forecast (an endpoint, the
 midpoint, or a uniformly drawn point) and then draws the bit exactly by
 comparing a 64-bit word against the scaled probability, with integer
-constants built once per interval of the system.
+constants built once per slot of the system's positional rule.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .forecast import ForecastCursor, ForecastingSystem, IntervalForecast
+from .forecast import ForecastingSystem, IntervalForecast
 
 _MASK = (1 << 64) - 1
 
@@ -46,16 +46,16 @@ def sample_path(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
     if selector not in SELECTORS:
         raise DomainError(f"unknown selector {selector!r}")
     uniform = selector == "uniform"
-    # keyed by identity: the cursor returns the system's own interval objects
-    constants: dict[int, object] = {}
-    cursor = ForecastCursor(fs)
+    intervals, slot, follow = fs.intervals, fs._slot, fs._follow
+    constants: list = [None] * len(intervals)
     state = seed & _MASK
     bits = []
+    p = 1
     for _ in range(n):
-        forecast = cursor.current()
-        c = constants.get(id(forecast))
+        k = slot(p)
+        c = constants[k]
         if c is None:
-            c = constants[id(forecast)] = _constants(forecast, selector)
+            c = constants[k] = _constants(intervals[k], selector)
         if uniform:
             state, pick = splitmix64(state)
             state, word = splitmix64(state)
@@ -64,5 +64,5 @@ def sample_path(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
             state, word = splitmix64(state)
             bit = "1" if word < c else "0"
         bits.append(bit)
-        cursor.push(bit)
+        p = follow(p, bit)
     return "".join(bits)

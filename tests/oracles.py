@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from treebet import DepthGamble, IntervalForecast, LocalGamble, Process, Table, interval
+from treebet import DepthGamble, IntervalForecast, LocalGamble, Markov, Process, Stationary, Table, interval
 from treebet.errors import DomainError, ParseError, ResourceError
-from treebet.forecast import ForecastCursor, ForecastingSystem, is_precise
+from treebet.forecast import ForecastingSystem, is_precise
 from treebet.formats import _int, _key_value, _meaningful, parse_rational
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
@@ -32,11 +32,23 @@ from treebet.tree import (
 )
 
 
+def forecast_by_name(fs: ForecastingSystem, s: str) -> IntervalForecast:
+    """The interval at ``s``, looked up by the situation's name: the override
+    keyed by ``s``, or the row keyed by its last ``order`` bits."""
+    if isinstance(fs, Stationary):
+        return fs.interval
+    if isinstance(fs, Table):
+        return fs.overrides.get(s, fs.default)
+    if isinstance(fs, Markov):
+        return fs.rows[s[-fs.order:] if fs.order else ""]
+    raise TypeError(f"not a forecasting system: {fs!r}")
+
+
 def path_weight(fs: ForecastingSystem, leaf: str) -> Fraction:
     """Probability of one leaf under a precise system, by explicit product."""
     weight = Fraction(1)
     for k, bit in enumerate(leaf):
-        p = fs.at(leaf[:k]).lo
+        p = forecast_by_name(fs, leaf[:k]).lo
         weight *= p if bit == "1" else 1 - p
     return weight
 
@@ -54,7 +66,7 @@ def precise_expectation_by_paths(fs: ForecastingSystem, g: DepthGamble) -> Fract
 
 def _endpoint_assignments(fs: ForecastingSystem, depth: int):
     nodes = [bits(j, n) for n in range(depth) for j in range(1 << n)]
-    choices = [(fs.at(s).lo, fs.at(s).hi) for s in nodes]
+    choices = [(forecast_by_name(fs, s).lo, forecast_by_name(fs, s).hi) for s in nodes]
     for picks in product(*[(0, 1)] * len(nodes)):
         overrides = {
             s: IntervalForecast(pair[pick], pair[pick])
@@ -124,7 +136,8 @@ def fold_by_nodes(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool = F
     level = list(g.values[base:base + (1 << m)])
     for width in range(m - 1, -1, -1):
         level = [
-            rule(fs.at(s + bits(j, width)), LocalGamble(on1=level[2 * j + 1], on0=level[2 * j]))
+            rule(forecast_by_name(fs, s + bits(j, width)),
+                 LocalGamble(on1=level[2 * j + 1], on0=level[2 * j]))
             for j in range(1 << width)
         ]
     return level[0]
@@ -145,7 +158,7 @@ def cut_value_map_by_nodes(
         for j in range(1 << width):
             t = bits(j, width)
             f = LocalGamble(on1=values[t + "1"], on0=values[t + "0"])
-            values[t] = rule(fs.at(t), f)
+            values[t] = rule(forecast_by_name(fs, t), f)
     return values
 
 
@@ -156,7 +169,7 @@ def check_supermartingale_by_delta(fs: ForecastingSystem, process: Process) -> l
     violations = [
         s
         for s in situations_up_to(process.depth - 1)
-        if upper_expectation(fs.at(s), process.delta(s)) > 0
+        if upper_expectation(forecast_by_name(fs, s), process.delta(s)) > 0
     ]
     return sorted(violations, key=lambda s: (len(s), s))
 
@@ -250,14 +263,13 @@ def analyze_by_fractions(
         hit_levels |= hits_at[depth]
         label_at[depth] = ",".join(str(n) for n in sorted(hit_levels))
 
-    cursor = ForecastCursor(fs)
     capitals = [Fraction(1)] * len(strategies)
     max_capital = Fraction(1)
     max_log2 = _log2_label_of(max_capital)
     hits = label_at.get(0, "-")
     lines.append("0\t-\t" + "\t".join(str(c) for c in capitals) + f"\t{max_log2}\t{hits}")
     for n, bit in enumerate(sequence, start=1):
-        forecast = cursor.current()
+        forecast = forecast_by_name(fs, sequence[:n - 1])
         for i, (stake, direction) in enumerate(strategies):
             if capitals[i] == 0:
                 continue
@@ -267,7 +279,6 @@ def analyze_by_fractions(
             if capitals[i] > max_capital:
                 max_capital = capitals[i]
                 max_log2 = _log2_label_of(max_capital)
-        cursor.push(bit)
         hits = label_at.get(n, hits)
         capital_cols = "\t".join(str(c) for c in capitals)
         lines.append(f"{n}\t{bit}\t{capital_cols}\t{max_log2}\t{hits}")
@@ -312,10 +323,7 @@ class BitSampler:
 def sample_path_by_sampler(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
     """sample_path with one BitSampler.draw per bit."""
     sampler = BitSampler(selector, seed)
-    cursor = ForecastCursor(fs)
-    drawn = []
+    drawn = ""
     for _ in range(n):
-        bit = sampler.draw(cursor.current())
-        drawn.append(bit)
-        cursor.push(bit)
-    return "".join(drawn)
+        drawn += sampler.draw(forecast_by_name(fs, drawn))
+    return drawn

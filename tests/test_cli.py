@@ -216,6 +216,27 @@ def test_analyze_zero_stake_is_flat(workdir, capsys):
     assert capitals == ["1"] * 5
 
 
+def test_repeated_options_do_not_leak_between_calls(workdir, capsys):
+    # the parser is built once per process; appended --kelly/--test values
+    # must still start afresh on every call
+    (workdir / "hits.test").write_text("levels: 1\ndepth: 1\nlevel 0 1\n")
+    base = ["analyze", "--fs", "fair.fs", "--seq", "seq.txt"]
+    repeated = ["--kelly", "1,on-one", "--kelly", "1/2,on-zero", "--test", "hits.test",
+                "--test", "hits.test"]
+    outs = []
+    for extra in (repeated, [], repeated, ["--kelly", "0,on-one"]):
+        assert main(base + extra) == 0
+        outs.append(capsys.readouterr().out)
+    headers = [out.split("\n", 1)[0].split("\t")[2:-2] for out in outs]
+    assert headers[0] == headers[2] == ["kelly(1,on-one)", "kelly(1/2,on-zero)"]
+    assert headers[1] == ["kelly(1,on-one)", "kelly(1,on-zero)", "kelly(1/2,on-one)",
+                          "kelly(1/2,on-zero)"]
+    assert headers[3] == ["kelly(0,on-one)"]
+    assert outs[0] == outs[2]
+    assert "test_deficiency=1 " in outs[0]
+    assert "test_deficiency=0 " in outs[1] and "test_deficiency=0 " in outs[3]
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["cutprob", "--fs", "nope.fs", "--cut", "1"]) == 2
 

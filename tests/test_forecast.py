@@ -1,9 +1,11 @@
 """Forecasting systems, the cumulative bound, and growth functions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebet import (
     GrowthFunction,
@@ -18,9 +20,12 @@ from treebet import (
     is_precise,
 )
 from treebet.errors import ConfigError, DomainError
+from treebet.expectation import _endpoints
 from treebet.forecast import ForecastCursor, local_scale
+from treebet.tree import bits, situations_up_to
 
 from gen import FAIR, WIDE, rand_system
+from oracles import forecast_by_name
 
 
 def test_interval_validation():
@@ -70,6 +75,71 @@ def test_cursor_tracks_system(seed=5):
             bit = rng.choice("01")
             cursor.push(bit)
             prefix += bit
+
+
+# distinct objects, two of them equal, and {0}, {1}, [0, 1]
+POOL = [interval("1/2"), interval("1/2"), interval("2/5", "7/10"), interval(0), interval(1),
+        interval(0, 1), interval("1/3", "5/6")]
+forecasts = st.sampled_from(POOL)
+
+
+def situations(max_depth: int):
+    return st.integers(0, max_depth).flatmap(
+        lambda n: st.builds(bits, st.integers(0, (1 << n) - 1), st.just(n)))
+
+
+@st.composite
+def systems(draw):
+    """Any kind: tables with no overrides or some deeper than the walks below,
+    Markov orders 0-3, sometimes with an unused row longer than the order."""
+    kind = draw(st.sampled_from(["stationary", "table", "markov"]))
+    if kind == "stationary":
+        return Stationary(draw(forecasts))
+    if kind == "table":
+        return Table(draw(forecasts), draw(st.dictionaries(situations(12), forecasts, max_size=8)))
+    order = draw(st.integers(0, 3))
+    rows = {s: draw(forecasts) for s in situations_up_to(order)}
+    if draw(st.booleans()):
+        rows[draw(situations(order + 2)).rjust(order + 1, "0")] = draw(forecasts)
+    return Markov(order, rows)
+
+
+def listed_by_name(fs):
+    if isinstance(fs, Stationary):
+        return [fs.interval]
+    if isinstance(fs, Table):
+        return [fs.default, *fs.overrides.values()]
+    return list(fs.rows.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.randoms(use_true_random=False))
+def test_positional_rule_matches_name_lookup(fs, rng):
+    assert Counter(map(id, fs.intervals)) == Counter(map(id, listed_by_name(fs)))
+    for s in situations_up_to(9):
+        assert fs.at(s) is forecast_by_name(fs, s)
+    for _ in range(2):
+        cursor, path = ForecastCursor(fs), ""
+        for _ in range(300):
+            assert cursor.current() is forecast_by_name(fs, path)
+            bit = rng.choice("01")
+            cursor.push(bit)
+            path += bit
+        # the walk keeps a bounded position, not the path's
+        assert cursor._position < 1 << 14
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), situations(6).filter(bool), st.integers(0, 6), st.booleans())
+def test_endpoint_rows_match_name_lookup(fs, s, height, lower):
+    scale, rows = _endpoints(fs, s, height, lower)
+    assert len(rows) == height
+    for w, row in enumerate(rows):
+        want = []
+        for j in range(1 << w):
+            i = forecast_by_name(fs, s + bits(j, w))
+            want.append((i.lo, i.hi) if lower else (i.hi, i.lo))
+        assert [(Fraction(a, scale), Fraction(b, scale)) for a, b in row] == want
 
 
 def test_cumulative_bound_fair_coin():

@@ -65,10 +65,35 @@ def test_markov_incomplete_rows():
         parse_forecasting_system("kind: markov\norder: 1\nrow @ 1/2 1/2\n")
 
 
+def test_high_markov_order_stops_at_the_first_missing_context():
+    # order 40 names 2**41 - 1 contexts; the check must not list them first
+    with pytest.raises(ConfigError) as info:
+        parse_forecasting_system("kind: markov\norder: 40\nrow @ 1/2 1/2\n")
+    assert str(info.value) == "markov rows incomplete: missing context '0'"
+
+
 def test_forecasting_system_parse_errors():
     for bad in ("", "interval: 1/2 1/2", "kind: exotic", "kind: stationary\ninterval: 1/2\n"):
         with pytest.raises(ParseError):
             parse_forecasting_system(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind: table\nnode 0 1/2\n", "line 2: expected 'node <situation> <lo> <hi>', got 'node 0 1/2'"),
+        ("kind: markov\nrow 0 1/2\n", "line 2: expected 'row <context> <lo> <hi>', got 'row 0 1/2'"),
+        ("kind: table\norder: 1\n", "line 2: unexpected key 'order' in table config"),
+        ("kind: markov\ndefault: 1/2 1/2\n", "line 2: unexpected key 'default' in markov config"),
+        ("kind: table\nnode 0 1/2 1/2\n", "table config missing 'default:'"),
+        ("kind: markov\nrow @ 1/2 1/2\n", "markov config missing 'order:'"),
+        ("kind: table\ndefault: 1/2\n", "line 2: expected '<lo> <hi>', got '1/2'"),
+    ],
+)
+def test_table_and_markov_config_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_forecasting_system(text)
+    assert str(info.value) == message
 
 
 def test_process_round_trip(seed=113):

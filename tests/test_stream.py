@@ -8,6 +8,7 @@ import io
 import random
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,8 +218,15 @@ def test_bet_against_zero_forecast_only_while_alive(tmp_path, sequence, code):
 RATIONALS = ["0", "1", "1/2", "2/5", "7/10", "3/2", "-1", "-0", "+1/3", "4/8", "1/0", "0.5",
              "x", "", "1/2/3"]
 SITUATIONS = ["@", "0", "1", "01", "110", "", "2", "0a", "1" * 24]
-INTS = ["0", "1", "2", "3", "-1", "x", ""]
-rationals = st.sampled_from(RATIONALS)
+INTS = ["0", "1", "2", "3", "40", "-1", "x", ""]
+# numerals around and past Python's 4,300-digit int-from-str limit
+numerals = st.builds(str.__mul__, st.sampled_from("0139"), st.integers(4300, 20000))
+long_rationals = st.one_of(numerals, st.builds("{}/{}".format, numerals, st.sampled_from("13")),
+                           st.builds("1/{}".format, numerals))
+# one draw in eight is a long numeral
+rationals = st.integers(0, 7).flatmap(
+    lambda k: long_rationals if k == 0 else st.sampled_from(RATIONALS))
+ints = st.integers(0, 7).flatmap(lambda k: numerals if k == 0 else st.sampled_from(INTS))
 
 
 def _line(*parts):
@@ -232,16 +240,16 @@ fs_lines = st.one_of(
     _line(st.just("default:"), rationals, rationals),
     _line(st.just("node"), st.sampled_from(SITUATIONS), rationals, rationals),
     _line(st.just("row"), st.sampled_from(SITUATIONS[:5]), rationals, rationals),
-    _line(st.just("order:"), st.sampled_from(INTS)),
+    _line(st.just("order:"), ints),
 )
 kinds = st.sampled_from(["kind: stationary", "kind: table", "kind: markov"])
 fs_texts = st.tuples(kinds, st.lists(fs_lines, max_size=8)).map(
     lambda t: "\n".join([t[0], *t[1]]) + "\n")
 seq_texts = st.text("01 \n#x", max_size=60)
 test_lines = st.one_of(
-    _line(st.just("levels:"), st.sampled_from(INTS)),
-    _line(st.just("depth:"), st.sampled_from(INTS + ["30"])),
-    _line(st.just("level"), st.sampled_from(INTS), st.sampled_from(SITUATIONS)),
+    _line(st.just("levels:"), ints),
+    _line(st.just("depth:"), st.one_of(ints, st.just("30"))),
+    _line(st.just("level"), ints, st.sampled_from(SITUATIONS)),
     st.sampled_from(["tail: table 1 2 ; affine 1 0 1", "tail: table ; affine x", "junk", ""]),
 )
 test_texts = st.lists(test_lines, max_size=8).map(lambda lines: "\n".join(lines) + "\n")
@@ -279,7 +287,40 @@ def command_lines(draw):
     return argv, files
 
 
-@settings(max_examples=300, deadline=None)
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["local", "--interval", f"1/{LONG}", "1", "--gamble", "1", "0"], {}),
+    (["local", "--interval", "0", "1", "--gamble", LONG, "0"], {}),
+    (["analyze", "--fs", "a.fs", "--seq", "a.seq", f"--kelly=1/{LONG},on-one"],
+     {"a.fs": "kind: stationary\ninterval: 1/2 1/2\n", "a.seq": "01\n"}),
+    (["sample", "--fs", "a.fs", "--n", "3"], {"a.fs": f"kind: table\ndefault: 1/{LONG} 1\n"}),
+    (["convert", "to-test", "--fs", "a.fs", "--process", "a.proc", "--out", "a.test"],
+     {"a.fs": "kind: stationary\ninterval: 1/2 1/2\n", "a.proc": f"depth: 0\n@ {LONG}/{LONG}\n"}),
+])
+def test_numeral_past_the_int_str_limit_is_an_input_error(tmp_path, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("treebet: ") and "numeral over 4300 digits in rational " in err
+
+
+def test_answers_past_the_int_str_limit_print_exactly(tmp_path):
+    # 4,300-digit inputs parse, and their products print in full
+    digits = "1" * 4300
+    square = str(Decimal(int(digits) ** 2))
+    assert len(square) > sys.get_int_max_str_digits()
+    code, out, err = run(["local", "--interval", f"1/{digits}", "1", "--gamble", f"1/{digits}", "0"])
+    assert (code, out, err) == (0, f"upper 1/{digits}  lower 1/{square}\n", "")
+    (tmp_path / "a.fs").write_text(f"kind: stationary\ninterval: 1/{digits} 1\n")
+    code, out, err = run(["cutprob", "--fs", str(tmp_path / "a.fs"), "--cut", "11", "--lower"])
+    assert (code, out, err) == (0, f"1/{square}\n", "")
+
+
+@settings(max_examples=500, deadline=None)
 @given(command_lines())
 def test_every_command_line_ends_in_a_documented_exit_code(case):
     argv, files = case
