@@ -7,7 +7,6 @@ verification failure, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import math
 import sys
@@ -24,21 +23,19 @@ from .errors import (
 from .expectation import cut_lower_prob, cut_upper_prob
 from .forecast import IntervalForecast
 from .formats import (
-    _ratio_text,
     dump_process,
     dump_test,
-    format_rational,
     load,
     parse_forecasting_system,
     parse_growth,
     parse_process,
-    parse_rational,
     parse_sequence,
     parse_test,
     save,
 )
 from .local import LocalGamble, lower_expectation, upper_expectation
 from .martingale import check_supermartingale, kelly_gamble
+from .numerals import EXACT, format_rational, parse_rational, ratio_text
 from .randtest import (
     _threshold_test,
     assemble_test_supermartingale,
@@ -136,7 +133,7 @@ def cmd_convert(args) -> int:
         if process.depth > args.depth_cap:
             raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
         if process.root != 1:
-            print(f"not a test supermartingale: root is {process.root}, not 1", file=sys.stderr)
+            print(f"not a test supermartingale: root is {format_rational(process.root)}, not 1", file=sys.stderr)
             return 3
         # heap order puts the shortest, then lexicographically first, negative first
         negative = [s for s, v in process.values.items() if v.numerator < 0]
@@ -225,18 +222,10 @@ def _parse_kelly(spec: str) -> tuple[Fraction, str]:
         raise ParseError(f"bad kelly spec {spec!r} (want STAKE,on-one or STAKE,on-zero)")
     stake = parse_rational(parts[0])
     if not 0 <= stake <= 1:
-        raise ParseError(f"kelly stake {stake} outside [0, 1]")
+        raise ParseError(f"kelly stake {format_rational(stake)} outside [0, 1]")
     return stake, parts[1]
 
 
-# Exact integer arithmetic on decimal integers: str() of a Decimal is linear
-# in its digits, where int.__str__ is quadratic and capped by
-# sys.get_int_max_str_digits().  Inexact or Rounded would mean a lost digit.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
-           decimal.Inexact, decimal.Rounded],
-)
 _FLUSH_CHARS = 1 << 20
 
 
@@ -246,7 +235,7 @@ def cmd_analyze(args) -> int:
     strategies = [_parse_kelly(spec) for spec in (args.kelly or DEFAULT_BATTERY)]
     tests = [load(path, parse_test) for path in args.test]
 
-    labels = [f"kelly({stake},{direction})" for stake, direction in strategies]
+    labels = [f"kelly({format_rational(stake)},{direction})" for stake, direction in strategies]
     out = sys.stdout
     out.write("# n\tbit\t" + "\t".join(labels) + "\tmax_log2_capital\ttest_hits\n")
 
@@ -269,9 +258,10 @@ def cmd_analyze(args) -> int:
     # text re-rendered only when the capital changes.
     k = len(strategies)
     num, den = [1] * k, [1] * k
-    dnum, dden = [decimal.Decimal(1)] * k, [decimal.Decimal(1)] * k
+    one = EXACT.create_decimal(1)
+    dnum, dden = [one] * k, [one] * k
     cols = ["1"] * k
-    best = (1, 1, decimal.Decimal(1), decimal.Decimal(1))
+    best = (1, 1, one, one)
     max_log2 = _log2_label(1, 1)
     # the reduced factors 1 + stake * gain, built when first needed, keyed
     # by the slot of the system's positional rule and the bit
@@ -305,10 +295,10 @@ def cmd_analyze(args) -> int:
             # (a/b) * (p/q) stays reduced: divide out gcd(a, q) and gcd(p, b)
             g1, g2 = math.gcd(a, q), math.gcd(p, b)
             a, b = a // g1 * (p // g2), b // g2 * (q // g1)
-            da = _EXACT.multiply(_EXACT.divide_int(dnum[i], g1), p // g2)
-            db = _EXACT.multiply(_EXACT.divide_int(dden[i], g2), q // g1)
+            da = EXACT.multiply(EXACT.divide_int(dnum[i], g1), p // g2)
+            db = EXACT.multiply(EXACT.divide_int(dden[i], g2), q // g1)
             num[i], den[i], dnum[i], dden[i] = a, b, da, db
-            cols[i] = _ratio_text(da, db)
+            cols[i] = ratio_text(da, db)
             if a * best[1] > best[0] * b:
                 best = (a, b, da, db)
                 max_log2 = _log2_label(a, b)
@@ -327,7 +317,7 @@ def cmd_analyze(args) -> int:
     # max_capital >= 1, so its inverse is its pair swapped
     out.write(
         f"# summary max_log2_capital={max_log2} test_deficiency={deficiency} "
-        f"max_capital={_ratio_text(best[2], best[3])} ville_bound={_ratio_text(best[3], best[2])}\n"
+        f"max_capital={ratio_text(best[2], best[3])} ville_bound={ratio_text(best[3], best[2])}\n"
     )
     return 0
 

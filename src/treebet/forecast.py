@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import ConfigError, DomainError
+from .numerals import format_rational
 from .tree import require_situation, situations_up_to
 
 ZERO = Fraction(0)
@@ -29,7 +30,8 @@ class IntervalForecast:
 
     def __post_init__(self):
         if not (ZERO <= self.lo <= self.hi <= ONE):
-            raise DomainError(f"invalid forecast interval [{self.lo}, {self.hi}]")
+            lo, hi = format_rational(self.lo), format_rational(self.hi)
+            raise DomainError(f"invalid forecast interval [{lo}, {hi}]")
 
     @property
     def precise(self) -> bool:
@@ -171,7 +173,7 @@ def integer_log_bound(x) -> int:
     """The smallest L >= 1 with 2**L >= x, for rational x >= 1."""
     x = Fraction(x)
     if x < 1:
-        raise DomainError(f"integer_log_bound needs x >= 1, got {x}")
+        raise DomainError(f"integer_log_bound needs x >= 1, got {format_rational(x)}")
     level = 1
     while (1 << level) < x:
         level += 1

@@ -1,50 +1,22 @@
 """Text formats for forecasting systems, processes, tests, and sequences.
 
 All formats are line oriented UTF-8; ``#`` starts a comment that runs to
-the end of the line, and blank lines are ignored.  Serialisation is
-canonical: fixed key order, levels ascending, situations sorted, so a
-parse/serialise round trip of our own output is byte identical.
+the end of the line, and blank lines are ignored.  Rationals go through
+``numerals``.  Serialisation is canonical: fixed key order, levels ascending,
+situations sorted, so a parse/serialise round trip of our own output is byte identical.
 """
 
 from __future__ import annotations
 
-import re
-import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
 from .growth import GrowthFunction
 from .martingale import Process
+from .numerals import format_rational, parse_rational
 from .randtest import RandomnessTest
 from .tree import format_situation, parse_situation
-
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL.match(text):
-        raise ParseError(f"not a rational (want p/q or an integer): {text!r}")
-    numerator, _, denominator = text.partition("/")
-    try:  # int() refuses numerals past sys.get_int_max_str_digits()
-        q = int(denominator) if denominator else 1
-        if q == 0:
-            raise ParseError(f"zero denominator in rational {text!r}")
-        return Fraction(int(numerator), q)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"numeral over {limit} digits in rational {text[:20]!r}...") from None
-
-
-def _ratio_text(num, den) -> str:
-    """A reduced ratio of integers or decimal integers, as str(Fraction) writes it."""
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def format_rational(x: Fraction) -> str:
-    """str(x) with no digit limit: a Decimal built from an int prints it in full."""
-    return _ratio_text(Decimal(x.numerator), Decimal(x.denominator))
 
 
 def _strip(line: str) -> str:
@@ -142,20 +114,22 @@ def parse_forecasting_system(text: str) -> ForecastingSystem:
     raise ParseError(f"unknown kind {kind!r}", number)
 
 
+def _interval_text(i: IntervalForecast) -> str:
+    return f"{format_rational(i.lo)} {format_rational(i.hi)}"
+
+
 def dump_forecasting_system(fs: ForecastingSystem) -> str:
     if isinstance(fs, Stationary):
-        return f"kind: stationary\ninterval: {fs.interval.lo} {fs.interval.hi}\n"
+        return f"kind: stationary\ninterval: {_interval_text(fs.interval)}\n"
     if isinstance(fs, Table):
-        lines = ["kind: table", f"default: {fs.default.lo} {fs.default.hi}"]
+        lines = ["kind: table", f"default: {_interval_text(fs.default)}"]
         for s in sorted(fs.overrides, key=lambda t: (len(t), t)):
-            i = fs.overrides[s]
-            lines.append(f"node {format_situation(s)} {i.lo} {i.hi}")
+            lines.append(f"node {format_situation(s)} {_interval_text(fs.overrides[s])}")
         return "\n".join(lines) + "\n"
     if isinstance(fs, Markov):
         lines = ["kind: markov", f"order: {fs.order}"]
         for ctx in sorted(fs.rows, key=lambda t: (len(t), t)):
-            i = fs.rows[ctx]
-            lines.append(f"row {format_situation(ctx)} {i.lo} {i.hi}")
+            lines.append(f"row {format_situation(ctx)} {_interval_text(fs.rows[ctx])}")
         return "\n".join(lines) + "\n"
     raise TypeError(f"not a forecasting system: {fs!r}")
 
@@ -192,7 +166,7 @@ def parse_process(text: str) -> Process:
 
 def dump_process(process: Process) -> str:
     lines = [f"depth: {process.depth}"]
-    lines += (f"{format_situation(s)} {v}" for s, v in process.values.items())
+    lines += (f"{format_situation(s)} {format_rational(v)}" for s, v in process.values.items())
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .forecast import IntervalForecast
+from .numerals import format_rational
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ def precise_expectation(p: Fraction, f: LocalGamble) -> Fraction:
     """
     pn, pd = p.numerator, p.denominator
     if not 0 <= pn <= pd:
-        raise DomainError(f"precise forecast {p} outside [0, 1]")
+        raise DomainError(f"precise forecast {format_rational(p)} outside [0, 1]")
     an, ad = f.on1.numerator, f.on1.denominator
     bn, bd = f.on0.numerator, f.on0.denominator
     return Fraction(bn * pd * ad + pn * (an * bd - bn * ad), pd * ad * bd)

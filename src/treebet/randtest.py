@@ -21,6 +21,7 @@ from .expectation import _cut_value_sum, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, check_test_supermartingale
+from .numerals import format_rational
 from .tree import ROOT, minimal_antichain, require_antichain
 
 DEFAULT_HORIZON = 1 << 20
@@ -114,9 +115,8 @@ def validate_schnorr_tail(
 def _require_budgets(fs, test, up_to: int) -> None:
     for report in _level_reports(fs, test.levels[: up_to + 1]):
         if not report.passed:
-            raise ContractError(
-                f"level {report.level} over budget: {report.actual} > {report.budget}"
-            )
+            actual, budget = format_rational(report.actual), format_rational(report.budget)
+            raise ContractError(f"level {report.level} over budget: {actual} > {budget}")
 
 
 def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:

@@ -33,6 +33,8 @@ def test_interval_validation():
         interval("7/10", "2/5")
     with pytest.raises(DomainError):
         interval("-1/2", "1/2")
+    with pytest.raises(DomainError):  # its message is past the int-string limit
+        interval(Fraction(10**5000), 2)
     assert interval("1/3").precise
 
 

@@ -1,6 +1,8 @@
 """Parsing and canonical serialisation of the text formats."""
 
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from treebet.formats import (
     parse_sequence,
     parse_test,
 )
+from treebet.numerals import format_rational
 
 from gen import ones_test, rand_proc_text, rand_supermartingale, rand_system
 from oracles import parse_process_by_lines
@@ -33,11 +36,37 @@ def test_parse_rational():
             parse_rational(bad)
 
 
+# integers from one digit to twice Python's 4,300-digit int-string limit
+digit_counts = st.one_of(st.integers(1, 40), st.integers(4290, 4310), st.integers(4311, 8600))
+big_ints = st.builds(lambda digits, seed: random.Random(seed).randrange(10 ** digits),
+                     digit_counts, st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_ints, st.booleans(), st.one_of(st.just(1), big_ints.map(lambda d: d + 1)))
+def test_format_rational_is_str_without_a_digit_limit(n, negative, d):
+    x = Fraction(-n if negative else n, d)
+    limit = sys.get_int_max_str_digits()
+    text = format_rational(x)
+    assert sys.get_int_max_str_digits() == limit
+    try:
+        want = str(x)
+    except ValueError:  # past the limit: the Decimal integers' digits
+        num, den = Decimal(x.numerator), Decimal(x.denominator)
+        assert text == (str(num) if den == 1 else f"{num}/{den}")
+        return
+    assert text == want
+    assert parse_rational(text) == x
+
+
 def test_stationary_round_trip():
     text = "kind: stationary\ninterval: 2/5 7/10\n"
     fs = parse_forecasting_system(text)
     assert fs == Stationary(interval("2/5", "7/10"))
     assert dump_forecasting_system(fs) == text
+    # written in full past the int-string limit (and then refused on reading)
+    tiny = Stationary(interval(Fraction(1, 10**5000), "1/2"))
+    assert dump_forecasting_system(tiny) == f"kind: stationary\ninterval: 1/1{'0' * 5000} 1/2\n"
 
 
 def test_table_round_trip_with_comments():

@@ -27,6 +27,8 @@ def test_precise_expectation_domain():
         precise_expectation(Fraction(3, 2), gamble(1, 0))
     with pytest.raises(DomainError):
         precise_expectation(Fraction(-1, 5), gamble(1, 0))
+    with pytest.raises(DomainError):  # its message is past the int-string limit
+        precise_expectation(Fraction(10**5000), gamble(1, 0))
 
 
 @pytest.mark.parametrize(

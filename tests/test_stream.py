@@ -18,10 +18,13 @@ from hypothesis import given, settings, strategies as st
 from treebet import Markov, RandomnessTest, Stationary, Table, interval
 from treebet.cli import DEFAULT_BATTERY, main
 from treebet.errors import DomainError
-from treebet.formats import dump_forecasting_system, dump_test, parse_forecasting_system
-from treebet.martingale import kelly_gamble
+from treebet.formats import (
+    dump_forecasting_system, dump_process, dump_test, parse_forecasting_system, parse_test,
+)
+from treebet.martingale import kelly_gamble, kelly_process
+from treebet.randtest import assemble_test_supermartingale
 from treebet.sampling import SELECTORS, sample_path
-from treebet.tree import bits
+from treebet.tree import bits, format_situation, situations_up_to
 
 from oracles import analyze_by_fractions, sample_path_by_sampler
 
@@ -320,15 +323,169 @@ def test_answers_past_the_int_str_limit_print_exactly(tmp_path):
     assert (code, out, err) == (0, f"1/{square}\n", "")
 
 
-@settings(max_examples=500, deadline=None)
-@given(command_lines())
-def test_every_command_line_ends_in_a_documented_exit_code(case):
-    argv, files = case
+def _decimal_fraction(text: str) -> Fraction:
+    """A rational written past the int-from-str limit, read through Decimal integers."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_convert_past_the_int_str_limit(tmp_path):
+    ones = "1" * 4300
+    big = int(ones)
+    # level 0 {111} under [0, 1/big]: the value at 1 has a denominator near 2 * big**2
+    (tmp_path / "a.fs").write_text(f"kind: stationary\ninterval: 0 1/{ones}\n")
+    (tmp_path / "a.test").write_text("levels: 1\ndepth: 3\nlevel 0 111\n")
+    code, out, err = run(["convert", "to-martingale", "--fs", str(tmp_path / "a.fs"),
+                          "--test", str(tmp_path / "a.test"), "--levels", "0",
+                          "--out", str(tmp_path / "a.proc")])
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "a.proc").read_text().splitlines()
+    assert lines[0] == "depth: 3" and max(map(len, lines)) > sys.get_int_max_str_digits()
+    fs = parse_forecasting_system((tmp_path / "a.fs").read_text())
+    want = assemble_test_supermartingale(fs, parse_test((tmp_path / "a.test").read_text()), 0)
+    written = dict(line.split() for line in lines[1:])
+    assert [format_situation(s) for s in situations_up_to(3)] == list(written)
+    assert [_decimal_fraction(v) for v in written.values()] == list(want.values.values())
+    # the file holds numerals past the input limit, so it is refused on reading
+    code, out, err = run(["convert", "to-test", "--fs", str(tmp_path / "a.fs"),
+                          "--process", str(tmp_path / "a.proc"), "--out", str(tmp_path / "a.t")])
+    assert (code, out) == (2, "")
+    assert err.startswith("treebet: numeral over 4300 digits in rational ")
+
+    # level 1 {00} under [1/big, 1/2] twice: upper probability (1 - 1/big)**2
+    (tmp_path / "b.fs").write_text(
+        f"kind: table\ndefault: 1/2 1/2\nnode @ 1/{ones} 1/2\nnode 0 1/{ones} 1/2\n")
+    (tmp_path / "b.test").write_text("levels: 2\ndepth: 2\nlevel 1 00\n")
+    code, out, err = run(["convert", "to-martingale", "--fs", str(tmp_path / "b.fs"),
+                          "--test", str(tmp_path / "b.test"), "--levels", "1",
+                          "--out", str(tmp_path / "b.proc")])
+    ratio = f"{Decimal((big - 1) ** 2)}/{Decimal(big ** 2)}"
+    assert (code, out, err) == (3, "", f"treebet: level 1 over budget: {ratio} > 1/2\n")
+    assert not (tmp_path / "b.proc").exists()
+
+
+def run_in_tmp(argv, files) -> tuple[int, str]:
+    """(exit code, stderr) of ``argv`` with its bare file names in a fresh directory."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             (Path(tmp) / name).write_text(text)
-        argv = [str(Path(tmp) / a) if a in files or a == "missing.fs" else a for a in argv]
+        argv = [str(Path(tmp) / a) if a in files or a.startswith(("missing.", "out.")) else a
+                for a in argv]
         code, _, err = run(argv)
+    return code, err
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_documented_exit_code(case):
+    code, err = run_in_tmp(*case)
     assert code in (0, 2, 3, 4)
     if code:
+        assert err.startswith("treebet: ")
+
+
+# seven draws in eight: the usual file or argument, but not always
+mostly = st.integers(0, 7).map(lambda k: k < 7)
+# numerals up to the 4,300-digit limit, which parse, and whose products pass it
+valid_long = st.builds(str.__mul__, st.sampled_from("139"), st.integers(4000, 4300))
+# .proc values: one draw in sixteen from ``rationals``, so whole files often parse
+proc_values = st.integers(0, 15).flatmap(lambda k: rationals if k == 0 else st.one_of(
+    st.sampled_from(["1", "1", "0", "2", "1/2", "3/2"]), st.builds("1/{}".format, valid_long)))
+
+
+@st.composite
+def proc_texts(draw):
+    """A .proc text of depth 0-3: every situation once, constant or not, or a few lines."""
+    depth, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    constant = draw(proc_values)
+    if k == 0:
+        lines = draw(st.lists(_line(st.sampled_from(SITUATIONS), proc_values), max_size=8))
+    else:
+        lines = [f"{format_situation(s)} {constant if k == 1 else draw(proc_values)}"
+                 for s in situations_up_to(depth)]
+    head = draw(st.one_of(st.just(str(depth)), ints))
+    return "\n".join([f"depth: {head}", *lines]) + "\n"
+
+
+# systems with valid long numerals: [0, 1/N], or [1/N, 1/2] at @ and 0
+long_systems = st.builds(
+    lambda n, table: Table(interval("1/2"), {"": interval(Fraction(1, n), "1/2"),
+                                             "0": interval(Fraction(1, n), "1/2")})
+    if table else Stationary(interval(0, Fraction(1, n))),
+    valid_long.map(int), st.booleans())
+
+
+@st.composite
+def kelly_proc_texts(draw, fs):
+    """The .proc text of a Kelly process of ``fs``, a supermartingale, when it has one."""
+    stake, direction = parsed(draw(kelly_specs)[0])
+    try:
+        return dump_process(kelly_process(fs, stake, direction, draw(st.integers(0, 3))))
+    except DomainError:  # a bet against a {0} or {1} forecast
+        return draw(proc_texts())
+
+
+@st.composite
+def convert_test_texts(draw):
+    """A .test text: well-formed with members to depth 3, or arbitrary lines."""
+    if not draw(st.integers(0, 3)):
+        return draw(test_texts)
+    num_levels = draw(st.integers(1, 3))
+    lines = [f"levels: {num_levels}", f"depth: {draw(st.sampled_from(['3', '3', '2', '30']))}"]
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["tail: table 1 2 ; affine 1 0 1",
+                                           "tail: table ; affine 2 0 1"])))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(f"level {draw(st.integers(0, num_levels - 1))} "
+                     f"{draw(st.sampled_from(SITUATIONS[:5]))}")
+    return "\n".join(lines) + "\n"
+
+
+LEVELS = ["0", "1", "2", "3", "-1", "40"]
+rho_args = st.one_of(
+    st.sampled_from(["table 1 2 ; affine 1 0 1", "table ; affine 1 0 1", "table ; affine 2 1 1",
+                     "table ; affine 0 0 1", "table 3 1 ; affine 1 0 1", "affine 1 0 1",
+                     "table ; affine x", ""]),
+    st.builds("table ; affine 1 {} 1".format, ints),
+)
+
+
+@st.composite
+def convert_lines(draw):
+    """(argv naming its files by bare name, {name: text}) for one convert direction."""
+    fs = draw(st.integers(0, 5).flatmap(
+        lambda k: st.none() if k == 0 else long_systems if k < 3 else systems()))
+    files = {"a.fs": draw(fs_texts) if fs is None else dump_forecasting_system(fs)}
+    direction = draw(st.sampled_from(["to-test", "to-martingale", "schnorr-from-martingale",
+                                      "universal"]))
+    argv = ["convert", direction]
+    if direction == "universal":  # the inputs come first, as argparse wants them together
+        for t in range(draw(st.integers(0, 2))):
+            files[f"{t}.test"] = draw(convert_test_texts())
+            argv.append(f"{t}.test")
+    argv += ["--fs", "a.fs" if draw(mostly) else "missing.fs", "--out", "out.x"]
+    if direction in ("to-test", "schnorr-from-martingale") and draw(mostly):
+        kelly = fs is not None and draw(st.booleans())
+        files["a.proc"] = draw(kelly_proc_texts(fs) if kelly else proc_texts())
+        argv += ["--process", "a.proc" if draw(mostly) else "missing.proc"]
+    if direction == "to-martingale":
+        if draw(mostly):
+            files["a.test"] = draw(convert_test_texts())
+            argv += ["--test", "a.test"]
+        if draw(mostly):
+            argv.append(f"--levels={draw(st.sampled_from(LEVELS))}")
+    if direction == "schnorr-from-martingale" and draw(mostly):
+        argv.append(f"--rho={draw(rho_args)}")
+    if not draw(mostly):
+        argv.append(f"--depth-cap={draw(st.integers(0, 3))}")
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(convert_lines())
+def test_every_convert_line_ends_in_a_documented_exit_code(case):
+    code, err = run_in_tmp(*case)
+    assert code in (0, 2, 3, 4)
+    # exit 3 is a failed check, reported by its own lines on stdout or stderr
+    if code in (2, 4):
         assert err.startswith("treebet: ")
