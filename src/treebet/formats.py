@@ -4,19 +4,22 @@ All formats are line oriented UTF-8; ``#`` starts a comment that runs to
 the end of the line, and blank lines are ignored.  Rationals go through
 ``numerals``.  Serialisation is canonical: fixed key order, levels ascending,
 situations sorted, so a parse/serialise round trip of our own output is byte identical.
+A process in dump_process's own layout is read in one pass, any other line by line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, cycle, islice
+from operator import eq
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
 from .growth import GrowthFunction
 from .martingale import Process
 from .numerals import format_rational, parse_rational
 from .randtest import RandomnessTest
-from .tree import format_situation, parse_situation
+from .tree import ROOT, ROOT_LABEL, format_situation, parse_situation, situations_up_to
 
 
 def _strip(line: str) -> str:
@@ -134,7 +137,34 @@ def dump_forecasting_system(fs: ForecastingSystem) -> str:
     raise TypeError(f"not a forecasting system: {fs!r}")
 
 
+def _dumped_process(text: str) -> Process | None:
+    """The process of a text in dump_process's exact layout, read in one pass; else None."""
+    if not (text.startswith("depth: ") and text.count(" ") == text.count("\n")):
+        return None  # a comment, a blank line or other spacing: one space per line is the layout
+    tokens = text.split()  # 'depth:', D, then a name and a value per situation
+    depth = len(tokens).bit_length() - 3  # the one depth with 4 << depth tokens, if any
+    if depth < 0 or len(tokens) != 4 << depth or tokens[1] != str(depth):
+        return None
+    # the layout: the tokens, joined by ' ' and '\n' in turn, spell the text
+    if "".join(chain.from_iterable(zip(tokens, cycle(" \n")))) != text:
+        return None
+    if tokens[2] == ROOT_LABEL:
+        tokens[2] = ROOT
+    if not all(map(eq, situations_up_to(depth), islice(tokens, 2, None, 2))):
+        return None
+    literals = tokens[3::2]
+    try:  # value texts repeat heavily, so each distinct one is parsed once
+        made = {literal: parse_rational(literal) for literal in set(literals)}
+    except ParseError:
+        return None
+    values = map(made.__getitem__, literals)
+    return Process._in_heap_order(depth, dict(zip(islice(tokens, 2, None, 2), values)))
+
+
 def parse_process(text: str) -> Process:
+    dumped = _dumped_process(text)
+    if dumped is not None:
+        return dumped
     lines = _meaningful(text)
     if not lines:
         raise ParseError("empty process file")
@@ -160,14 +190,14 @@ def parse_process(text: str) -> Process:
         values[s] = v
     try:
         return Process(depth, values)
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(str(exc)) from None
 
 
 def dump_process(process: Process) -> str:
-    lines = [f"depth: {process.depth}"]
-    lines += (f"{format_situation(s)} {format_rational(v)}" for s, v in process.values.items())
-    return "\n".join(lines) + "\n"
+    rows = [f"{s} {format_rational(v)}" for s, v in process.values.items()]
+    rows[0] = ROOT_LABEL + rows[0]  # the root's name is empty
+    return f"depth: {process.depth}\n" + "\n".join(rows) + "\n"
 
 
 def parse_growth(text: str) -> GrowthFunction:
@@ -227,7 +257,7 @@ def parse_test(text: str) -> RandomnessTest:
     levels = tuple(frozenset(members.get(n, set())) for n in range(num_levels))
     try:
         return RandomnessTest(levels, max_depth=depth, tail=tail)
-    except Exception as exc:
+    except DomainError as exc:
         raise ParseError(str(exc)) from None
 
 

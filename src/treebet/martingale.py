@@ -40,7 +40,9 @@ class Process:
     def __init__(self, depth: int, values: dict[str, Fraction]):
         if depth < 0:
             raise DomainError("process depth must be non-negative")
-        expected = (1 << (depth + 1)) - 1
+        if depth > max(64, len(values).bit_length()):  # no count can match; 2**depth may not fit
+            raise DomainError(f"depth-{depth} process needs 2**{depth + 1} - 1 values, got {len(values)}")
+        expected = (2 << depth) - 1
         if len(values) != expected:
             raise DomainError(f"depth-{depth} process needs {expected} values, got {len(values)}")
         if not all(map(eq, situations_up_to(depth), values)):
@@ -50,6 +52,13 @@ class Process:
                 raise DomainError(f"process missing value at {exc.args[0] or '@'!r}") from None
         self.depth = depth
         self.values = values
+
+    @classmethod
+    def _in_heap_order(cls, depth: int, values: dict[str, Fraction]) -> "Process":
+        """A process whose keys are situations_up_to(depth)'s own, unchecked."""
+        process = cls.__new__(cls)
+        process.depth, process.values = depth, values
+        return process
 
     @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "Process":

@@ -179,12 +179,14 @@ def supermartingale_from_test(
 
 def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool) -> Process:
     """Half the weighted sum of the cuts' upper-probability maps, as a Process."""
+    if depth < 0:
+        raise DomainError("process depth must be non-negative")
     values = _cut_value_sum(fs, weighted_cuts, depth, divisor=2)
     if normalize_root:
         if values[ROOT] > 1:
             raise ContractError("assembled root exceeds 1; refusing to normalise")
         values[ROOT] = Fraction(1)
-    return Process(depth, values)
+    return Process._in_heap_order(depth, values)
 
 
 def assemble_test_supermartingale(
@@ -363,13 +365,12 @@ def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTes
     clipped = []
     for n, cut in enumerate(test.levels):
         threshold = Fraction(3, 1 << (n + 2))
-        best = 0
-        for cutoff in range(1, test.max_depth + 2):
-            mass = cut_upper_prob(fs, frozenset(t for t in cut if len(t) < cutoff))
-            if mass > threshold:
+        # the running mass changes only where a member length is passed
+        for length in sorted({len(t) for t in cut}):
+            if cut_upper_prob(fs, frozenset(t for t in cut if len(t) <= length)) > threshold:
+                cut = frozenset(t for t in cut if len(t) < length)
                 break
-            best = cutoff
-        clipped.append(frozenset(t for t in cut if len(t) < best))
+        clipped.append(cut)
     return RandomnessTest(tuple(clipped), max_depth=test.max_depth)
 
 

@@ -183,8 +183,8 @@ def decaying_system(rng: random.Random, precise: bool = False):
 
 
 def _rational_text(rng: random.Random, value: Fraction) -> str:
-    """``value`` written canonically, unreduced, with a '+' sign, or as '-0'."""
-    form = rng.randrange(4)
+    """``value`` written canonically, unreduced, with a '+' sign or leading zeros, or as '-0'."""
+    form = rng.randrange(5)
     if form == 1:
         k = rng.randint(2, 4)
         return f"{value.numerator * k}/{value.denominator * k}"
@@ -192,26 +192,49 @@ def _rational_text(rng: random.Random, value: Fraction) -> str:
         return f"+{value}"
     if form == 3 and value == 0:
         return "-0"
+    if form == 4 and value >= 0:
+        return f"00{value}"
     return str(value)
+
+
+# separators other than dump_process's ' ' and '\n'; str.split() and str.splitlines() disagree on some
+ODD_SEPARATORS = ["\t", "\r\n", "\r", "\x1c", "\x1f", "\x85", "\u2028", "  "]
+
+
+def _depth_head(rng: random.Random, depth: int) -> str:
+    """A 'depth:' line the line-by-line reader accepts or rejects, never dump_process's."""
+    return rng.choice([
+        f"depth:{depth}", f"depth: +{depth}", f"depth: 0{depth}", f"depth:  {depth}",
+        "depth: " + "".join(chr(0x660 + int(d)) for d in str(depth)),  # Arabic-Indic digits
+        "depth: " + "1" * 4301, "depth: 100000000000", "depth: 4294967296", f"depth: {depth} ",
+        f"Depth: {depth}", f"width: {depth}",
+    ])
 
 
 def rand_proc_text(rng: random.Random) -> str:
     """A .proc text, canonical or with one kind of damage.
 
     Values come from a small pool in several spellings, so value texts
-    repeat, and equal values are written differently.  The kinds: canonical,
-    shuffled lines, comments and blank lines, a duplicate situation, a bad
-    situation, a bad or zero-denominator rational, two faults on one line,
-    and a missing line.
+    repeat, and equal values are written differently.  The kinds: canonical
+    (dump_process's layout), shuffled lines, comments and blank lines, a
+    duplicate situation, a bad situation, a bad or zero-denominator rational,
+    two faults on one line, a missing line, two pairs on one line, a pair
+    split over two lines, the root pair on the 'depth:' line, an odd
+    separator, trailing spaces, no final newline, an odd 'depth:' line, and a
+    'depth:' past the lines' own depth.
     """
     depth = rng.randint(0, 4)
-    pool = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    pool = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 4),
+            Fraction(5, 3), Fraction(7)]
     lines = [
         f"{format_situation(s)} {_rational_text(rng, rng.choice(pool))}"
         for s in situations_up_to(depth)
     ]
+    head = f"depth: {depth}"
     kind = rng.choice(["canonical", "shuffled", "comments", "duplicate", "bad situation",
-                       "bad rational", "two faults", "missing"])
+                       "bad rational", "two faults", "missing", "joined", "split",
+                       "pair on head", "separator", "trailing spaces", "no final newline",
+                       "odd head", "deeper head"])
     at = rng.randrange(len(lines))
     if kind == "shuffled":
         rng.shuffle(lines)
@@ -231,4 +254,24 @@ def rand_proc_text(rng: random.Random) -> str:
         lines.insert(rng.randint(at, len(lines)), f"{situation} {rng.choice(['1/0', 'x'])}")
     elif kind == "missing":
         del lines[at]
-    return "\n".join([f"depth: {depth}"] + lines) + "\n"
+    elif kind == "joined" and at + 1 < len(lines):
+        lines[at:at + 2] = [f"{lines[at]} {lines[at + 1]}"]
+    elif kind == "split":
+        lines[at] = lines[at].replace(" ", "\n")
+    elif kind == "pair on head":  # "depth: 0 @\n1\n" has the right token count
+        name, value = lines[0].split()
+        head, lines[0] = f"{head} {name}", value
+    elif kind == "separator":
+        separator = rng.choice(ODD_SEPARATORS)
+        if rng.random() < 0.5:
+            lines[at] = lines[at].replace(" ", separator)
+        elif at + 1 < len(lines):
+            lines[at:at + 2] = [lines[at] + separator + lines[at + 1]]
+    elif kind == "trailing spaces":
+        lines[at] += rng.choice([" ", "  ", "\t"])
+    elif kind == "odd head":
+        head = _depth_head(rng, depth)
+    elif kind == "deeper head":  # the count message, either side of depth 64
+        head = f"depth: {rng.choice([depth + 1, depth + 3, 10, 64, 65])}"
+    text = "\n".join([head] + lines)
+    return text if kind == "no final newline" else text + "\n"

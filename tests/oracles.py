@@ -13,7 +13,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from treebet import DepthGamble, IntervalForecast, LocalGamble, Markov, Process, Stationary, Table, interval
+from treebet import (
+    DepthGamble, IntervalForecast, LocalGamble, Markov, Process, Stationary, Table, cut_upper_prob,
+    interval,
+)
 from treebet.errors import DomainError, ParseError, ResourceError
 from treebet.forecast import ForecastingSystem, is_precise
 from treebet.formats import _int, _key_value, _meaningful, parse_rational
@@ -222,10 +225,28 @@ def parse_process_by_lines(text: str) -> Process:
         if s in values:
             raise ParseError(f"duplicate situation {parts[0]!r}", number)
         values[s] = parse_rational(parts[1])
+    need = (1 << (depth + 1)) - 1 if 0 <= depth <= 64 else len(values)
+    if len(values) != need:  # the count message, with the count written out
+        raise ParseError(f"depth-{depth} process needs {need} values, got {len(values)}")
     try:
         return Process(depth, values)
     except Exception as exc:
         raise ParseError(str(exc)) from None
+
+
+def clip_by_cutoffs(fs: ForecastingSystem, test: RandomnessTest) -> tuple[frozenset[str], ...]:
+    """clip_to_budget's levels, with one cut probability per cutoff 1..max_depth+1."""
+    clipped = []
+    for n, cut in enumerate(test.levels):
+        threshold = Fraction(3, 1 << (n + 2))
+        best = 0
+        for cutoff in range(1, test.max_depth + 2):
+            mass = cut_upper_prob(fs, frozenset(t for t in cut if len(t) < cutoff))
+            if mass > threshold:
+                break
+            best = cutoff
+        clipped.append(frozenset(t for t in cut if len(t) < best))
+    return tuple(clipped)
 
 
 # Per-row references for the streaming commands: Fraction capitals rendered

@@ -256,3 +256,13 @@ def test_zero_denominator_is_input_error(workdir, capsys, argv):
     (workdir / "zero.proc").write_text("depth: 1\n@ 1\n0 1/0\n1 1\n")
     assert main(argv) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", ["100000000000", "4294967296"])
+def test_absurd_process_depth_names_the_depth(workdir, capsys, depth):
+    # 2**(depth + 1) is never built: the value count alone rules the depth out
+    (workdir / "deep.proc").write_text(f"depth: {depth}\n@ 1\n")
+    argv = ["convert", "to-test", "--process", "deep.proc", "--fs", "fair.fs", "--out", "a.test"]
+    assert main(argv) == 2
+    need = f"2**{int(depth) + 1} - 1"
+    assert capsys.readouterr().err == f"treebet: depth-{depth} process needs {need} values, got 1\n"

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebet import Markov, RandomnessTest, Stationary, Table, affine, interval
+from treebet import Markov, Process, RandomnessTest, Stationary, Table, affine, interval
 from treebet.errors import ConfigError, ParseError
 from treebet.formats import (
+    _dumped_process,
     dump_forecasting_system,
     dump_growth,
     dump_process,
@@ -24,7 +25,7 @@ from treebet.formats import (
 )
 from treebet.numerals import format_rational
 
-from gen import ones_test, rand_proc_text, rand_supermartingale, rand_system
+from gen import ones_test, rand_fraction, rand_proc_text, rand_supermartingale, rand_system
 from oracles import parse_process_by_lines
 
 
@@ -142,6 +143,18 @@ def test_process_missing_node():
         parse_process("depth: 1\n@ 1\n0 1\n1 1\n0 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("depth: 2\n@ 1\n", "depth-2 process needs 7 values, got 1"),
+     ("depth: 10\n@ 1\n0 1\n1 1\n00 1\n01 1\n10 1\n11 1\n",
+      "depth-10 process needs 2047 values, got 7")],
+)
+def test_process_count_message(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_process(text)
+    assert str(info.value) == message
+
+
 def _outcome(parse, text):
     try:
         process = parse(text)
@@ -154,7 +167,38 @@ def _outcome(parse, text):
 @given(st.integers(min_value=0, max_value=2**32))
 def test_parse_process_matches_line_by_line_reference(seed):
     text = rand_proc_text(random.Random(seed))
+    expected = _outcome(parse_process_by_lines, text)
+    assert _outcome(parse_process, text) == expected
+    # the one-pass reader refuses a text or reads it as the line-by-line one does
+    bulk = _dumped_process(text)
+    assert bulk is None or (bulk.depth, list(bulk.values.items())) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["depth: 0 @\n1\n", "depth: 1\n@ 1 0\n1\n1 1\n", "depth: 1\n@ 1\n0\n1\n1 1\n",
+     "depth: 0\n@\t1\n", "depth: 0\r\n@ 1\r\n", "depth: 1\n@ 1\x1c0 1\n1 1\n",
+     "depth: 1\n@ 1\x850 1\n1 1\n", "depth: 1\n@ 1\u20280 1\n1 1\n", "depth: 0\n@ 1 \n",
+     "depth: 0\n@ 1", "depth:0\n@ 1\n", "depth: +0\n@ 1\n", "depth: 00\n@ 1\n",
+     "depth: \u0660\n@ 1\n", "depth: \u00b2\n@ 1\n", "depth: 100000000000\n@ 1\n", "depth: 0\n@ 1#\n",
+     "depth: 0\n@ 1/0\n", "depth: 0\n@ 2/4\n", "depth: 0\n@ +1\n", "depth: 0\n@ -0\n",
+     "depth: 0\n@ 007\n", "depth: 1\n@ 1\n1 1\n0 1\n", "depth: 0\n0 1\n",
+     "depth: " + "1" * 4301 + "\n@ 1\n", "# a note\ndepth: 0\n@ 1\n", "depth: 0\n@ 1\n\n",
+     "depth: 2\n@ 1\n", "depth: 65\n@ 1\n", "width: 0\n@ 1\n"],
+)
+def test_odd_process_layouts_read_as_line_by_line(text):
     assert _outcome(parse_process, text) == _outcome(parse_process_by_lines, text)
+
+
+def test_dumped_processes_are_read_in_one_pass(seed=127):
+    rng = random.Random(seed)
+    for depth in range(7):
+        for _ in range(4):
+            span = rng.choice([1, 10**6])
+            process = Process.from_function(depth, lambda s: rand_fraction(rng, span))
+            again = _dumped_process(dump_process(process))
+            assert again is not None
+            assert again.depth == depth and list(again.values.items()) == list(process.values.items())
 
 
 def test_growth_spec_round_trip():

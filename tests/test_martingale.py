@@ -50,6 +50,19 @@ def test_process_values_in_heap_order(seed, depth):
     assert dump_process(shuffled) == dump_process(in_order)
 
 
+@pytest.mark.parametrize(
+    "depth, count, need",
+    [(2, 1, "7"), (10, 7, "2047"), (64, 1, str(2**65 - 1)), (65, 1, "2**66 - 1"),
+     (100000000000, 1, "2**100000000001 - 1")],
+)
+def test_process_count_message(depth, count, need):
+    # the count is written out through depth 64, and as a power past it
+    values = dict(zip(situations_up_to(depth), [Fraction(1)] * count))
+    with pytest.raises(DomainError) as info:
+        Process(depth, values)
+    assert str(info.value) == f"depth-{depth} process needs {need} values, got {count}"
+
+
 def test_process_missing_value_named_in_heap_order():
     with pytest.raises(DomainError, match="process missing value at '0'"):
         Process(1, {"1": Fraction(1), "": Fraction(1), "00": Fraction(1)})

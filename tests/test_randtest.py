@@ -31,9 +31,10 @@ from treebet import (
     validate_schnorr_tail,
 )
 from treebet.errors import ContractError, DomainError
-from treebet.tree import CutStatus
+from treebet.tree import CutStatus, minimal_antichain
 
 from gen import FAIR, decaying_system, ones_test, rand_supermartingale, rand_system, rand_valid_test
+from oracles import clip_by_cutoffs
 
 DOUBLER = kelly_process(FAIR, 1, "on-one", 4)
 
@@ -227,6 +228,15 @@ def test_schnorr_supermartingale_empty_test():
     assert schnorr_supermartingale_from_test(FAIR, empty, "", 4) == (0, 0)
 
 
+@pytest.mark.parametrize("normalize_root", [False, True])
+def test_assembled_process_depth_must_be_non_negative(normalize_root):
+    empty = RandomnessTest((frozenset(),), 0, tail=affine(1))
+    with pytest.raises(DomainError, match="process depth must be non-negative"):
+        assemble_test_supermartingale(FAIR, empty, 0, depth=-1, normalize_root=normalize_root)
+    with pytest.raises(DomainError, match="process depth must be non-negative"):
+        assemble_schnorr_supermartingale(FAIR, empty, depth=-1, normalize_root=normalize_root)
+
+
 def test_assembled_schnorr_supermartingale():
     test = ones_test(7, tail=affine(1))
     process = assemble_schnorr_supermartingale(FAIR, test)
@@ -287,21 +297,27 @@ def test_clip_empty_candidate():
 
 def test_clip_idempotent_and_validates(seed=107):
     rng = random.Random(seed)
-    for _ in range(20):
+    crossings, empty = set(), 0
+    for _ in range(60):
         fs = rand_system(rng, depth=5, non_degenerate=True)
         levels = []
-        for n in range(rng.randint(1, 3)):
+        for n in range(rng.randint(1, 4)):
             members = set()
-            for _ in range(rng.randint(0, 4)):
+            for _ in range(rng.randint(0, 8)):
                 d = rng.randint(0, 5)
                 members.add("".join(rng.choice("01") for _ in range(d)))
-            from treebet import minimal_antichain
-
             levels.append(minimal_antichain(members))
-        candidate = RandomnessTest(tuple(levels), max_depth=5)
+        candidate = RandomnessTest(tuple(levels), max_depth=rng.randint(5, 7))
         clipped = clip_to_budget(fs, candidate)
+        assert clipped.levels == clip_by_cutoffs(fs, candidate)
         assert all(r.passed for r in validate_ml_test(fs, clipped))
         assert clip_to_budget(fs, clipped).levels == clipped.levels
+        empty += sum(not cut for cut in levels)
+        for cut, kept in zip(candidate.levels, clipped.levels):
+            if kept != cut:  # the depth at which the level's mass crossed 3 * 2**-(n+2)
+                crossings.add(min(len(t) for t in cut - kept))
+    # the level's mass crosses its threshold at several depths, the root included
+    assert {0, 1, 2, 3} <= crossings and empty
 
 
 def test_combine_universal_pair():
