@@ -23,7 +23,7 @@ from .errors import (
 from .expectation import cut_lower_prob, cut_upper_prob
 from .forecast import IntervalForecast
 from .formats import (
-    dump_process,
+    _dump_levels,
     dump_test,
     load,
     parse_forecasting_system,
@@ -34,18 +34,18 @@ from .formats import (
     save,
 )
 from .local import LocalGamble, lower_expectation, upper_expectation
-from .martingale import check_supermartingale, kelly_gamble
+from .martingale import _integer_levels, _violations, kelly_gamble
 from .numerals import EXACT, format_rational, parse_rational, ratio_text
 from .randtest import (
+    _assembled_levels,
     _threshold_test,
-    assemble_test_supermartingale,
     combine_universal,
     schnorr_test_from_martingale,
     validate_ml_test,
     validate_schnorr_tail,
 )
 from .sampling import SELECTORS, sample_path
-from .tree import ROOT, parse_situation, require_antichain
+from .tree import bits, parse_situation, require_antichain
 
 DEFAULT_DEPTH_CAP = 22
 DEFAULT_HORIZON = 1 << 20
@@ -135,15 +135,15 @@ def cmd_convert(args) -> int:
         if process.root != 1:
             print(f"not a test supermartingale: root is {format_rational(process.root)}, not 1", file=sys.stderr)
             return 3
+        nums, dens = _integer_levels(process)
         # heap order puts the shortest, then lexicographically first, negative first
-        negative = [s for s, v in process.values.items() if v.numerator < 0]
-        violations = check_supermartingale(fs, process)
-        if negative or violations:
-            where = (negative or violations)[0]
-            print(f"not a test supermartingale: check fails at {where or '@'}", file=sys.stderr)
+        negative = [bits(j, w) for w, ps in enumerate(nums) if min(ps) < 0 for j, p in enumerate(ps) if p < 0]
+        failures = negative or _violations(fs, nums, dens)
+        if failures:
+            print(f"not a test supermartingale: check fails at {failures[0] or '@'}", file=sys.stderr)
             return 3
         # the checks above are martingale_to_test's own
-        test = _threshold_test(process)
+        test = _threshold_test(nums, dens)
         if not _report_budgets(validate_ml_test(fs, test)):
             return 3
         print("all budgets pass")
@@ -156,18 +156,18 @@ def cmd_convert(args) -> int:
         test = load(args.test, parse_test)
         if test.max_depth > args.depth_cap:
             raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
-        # once the budgets pass, the root (half the level probabilities) is below 1
-        process = assemble_test_supermartingale(fs, test, args.levels, normalize_root=False)
-        value = process.root
-        process.values[ROOT] = Fraction(1)
-        violations = check_supermartingale(fs, process)
+        levels, dens = _assembled_levels(fs, test, args.levels)
+        # the root, half the level probabilities, is below 1 once the budgets pass; it becomes 1
+        value = Fraction(levels[0][0], dens[0])
+        levels[0] = dens[:1]
+        violations = _violations(fs, levels, [[d] * len(level) for d, level in zip(dens, levels)])
         print(f"root {format_rational(value)} normalized 1")
         print(f"remainder bound {format_rational(Fraction(1, 1 << args.levels))}")
         if violations:
             print(f"supermartingale check FAIL at {violations[0] or '@'}")
             return 3
         print("supermartingale check pass")
-        save(args.out, dump_process(process))
+        save(args.out, _dump_levels(levels, dens))
         return 0
 
     if args.direction == "schnorr-from-martingale":
@@ -332,7 +332,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)  # universal's test files may follow options
+    if args.command == "convert" and args.direction == "universal":
+        args.inputs += [word for word in extra if not word.startswith("-")]
+        extra = [word for word in extra if word.startswith("-")]
+    if extra:
+        _parser().error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ConfigError, DomainError, OSError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
@@ -128,30 +129,31 @@ def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fractio
     return Fraction(root[0], den * scale ** m)
 
 
-def _cut_value_sum(
-    fs: ForecastingSystem, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False
-) -> dict[str, Fraction]:
-    """sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight, cut) pairs.
-
-    Each cut is folded once into one running numerator table; a level's values
-    share one denominator, so each distinct numerator becomes a Fraction once.
-    """
+def _fold_sum(fs: ForecastingSystem, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False):
+    """(levels, dens, roots) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor
+    over (weight, cut) pairs: level w's numerators in heap order over dens[w], and each
+    cut's own value at the root.  Each cut is folded once into one running table."""
     scale, rows = _endpoints(fs, ROOT, depth, lower)
     total = [[0] * (1 << (depth - h)) for h in range(depth + 1)]
+    roots = []
     for weight, cut in weighted_cuts:
         if any(len(t) > depth for t in cut):
             raise DomainError("cut member deeper than the requested sweep depth")
-        if not cut:
-            continue
-        for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
-            total[h] = [x + weight * v for x, v in zip(total[h], level)]
+        level = [0]
+        if cut:
+            for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
+                total[h] = list(map(add, total[h], level if weight == 1 else [weight * v for v in level]))
+        roots.append(Fraction(level[0], scale ** depth))
+    return total[::-1], [divisor * scale ** h for h in range(depth, -1, -1)], roots
+
+
+def _heap_values(levels: list[list[int]], dens: list[int]) -> dict[str, Fraction]:
+    """Each situation's value, level w's over dens[w]: one Fraction per distinct numerator."""
     heap: list[Fraction] = []
-    for w in range(depth + 1):
-        den = divisor * scale ** (depth - w)
-        level = total.pop()
+    for level, den in zip(levels, dens):
         made = {v: Fraction(v, den) for v in set(level)}
         heap += map(made.__getitem__, level)
-    return dict(zip(situations_up_to(depth), heap))
+    return dict(zip(situations_up_to(len(levels) - 1), heap))
 
 
 def cond_upper(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:
@@ -210,7 +212,8 @@ def cut_value_map(
 
     One bottom-up sweep; requires ``depth`` at or below no cut member.
     """
-    return _cut_value_sum(fs, [(1, require_antichain(cut))], depth, lower=lower)
+    levels, dens, _ = _fold_sum(fs, [(1, require_antichain(cut))], depth, lower=lower)
+    return _heap_values(levels, dens)
 
 
 def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:

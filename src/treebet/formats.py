@@ -10,16 +10,18 @@ A process in dump_process's own layout is read in one pass, any other line by li
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, cycle, islice
+from itertools import chain, cycle, islice, repeat
 from operator import eq
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
 from .growth import GrowthFunction
 from .martingale import Process
 from .numerals import format_rational, parse_rational
 from .randtest import RandomnessTest
 from .tree import ROOT, ROOT_LABEL, format_situation, parse_situation, situations_up_to
+
+MAX_LEVELS = 4096  # the most levels a .test file may declare
 
 
 def _strip(line: str) -> str:
@@ -195,9 +197,19 @@ def parse_process(text: str) -> Process:
 
 
 def dump_process(process: Process) -> str:
-    rows = [f"{s} {format_rational(v)}" for s, v in process.values.items()]
-    rows[0] = ROOT_LABEL + rows[0]  # the root's name is empty
-    return f"depth: {process.depth}\n" + "\n".join(rows) + "\n"
+    return _process_text(process.depth, map(format_rational, process.values.values()))
+
+
+def _dump_levels(levels: list[list[int]], dens: list[int]) -> str:
+    """dump_process's text for levels[w][j] / dens[w] at bits(j, w), one text per distinct numerator."""
+    return _process_text(len(levels) - 1, chain.from_iterable(
+        map({v: format_rational(Fraction(v, d)) for v in set(level)}.__getitem__, level)
+        for level, d in zip(levels, dens)))
+
+
+def _process_text(depth: int, texts) -> str:
+    names = chain([ROOT_LABEL], islice(situations_up_to(depth), 1, None))  # the root's name is empty
+    return f"depth: {depth}\n" + "".join(chain.from_iterable(zip(names, repeat(" "), texts, repeat("\n"))))
 
 
 def parse_growth(text: str) -> GrowthFunction:
@@ -242,6 +254,8 @@ def parse_test(text: str) -> RandomnessTest:
         key, value = _key_value(line, number)
         if key == "levels":
             num_levels = _int(value, "level count", number)
+            if num_levels > MAX_LEVELS:  # every level is built, checked and reported
+                raise ResourceError(f"line {number}: test has {value} levels, over the limit of {MAX_LEVELS}")
         elif key == "depth":
             depth = _int(value, "depth", number)
         elif key == "tail":

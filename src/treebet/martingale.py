@@ -17,6 +17,7 @@ from .errors import ContractError, DomainError
 from .expectation import _endpoints, cut_upper_prob
 from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
+from .numerals import format_rational
 from .tree import ROOT, bits, minimal_antichain, require_situation, situations_up_to
 
 # Query interface standing in for a computable process: q(s, N) must be
@@ -41,7 +42,8 @@ class Process:
         if depth < 0:
             raise DomainError("process depth must be non-negative")
         if depth > max(64, len(values).bit_length()):  # no count can match; 2**depth may not fit
-            raise DomainError(f"depth-{depth} process needs 2**{depth + 1} - 1 values, got {len(values)}")
+            head, power = format_rational(depth), format_rational(depth + 1)  # past str()'s digit limit too
+            raise DomainError(f"depth-{head} process needs 2**{power} - 1 values, got {len(values)}")
         expected = (2 << depth) - 1
         if len(values) != expected:
             raise DomainError(f"depth-{depth} process needs {expected} values, got {len(values)}")
@@ -88,36 +90,39 @@ class Process:
         return Process(self.depth, {s: -v for s, v in self.values.items()})
 
 
+def _integer_levels(process: Process) -> tuple[list[list[int]], list[list[int]]]:
+    """The values' numerators and denominators, level w at index w, each in heap order."""
+    values = process.values.values()
+    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+    return tuple([heap[(1 << w) - 1:(2 << w) - 1] for w in range(process.depth + 1)] for heap in (nums, dens))
+
+
+def _violations(fs: ForecastingSystem, nums: list[list[int]], dens: list[list[int]]) -> list[str]:
+    """check_supermartingale on the value nums[w][j] / dens[w][j] at bits(j, w)."""
+    scale, rows = _endpoints(fs, ROOT, len(nums) - 1)
+    # with L the scale, the gain's upper expectation is positive iff
+    # L*f0 + P*(f1 - f0) > L*v, P the endpoint it takes: the fold step, cross-multiplied
+    return [bits(j, w) for w, row in enumerate(rows)
+            for j, (n, d, n0, d0, n1, d1, (p, q)) in enumerate(zip(
+                nums[w], dens[w], nums[w + 1][::2], dens[w + 1][::2], nums[w + 1][1::2], dens[w + 1][1::2], row))
+            if (scale * (a := n0 * d1) + (p if (r := n1 * d0 - a) >= 0 else q) * r) * d > scale * n * d0 * d1]
+
+
+def _is_test_supermartingale(fs: ForecastingSystem, nums, dens) -> bool:
+    return nums[0] == dens[0] == [1] and min(map(min, nums)) >= 0 and not _violations(fs, nums, dens)
+
+
 def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
     """Every interior situation where the one-step gain has positive upper expectation.
 
     An empty list certifies the supermartingale property on the truncated tree.
     """
-    scale, rows = _endpoints(fs, ROOT, process.depth)
-    heap = list(process.values.values())
-    violations = []
-    for w, row in enumerate(rows):
-        # level w is heap[2**w - 1 : 2**(w+1) - 1], its children the next level
-        here = heap[(1 << w) - 1:(2 << w) - 1]
-        below = heap[(2 << w) - 1:(4 << w) - 1]
-        for j, (v, f0, f1, (p, q)) in enumerate(zip(here, below[::2], below[1::2], row)):
-            # with L the scale, the gain's upper expectation is positive
-            # iff L*f0 + P*(f1 - f0) > L*v, P the endpoint it takes
-            n0, d0, n1, d1 = f0.numerator, f0.denominator, f1.numerator, f1.denominator
-            rise = n1 * d0 - n0 * d1
-            lhs = (scale * n0 * d1 + (p if rise >= 0 else q) * rise) * v.denominator
-            if lhs > scale * v.numerator * d0 * d1:
-                violations.append(bits(j, w))
-    return violations
+    return _violations(fs, *_integer_levels(process))
 
 
 def check_test_supermartingale(fs: ForecastingSystem, process: Process) -> bool:
     """Root value 1, non-negative everywhere, and no supermartingale violations."""
-    if process.root != 1:
-        return False
-    if any(v.numerator < 0 for v in process.values.values()):
-        return False
-    return not check_supermartingale(fs, process)
+    return _is_test_supermartingale(fs, *_integer_levels(process))
 
 
 def capital_along(process: Process, w: str) -> list[Fraction]:

@@ -12,17 +12,18 @@ truncation remainder instead of pretending to take a limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import ContractError, DomainError
-from .expectation import _cut_value_sum, cut_upper_prob
+from .expectation import _fold_sum, _heap_values, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
-from .martingale import Process, check_test_supermartingale
+from .martingale import Process, _integer_levels, _is_test_supermartingale
 from .numerals import format_rational
-from .tree import ROOT, minimal_antichain, require_antichain
+from .tree import ROOT, bits, minimal_antichain, require_antichain
 
 DEFAULT_HORIZON = 1 << 20
 
@@ -83,10 +84,10 @@ class TailReport:
     passed: bool
 
 
-def _level_reports(fs, levels) -> Iterator[LevelReport]:
+def _level_reports(fs, levels, actuals=None) -> Iterator[LevelReport]:
     for n, cut in enumerate(levels):
         budget = Fraction(1, 1 << n)
-        actual = cut_upper_prob(fs, cut)
+        actual = cut_upper_prob(fs, cut) if actuals is None else actuals[n]
         yield LevelReport(n, budget, actual, actual <= budget)
 
 
@@ -112,39 +113,42 @@ def validate_schnorr_tail(
     return reports
 
 
-def _require_budgets(fs, test, up_to: int) -> None:
-    for report in _level_reports(fs, test.levels[: up_to + 1]):
+def _require_budgets(fs, test, up_to: int, actuals=None) -> None:
+    for report in _level_reports(fs, test.levels[: up_to + 1], actuals):
         if not report.passed:
             actual, budget = format_rational(report.actual), format_rational(report.budget)
             raise ContractError(f"level {report.level} over budget: {actual} > {budget}")
 
 
-def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
-    """Level n: each situation s with crossed(p, q, |s|) > n, p/q its value in
-    lowest terms, that has no strict prefix with the same property.
+def _require_stored(test: RandomnessTest, n_max: int) -> None:
+    if not 0 <= n_max < test.num_levels:
+        raise DomainError(f"levels 0..{n_max} not all stored")
 
-    One pass in heap order carries down each path the highest level crossed
-    so far; a situation joins every level between that and its own.
-    """
+
+def _first_passages(nums, dens, crossed) -> tuple[frozenset[str], ...]:
+    """Level n: each situation whose count exceeds n while no strict prefix's does,
+    crossed(w, ps, qs) giving the counts of the values p/q of level w of _integer_levels."""
     levels: list[list[str]] = []
-    reached: list[int] = []
-    for i, (s, value) in enumerate(process.values.items()):
-        before = reached[(i - 1) >> 1] if i else 0
-        here = crossed(value.numerator, value.denominator, len(s))
-        if here > before:
-            levels.extend([] for _ in range(len(levels), here))
-            for n in range(before, here):
-                levels[n].append(s)
-            before = here
-        reached.append(before)
+    reached = [0]
+    for w, (ps, qs) in enumerate(zip(nums, dens)):
+        here = crossed(w, ps, qs)
+        for j in [j for j, (x, r) in enumerate(zip(here, reached)) if x > r]:
+            levels.extend([] for _ in range(len(levels), here[j]))
+            for n in range(reached[j], here[j]):
+                levels[n].append(bits(j, w))
+            reached[j] = here[j]
+        below = [0] * (2 * len(reached))  # each child starts from its parent's
+        below[::2] = below[1::2] = reached
+        reached = below
     return tuple(frozenset(level) for level in levels)
 
 
-def _threshold_test(process: Process) -> RandomnessTest:
-    """martingale_to_test without its test-supermartingale check."""
+def _threshold_test(nums, dens) -> RandomnessTest:
+    """martingale_to_test on _integer_levels, without its test-supermartingale check."""
     # 2**n < p/q iff 2**n <= (p - 1) // q: the levels crossed are that quotient's bits
-    levels = _first_passages(process, lambda p, q, n: max(0, (p - 1) // q).bit_length())
-    return RandomnessTest(levels, max_depth=process.depth)
+    levels = _first_passages(nums, dens, lambda w, ps, qs: [
+        ((p - 1) // q).bit_length() if p > q else 0 for p, q in zip(ps, qs)])
+    return RandomnessTest(levels, max_depth=len(nums) - 1)
 
 
 def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTest:
@@ -153,9 +157,10 @@ def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTes
     The budgets hold automatically: reaching 2**n from capital 1 has upper
     probability at most 2**-n.
     """
-    if not check_test_supermartingale(fs, process):
+    nums, dens = _integer_levels(process)
+    if not _is_test_supermartingale(fs, nums, dens):
         raise ContractError("input is not a test supermartingale for the given system")
-    return _threshold_test(process)
+    return _threshold_test(nums, dens)
 
 
 def supermartingale_from_test(
@@ -167,8 +172,7 @@ def supermartingale_from_test(
     ``cutoff``; the remainder bound cumulative_bound(s) * 2**-n_max covers
     the discarded tail of the untruncated series.
     """
-    if not 0 <= n_max < test.num_levels:
-        raise DomainError(f"levels 0..{n_max} not all stored")
+    _require_stored(test, n_max)
     _require_budgets(fs, test, n_max)
     value = Fraction(0)
     for n in range(n_max + 1):
@@ -177,16 +181,29 @@ def supermartingale_from_test(
     return value / 2, remainder
 
 
-def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool) -> Process:
-    """Half the weighted sum of the cuts' upper-probability maps, as a Process."""
-    if depth < 0:
-        raise DomainError("process depth must be non-negative")
-    values = _cut_value_sum(fs, weighted_cuts, depth, divisor=2)
+def _summed_process(levels, dens, normalize_root: bool) -> Process:
+    """The Process of _halved_sum's levels and denominators, its root replaced by 1 on request."""
+    values = _heap_values(levels, dens)
     if normalize_root:
         if values[ROOT] > 1:
             raise ContractError("assembled root exceeds 1; refusing to normalise")
         values[ROOT] = Fraction(1)
-    return Process._in_heap_order(depth, values)
+    return Process._in_heap_order(len(levels) - 1, values)
+
+
+def _halved_sum(fs, weighted_cuts, depth: int):
+    if depth < 0:
+        raise DomainError("process depth must be non-negative")
+    return _fold_sum(fs, weighted_cuts, depth, divisor=2)
+
+
+def _assembled_levels(fs, test: RandomnessTest, n_max: int):
+    """(levels, dens) of _halved_sum over levels 0..n_max, untruncated, to the test's
+    depth; each level's budget is checked against its own fold's root."""
+    _require_stored(test, n_max)
+    levels, dens, probs = _halved_sum(fs, ((1, cut) for cut in test.levels[: n_max + 1]), test.max_depth)
+    _require_budgets(fs, test, n_max, probs)
+    return levels, dens
 
 
 def assemble_test_supermartingale(
@@ -203,15 +220,16 @@ def assemble_test_supermartingale(
     Replacing the root by 1 keeps the supermartingale property because the
     assembled root never exceeds 1 when the budgets hold.
     """
-    if not 0 <= n_max < test.num_levels:
-        raise DomainError(f"levels 0..{n_max} not all stored")
+    if cutoff is None and depth is None:
+        return _summed_process(*_assembled_levels(fs, test, n_max), normalize_root)
+    _require_stored(test, n_max)
     _require_budgets(fs, test, n_max)
     if cutoff is None:
         cutoff = test.max_depth + 1
     if depth is None:
         depth = test.max_depth
     cuts = ((1, test.level_below(n, cutoff)) for n in range(n_max + 1))
-    return _summed_process(fs, cuts, depth, normalize_root)
+    return _summed_process(*_halved_sum(fs, cuts, depth)[:2], normalize_root)
 
 
 def schnorr_test_from_martingale(
@@ -226,13 +244,13 @@ def schnorr_test_from_martingale(
     past the stored members it continues affinely above the test depth,
     where it holds vacuously.
     """
-    if not check_test_supermartingale(fs, process):
+    nums, dens = _integer_levels(process)
+    if not _is_test_supermartingale(fs, nums, dens):
         raise ContractError("input is not a test supermartingale for the given system")
     thresholds = [rho(n) for n in range(process.depth + 1)]
-    # rho(|s|) >= 2**n for the first rho(|s|).bit_length() levels n
-    levels = _first_passages(
-        process, lambda p, q, n: thresholds[n].bit_length() if p >= thresholds[n] * q else 0
-    )
+    # rho(w) >= 2**n for the first rho(w).bit_length() levels n
+    levels = _first_passages(nums, dens, lambda w, ps, qs: [
+        t.bit_length() if p >= t * q else 0 for t in thresholds[w:w + 1] for p, q in zip(ps, qs)])
     deepest = max((len(t) for cut in levels for t in cut), default=-1)
     prefix = []
     k = 0
@@ -314,7 +332,7 @@ def assemble_schnorr_supermartingale(
         for k in range(k_cap + 1)
         for n in range(test.num_levels)
     )
-    return _summed_process(fs, cuts, depth, normalize_root)
+    return _summed_process(*_halved_sum(fs, cuts, depth)[:2], normalize_root)
 
 
 def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> GrowthFunction:
@@ -333,23 +351,16 @@ def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> Gr
 
     top = test.deepest_member() + 1
 
-    def first_below(n: int, threshold: Fraction) -> int:
-        for cutoff in range(top + 1):
-            if residual(n, cutoff) < threshold:
-                return cutoff
-        return top + 1
+    # the first cutoff where done(residual) holds, else top + 1, by bisection:
+    # the residual never rises with the cutoff, so done holds on from there
+    def first(n: int, done) -> int:
+        return bisect_left(range(top + 1), True, key=lambda cutoff: done(residual(n, cutoff)))
 
     prefix = []
     for big_n in range(test.num_levels):
         threshold = Fraction(1, 1 << (big_n + 1))
-        prefix.append(max((first_below(n, threshold) for n in range(big_n + 1)), default=0))
-    exhausted = max(
-        (
-            min(cutoff for cutoff in range(top + 1) if residual(n, cutoff) == 0)
-            for n in range(test.num_levels)
-        ),
-        default=0,
-    )
+        prefix.append(max((first(n, lambda mass: mass < threshold) for n in range(big_n + 1)), default=0))
+    exhausted = max((first(n, lambda mass: mass == 0) for n in range(test.num_levels)), default=0)
     prefix.append(max(exhausted, prefix[-1] if prefix else 0))
     slack = max(0, prefix[-1] - len(prefix))
     return GrowthFunction(tuple(prefix), 1, slack, 1)
@@ -365,11 +376,13 @@ def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTes
     clipped = []
     for n, cut in enumerate(test.levels):
         threshold = Fraction(3, 1 << (n + 2))
-        # the running mass changes only where a member length is passed
-        for length in sorted({len(t) for t in cut}):
-            if cut_upper_prob(fs, frozenset(t for t in cut if len(t) <= length)) > threshold:
-                cut = frozenset(t for t in cut if len(t) < length)
-                break
+        # the running mass changes only where a member length is passed, and
+        # never falls as the length grows: bisect for the first length over
+        if cut_upper_prob(fs, cut) > threshold:
+            lengths = sorted({len(t) for t in cut})
+            over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: cut_upper_prob(
+                fs, frozenset(t for t in cut if len(t) <= length)) > threshold)
+            cut = frozenset(t for t in cut if len(t) < lengths[over])
         clipped.append(cut)
     return RandomnessTest(tuple(clipped), max_depth=test.max_depth)
 

@@ -14,15 +14,17 @@ from itertools import product
 from typing import Callable
 
 from treebet import (
-    DepthGamble, IntervalForecast, LocalGamble, Markov, Process, Stationary, Table, cut_upper_prob,
-    interval,
+    DepthGamble, IntervalForecast, LocalGamble, Markov, Process, Stationary, Table,
+    assemble_test_supermartingale, cut_upper_prob, interval, validate_ml_test,
 )
-from treebet.errors import DomainError, ParseError, ResourceError
+from treebet.errors import ContractError, DomainError, ParseError, ResourceError
+from treebet.expectation import _endpoints
 from treebet.forecast import ForecastingSystem, is_precise
-from treebet.formats import _int, _key_value, _meaningful, parse_rational
+from treebet.formats import _int, _key_value, _meaningful, dump_process, dump_test, parse_rational
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
 from treebet.martingale import kelly_gamble
+from treebet.numerals import format_rational
 from treebet.randtest import RandomnessTest
 from treebet.sampling import SELECTORS, splitmix64
 from treebet.tree import (
@@ -177,6 +179,54 @@ def check_supermartingale_by_delta(fs: ForecastingSystem, process: Process) -> l
     return sorted(violations, key=lambda s: (len(s), s))
 
 
+def check_supermartingale_by_nodes(fs: ForecastingSystem, process: Process) -> list[str]:
+    """check_supermartingale with one cross-multiplied fold step per interior
+    situation, reading each value's numerator and denominator off its Fraction."""
+    scale, rows = _endpoints(fs, "", process.depth)
+    heap = list(process.values.values())
+    violations = []
+    for w, row in enumerate(rows):
+        here = heap[(1 << w) - 1:(2 << w) - 1]
+        below = heap[(2 << w) - 1:(4 << w) - 1]
+        for j, (v, f0, f1, (p, q)) in enumerate(zip(here, below[::2], below[1::2], row)):
+            n0, d0, n1, d1 = f0.numerator, f0.denominator, f1.numerator, f1.denominator
+            rise = n1 * d0 - n0 * d1
+            lhs = (scale * n0 * d1 + (p if rise >= 0 else q) * rise) * v.denominator
+            if lhs > scale * v.numerator * d0 * d1:
+                violations.append(bits(j, w))
+    return violations
+
+
+def first_passages_by_nodes(process: Process, crossed) -> tuple[frozenset[str], ...]:
+    """Level n: each situation s with crossed(p, q, |s|) > n, p/q its value in
+    lowest terms, that has no strict prefix with the same property; one pass
+    in heap order carrying down each path the highest level crossed so far."""
+    levels: list[list[str]] = []
+    reached: list[int] = []
+    for i, (s, value) in enumerate(process.values.items()):
+        before = reached[(i - 1) >> 1] if i else 0
+        here = crossed(value.numerator, value.denominator, len(s))
+        if here > before:
+            levels.extend([] for _ in range(len(levels), here))
+            for n in range(before, here):
+                levels[n].append(s)
+            before = here
+        reached.append(before)
+    return tuple(frozenset(level) for level in levels)
+
+
+def threshold_levels_by_nodes(process: Process) -> tuple[frozenset[str], ...]:
+    """martingale_to_test's levels, per node: 2**n < p/q for the bits of max(0, (p - 1) // q)."""
+    return first_passages_by_nodes(process, lambda p, q, n: max(0, (p - 1) // q).bit_length())
+
+
+def schnorr_levels_by_nodes(process: Process, rho: GrowthFunction) -> tuple[frozenset[str], ...]:
+    """schnorr_test_from_martingale's levels, per node: rho(|s|) >= 2**n and capital >= rho(|s|)."""
+    thresholds = [rho(n) for n in range(process.depth + 1)]
+    return first_passages_by_nodes(
+        process, lambda p, q, n: thresholds[n].bit_length() if p >= thresholds[n] * q else 0)
+
+
 def threshold_levels_by_scans(process: Process) -> tuple[frozenset[str], ...]:
     """martingale_to_test's levels: one tree scan per threshold 2**n below the maximum."""
     top = process.max_value()
@@ -247,6 +297,88 @@ def clip_by_cutoffs(fs: ForecastingSystem, test: RandomnessTest) -> tuple[frozen
             best = cutoff
         clipped.append(frozenset(t for t in cut if len(t) < best))
     return tuple(clipped)
+
+
+def tail_bound_by_cutoffs(fs: ForecastingSystem, test: RandomnessTest) -> GrowthFunction:
+    """derive_tail_bound_precise with the residual mass taken at every cutoff, upwards."""
+    if not is_precise(fs):
+        raise DomainError("tail-bound derivation needs a precise forecasting system")
+    for r in validate_ml_test(fs, test):
+        if not r.passed:
+            actual, budget = format_rational(r.actual), format_rational(r.budget)
+            raise ContractError(f"level {r.level} over budget: {actual} > {budget}")
+
+    def residual(n: int, cutoff: int) -> Fraction:
+        return cut_upper_prob(fs, test.level_at_least(n, cutoff))
+
+    top = test.deepest_member() + 1
+
+    def first_below(n: int, threshold: Fraction) -> int:
+        for cutoff in range(top + 1):
+            if residual(n, cutoff) < threshold:
+                return cutoff
+        return top + 1
+
+    prefix = []
+    for big_n in range(test.num_levels):
+        threshold = Fraction(1, 1 << (big_n + 1))
+        prefix.append(max((first_below(n, threshold) for n in range(big_n + 1)), default=0))
+    exhausted = max(
+        (min(c for c in range(top + 1) if residual(n, c) == 0) for n in range(test.num_levels)),
+        default=0,
+    )
+    prefix.append(max(exhausted, prefix[-1] if prefix else 0))
+    slack = max(0, prefix[-1] - len(prefix))
+    return GrowthFunction(tuple(prefix), 1, slack, 1)
+
+
+# Per-node references for two `convert` directions: each returns what the
+# command does, as (exit code, stdout, stderr, text of the written file or None).
+
+def _budget_lines(reports) -> list[str]:
+    return [f"level {r.level}: actual {format_rational(r.actual)} budget "
+            f"{format_rational(r.budget)} {'pass' if r.passed else 'FAIL'}" for r in reports]
+
+
+def convert_to_test_by_nodes(fs: ForecastingSystem, process: Process):
+    """`convert to-test`: a Fraction comparison per value for the negativity
+    scan, check_supermartingale_by_nodes and threshold_levels_by_nodes."""
+    if process.root != 1:
+        root = format_rational(process.root)
+        return 3, "", f"not a test supermartingale: root is {root}, not 1\n", None
+    failures = [s for s, v in process.values.items() if v < 0]
+    failures = failures or check_supermartingale_by_nodes(fs, process)
+    if failures:
+        return 3, "", f"not a test supermartingale: check fails at {failures[0] or '@'}\n", None
+    test = RandomnessTest(threshold_levels_by_nodes(process), max_depth=process.depth)
+    reports = validate_ml_test(fs, test)
+    lines = _budget_lines(reports)
+    if not all(r.passed for r in reports):
+        return 3, "\n".join(lines) + "\n", "", None
+    return 0, "\n".join(lines + ["all budgets pass"]) + "\n", "", dump_test(test)
+
+
+def convert_to_martingale_by_process(fs: ForecastingSystem, test: RandomnessTest, n_max: int):
+    """`convert to-martingale` through assemble_test_supermartingale with an
+    explicit cutoff and depth (so the budgets take the sparse cut
+    probabilities), check_supermartingale_by_nodes and dump_process."""
+    try:
+        process = assemble_test_supermartingale(
+            fs, test, n_max, cutoff=test.max_depth + 1, depth=test.max_depth, normalize_root=False)
+    except DomainError as exc:
+        return 2, "", f"treebet: {exc}\n", None
+    except ContractError as exc:
+        return 3, "", f"treebet: {exc}\n", None
+    value = process.root
+    process.values[""] = Fraction(1)
+    violations = check_supermartingale_by_nodes(fs, process)
+    lines = [f"root {format_rational(value)} normalized 1",
+             f"remainder bound {format_rational(Fraction(1, 1 << n_max))}"]
+    if violations:
+        lines.append(f"supermartingale check FAIL at {violations[0] or '@'}")
+        return 3, "\n".join(lines) + "\n", "", None
+    lines.append("supermartingale check pass")
+    return 0, "\n".join(lines) + "\n", "", dump_process(process)
 
 
 # Per-row references for the streaming commands: Fraction capitals rendered

@@ -266,3 +266,55 @@ def test_absurd_process_depth_names_the_depth(workdir, capsys, depth):
     assert main(argv) == 2
     need = f"2**{int(depth) + 1} - 1"
     assert capsys.readouterr().err == f"treebet: depth-{depth} process needs {need} values, got 1\n"
+
+
+def test_process_depth_past_the_digit_limit_names_the_depth(workdir, capsys):
+    # depth + 1 has 4,301 digits, one past str()'s limit for an int
+    depth = "9" * 4300
+    (workdir / "deep.proc").write_text(f"depth: {depth}\n@ 1\n")
+    argv = ["convert", "to-test", "--process", "deep.proc", "--fs", "fair.fs", "--out", "a.test"]
+    assert main(argv) == 2
+    need = f"2**1{'0' * 4300} - 1"
+    assert capsys.readouterr().err == f"treebet: depth-{depth} process needs {need} values, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "universal", "ones.test", "ones.test", "--fs", "fair.fs", "--out", "u.test"],
+        ["convert", "universal", "--fs", "fair.fs", "--out", "u.test", "ones.test", "ones.test"],
+        ["convert", "universal", "ones.test", "--fs", "fair.fs", "ones.test", "--out", "u.test"],
+    ],
+    ids=["before", "after", "around"],
+)
+def test_convert_universal_takes_its_test_files_before_or_after_the_options(workdir, capsys, argv):
+    main(["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs",
+          "--out", "ones.test"])
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "level 0: actual 1/4 budget 1 pass\n"
+        "level 1: actual 1/8 budget 1/2 pass\n"
+        "all budgets pass\n"
+    )
+    assert (workdir / "u.test").read_text() == "levels: 2\ndepth: 3\nlevel 0 11\nlevel 1 111\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (["convert", "universal", "--fs", "fair.fs", "--bogus", "--out", "u.test", "a.test"], "--bogus"),
+        (["convert", "universal", "a.test", "--fs", "fair.fs", "--out", "u.test", "--bogus=1"],
+         "--bogus=1"),
+        (["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs", "--out", "a.test",
+          "extra.test"], "extra.test"),
+        (["local", "--interval", "0", "1", "--gamble", "1", "0", "extra"], "extra"),
+    ],
+    ids=["universal-option", "universal-option-value", "to-test-word", "local-word"],
+)
+def test_leftover_arguments_exit_2(workdir, capsys, argv, stray):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"treebet: error: unrecognized arguments: {stray}\n")
+    assert not (workdir / "u.test").exists() and not (workdir / "a.test").exists()

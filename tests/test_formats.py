@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treebet import Markov, Process, RandomnessTest, Stationary, Table, affine, interval
-from treebet.errors import ConfigError, ParseError
+from treebet.errors import ConfigError, ParseError, ResourceError
 from treebet.formats import (
+    MAX_LEVELS,
     _dumped_process,
     dump_forecasting_system,
     dump_growth,
@@ -255,3 +256,16 @@ def test_sequence_parsing():
     assert parse_sequence("01 10\n# all ones\n11\n") == "011011"
     with pytest.raises(ParseError):
         parse_sequence("012")
+
+
+@pytest.mark.parametrize("count", ["4097", "100000", "9" * 4300])
+def test_level_count_over_the_limit_is_a_resource_error(count):
+    # refused at the count's own line, before any level is built
+    with pytest.raises(ResourceError) as info:
+        parse_test(f"# a test\nlevels: {count}\ndepth: 1\nlevel 0 1\n")
+    assert str(info.value) == f"line 2: test has {count} levels, over the limit of {MAX_LEVELS}"
+
+
+def test_level_count_at_the_limit_is_read():
+    test = parse_test(f"levels: {MAX_LEVELS}\ndepth: 1\nlevel {MAX_LEVELS - 1} 1\n")
+    assert test.num_levels == MAX_LEVELS == 4096 and test.level(MAX_LEVELS - 1) == {"1"}

@@ -27,7 +27,7 @@ from treebet import (
     martingale_to_test,
     schnorr_test_from_martingale,
 )
-from treebet.expectation import _cut_value_sum
+from treebet.expectation import _fold_sum, _heap_values
 from treebet.tree import bits, situations_up_to
 
 from gen import (
@@ -214,7 +214,8 @@ def test_assembled_sum_with_all_values_distinct(lower):
     }
     fs = Table(IntervalForecast(Fraction(1, 2), Fraction(1, 2)), overrides)
     leaf_cuts = [(weight, frozenset({bits(j, depth)})) for j, weight in enumerate(weights)]
-    values = _cut_value_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)
+    levels, dens, _ = _fold_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)
+    values = _heap_values(levels, dens)
     maps = [cut_value_map_by_nodes(fs, cut, depth, lower) for _, cut in leaf_cuts]
     expected = [
         (s, sum(weight * m[s] for (weight, _), m in zip(leaf_cuts, maps)) / 2)
