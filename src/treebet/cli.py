@@ -23,7 +23,7 @@ from .errors import (
 from .expectation import cut_lower_prob, cut_upper_prob
 from .forecast import IntervalForecast
 from .formats import (
-    _dump_levels,
+    MAX_LEVELS,
     dump_test,
     load,
     parse_forecasting_system,
@@ -34,18 +34,18 @@ from .formats import (
     save,
 )
 from .local import LocalGamble, lower_expectation, upper_expectation
-from .martingale import _integer_levels, _violations, kelly_gamble
+from .martingale import kelly_gamble
 from .numerals import EXACT, format_rational, parse_rational, ratio_text
 from .randtest import (
-    _assembled_levels,
-    _threshold_test,
+    assembled_process_text,
     combine_universal,
     schnorr_test_from_martingale,
+    threshold_test_or_failure,
     validate_ml_test,
     validate_schnorr_tail,
 )
 from .sampling import SELECTORS, sample_path
-from .tree import bits, parse_situation, require_antichain
+from .tree import parse_situation, require_antichain
 
 DEFAULT_DEPTH_CAP = 22
 DEFAULT_HORIZON = 1 << 20
@@ -115,7 +115,11 @@ def cmd_cutprob(args) -> int:
     return 0
 
 
-def _report_budgets(reports) -> bool:
+def _report_budgets(fs, test) -> bool:
+    """Print validate_ml_test's reports on a test to be written, which the .test reader must take back."""
+    if test.num_levels > MAX_LEVELS:
+        raise ResourceError(f"test has {test.num_levels} levels, over the limit of {MAX_LEVELS}")
+    reports = validate_ml_test(fs, test)
     for r in reports:
         verdict = "pass" if r.passed else "FAIL"
         actual, budget = format_rational(r.actual), format_rational(r.budget)
@@ -126,6 +130,23 @@ def _report_budgets(reports) -> bool:
 def cmd_convert(args) -> int:
     fs = load(args.fs, parse_forecasting_system)
 
+    if args.direction == "to-martingale":
+        if not args.test or args.levels is None:
+            raise ParseError("to-martingale needs --test and --levels")
+        test = load(args.test, parse_test)
+        if test.max_depth > args.depth_cap:
+            raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
+        value, violations, text = assembled_process_text(fs, test, args.levels)
+        print(f"root {format_rational(value)} normalized 1")
+        print(f"remainder bound {format_rational(Fraction(1, 1 << args.levels))}")
+        if violations:
+            print(f"supermartingale check FAIL at {violations[0] or '@'}")
+            return 3
+        print("supermartingale check pass")
+        save(args.out, text)
+        return 0
+
+    # the other directions write a test
     if args.direction == "to-test":
         if not args.process:
             raise ParseError("to-test needs --process")
@@ -135,42 +156,12 @@ def cmd_convert(args) -> int:
         if process.root != 1:
             print(f"not a test supermartingale: root is {format_rational(process.root)}, not 1", file=sys.stderr)
             return 3
-        nums, dens = _integer_levels(process)
-        # heap order puts the shortest, then lexicographically first, negative first
-        negative = [bits(j, w) for w, ps in enumerate(nums) if min(ps) < 0 for j, p in enumerate(ps) if p < 0]
-        failures = negative or _violations(fs, nums, dens)
-        if failures:
-            print(f"not a test supermartingale: check fails at {failures[0] or '@'}", file=sys.stderr)
+        test, failure = threshold_test_or_failure(process, fs)
+        if test is None:
+            print(f"not a test supermartingale: check fails at {failure or '@'}", file=sys.stderr)
             return 3
-        # the checks above are martingale_to_test's own
-        test = _threshold_test(nums, dens)
-        if not _report_budgets(validate_ml_test(fs, test)):
-            return 3
-        print("all budgets pass")
-        save(args.out, dump_test(test))
-        return 0
-
-    if args.direction == "to-martingale":
-        if not args.test or args.levels is None:
-            raise ParseError("to-martingale needs --test and --levels")
-        test = load(args.test, parse_test)
-        if test.max_depth > args.depth_cap:
-            raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
-        levels, dens = _assembled_levels(fs, test, args.levels)
-        # the root, half the level probabilities, is below 1 once the budgets pass; it becomes 1
-        value = Fraction(levels[0][0], dens[0])
-        levels[0] = dens[:1]
-        violations = _violations(fs, levels, [[d] * len(level) for d, level in zip(dens, levels)])
-        print(f"root {format_rational(value)} normalized 1")
-        print(f"remainder bound {format_rational(Fraction(1, 1 << args.levels))}")
-        if violations:
-            print(f"supermartingale check FAIL at {violations[0] or '@'}")
-            return 3
-        print("supermartingale check pass")
-        save(args.out, _dump_levels(levels, dens))
-        return 0
-
-    if args.direction == "schnorr-from-martingale":
+        passed = _report_budgets(fs, test)
+    elif args.direction == "schnorr-from-martingale":
         if not args.process or not args.rho:
             raise ParseError("schnorr-from-martingale needs --process and --rho")
         process = load(args.process, parse_process)
@@ -178,27 +169,23 @@ def cmd_convert(args) -> int:
             raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
         rho = parse_growth(args.rho)
         test = schnorr_test_from_martingale(process, rho, fs, horizon=args.horizon)
-        budgets_ok = _report_budgets(validate_ml_test(fs, test))
+        passed = _report_budgets(fs, test)
         tail_reports = validate_schnorr_tail(fs, test, k_max=max(4, test.num_levels))
         for r in tail_reports:
             verdict = "pass" if r.passed else "FAIL"
             worst, budget = format_rational(r.worst_actual), format_rational(r.budget)
             print(f"tail K={r.k}: cutoff {r.cutoff} worst {worst} budget {budget} {verdict}")
-        if not budgets_ok or not all(r.passed for r in tail_reports):
-            return 3
-        print("all budgets pass")
-        save(args.out, dump_test(test))
-        return 0
-
-    # universal
-    tests = [load(path, parse_test) for path in args.inputs]
-    if any(t.max_depth > args.depth_cap for t in tests):
-        raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
-    combined = combine_universal(fs, tests)
-    if not _report_budgets(validate_ml_test(fs, combined)):
+        passed = passed and all(r.passed for r in tail_reports)
+    else:  # universal
+        tests = [load(path, parse_test) for path in args.inputs]
+        if any(t.max_depth > args.depth_cap for t in tests):
+            raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
+        test = combine_universal(fs, tests)
+        passed = _report_budgets(fs, test)
+    if not passed:
         return 3
     print("all budgets pass")
-    save(args.out, dump_test(combined))
+    save(args.out, dump_test(test))
     return 0
 
 

@@ -129,22 +129,22 @@ def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fractio
     return Fraction(root[0], den * scale ** m)
 
 
-def _fold_sum(fs: ForecastingSystem, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False):
-    """(levels, dens, roots) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor
-    over (weight, cut) pairs: level w's numerators in heap order over dens[w], and each
-    cut's own value at the root.  Each cut is folded once into one running table."""
+def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False, on_root=None):
+    """(levels, dens) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight,
+    cut) pairs: level w's numerators in heap order over dens[w].  Each cut is folded once into one
+    running table; on_root(i, v), if given, gets the i-th cut's own root value v once it is folded."""
     scale, rows = _endpoints(fs, ROOT, depth, lower)
     total = [[0] * (1 << (depth - h)) for h in range(depth + 1)]
-    roots = []
-    for weight, cut in weighted_cuts:
+    for i, (weight, cut) in enumerate(weighted_cuts):
         if any(len(t) > depth for t in cut):
             raise DomainError("cut member deeper than the requested sweep depth")
         level = [0]
         if cut:
             for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
                 total[h] = list(map(add, total[h], level if weight == 1 else [weight * v for v in level]))
-        roots.append(Fraction(level[0], scale ** depth))
-    return total[::-1], [divisor * scale ** h for h in range(depth, -1, -1)], roots
+        if on_root:
+            on_root(i, Fraction(level[0], scale ** depth))
+    return total[::-1], [divisor * scale ** h for h in range(depth, -1, -1)]
 
 
 def _heap_values(levels: list[list[int]], dens: list[int]) -> dict[str, Fraction]:
@@ -212,8 +212,7 @@ def cut_value_map(
 
     One bottom-up sweep; requires ``depth`` at or below no cut member.
     """
-    levels, dens, _ = _fold_sum(fs, [(1, require_antichain(cut))], depth, lower=lower)
-    return _heap_values(levels, dens)
+    return _heap_values(*_fold_sum(fs, [(1, require_antichain(cut))], depth, lower=lower))
 
 
 def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:

@@ -108,8 +108,13 @@ def _violations(fs: ForecastingSystem, nums: list[list[int]], dens: list[list[in
             if (scale * (a := n0 * d1) + (p if (r := n1 * d0 - a) >= 0 else q) * r) * d > scale * n * d0 * d1]
 
 
-def _is_test_supermartingale(fs: ForecastingSystem, nums, dens) -> bool:
-    return nums[0] == dens[0] == [1] and min(map(min, nums)) >= 0 and not _violations(fs, nums, dens)
+def _test_failures(fs: ForecastingSystem, nums, dens) -> list[str]:
+    """Where the test-supermartingale check fails on _integer_levels: the root unless it is 1,
+    else every negative value in heap order (shortest, then leftmost), else every violation."""
+    if nums[0] != [1] or dens[0] != [1]:
+        return [ROOT]
+    negative = [bits(j, w) for w, ps in enumerate(nums) if min(ps) < 0 for j, p in enumerate(ps) if p < 0]
+    return negative or _violations(fs, nums, dens)
 
 
 def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
@@ -122,7 +127,7 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
 
 def check_test_supermartingale(fs: ForecastingSystem, process: Process) -> bool:
     """Root value 1, non-negative everywhere, and no supermartingale violations."""
-    return _is_test_supermartingale(fs, *_integer_levels(process))
+    return not _test_failures(fs, *_integer_levels(process))
 
 
 def capital_along(process: Process, w: str) -> list[Fraction]:

@@ -15,13 +15,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ContractError, DomainError
 from .expectation import _fold_sum, _heap_values, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
-from .martingale import Process, _integer_levels, _is_test_supermartingale
+from .martingale import Process, _integer_levels, _test_failures, _violations
 from .numerals import format_rational
 from .tree import ROOT, bits, minimal_antichain, require_antichain
 
@@ -84,16 +84,13 @@ class TailReport:
     passed: bool
 
 
-def _level_reports(fs, levels, actuals=None) -> Iterator[LevelReport]:
-    for n, cut in enumerate(levels):
-        budget = Fraction(1, 1 << n)
-        actual = cut_upper_prob(fs, cut) if actuals is None else actuals[n]
-        yield LevelReport(n, budget, actual, actual <= budget)
-
-
 def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelReport]:
     """Check every stored level against its 2**-n upper-probability budget."""
-    return list(_level_reports(fs, test.levels))
+    reports = []
+    for n, cut in enumerate(test.levels):
+        budget, actual = Fraction(1, 1 << n), cut_upper_prob(fs, cut)
+        reports.append(LevelReport(n, budget, actual, actual <= budget))
+    return reports
 
 
 def validate_schnorr_tail(
@@ -113,11 +110,14 @@ def validate_schnorr_tail(
     return reports
 
 
-def _require_budgets(fs, test, up_to: int, actuals=None) -> None:
-    for report in _level_reports(fs, test.levels[: up_to + 1], actuals):
-        if not report.passed:
-            actual, budget = format_rational(report.actual), format_rational(report.budget)
-            raise ContractError(f"level {report.level} over budget: {actual} > {budget}")
+def _require_budget(n: int, actual: Fraction) -> None:
+    if actual > (budget := Fraction(1, 1 << n)):
+        raise ContractError(f"level {n} over budget: {format_rational(actual)} > {format_rational(budget)}")
+
+
+def _require_budgets(fs, test, up_to: int) -> None:
+    for n, cut in enumerate(test.levels[: up_to + 1]):
+        _require_budget(n, cut_upper_prob(fs, cut))
 
 
 def _require_stored(test: RandomnessTest, n_max: int) -> None:
@@ -151,16 +151,26 @@ def _threshold_test(nums, dens) -> RandomnessTest:
     return RandomnessTest(levels, max_depth=len(nums) - 1)
 
 
+def threshold_test_or_failure(
+    process: Process, fs: ForecastingSystem
+) -> tuple[RandomnessTest | None, str | None]:
+    """(martingale_to_test's test, None), or (None, the first situation where its check
+    fails): the root unless it is 1, else the first negative value, else the first violation."""
+    nums, dens = _integer_levels(process)
+    failures = _test_failures(fs, nums, dens)
+    return (None, failures[0]) if failures else (_threshold_test(nums, dens), None)
+
+
 def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTest:
     """Threshold cuts of a test supermartingale: level n collects first passages above 2**n.
 
     The budgets hold automatically: reaching 2**n from capital 1 has upper
     probability at most 2**-n.
     """
-    nums, dens = _integer_levels(process)
-    if not _is_test_supermartingale(fs, nums, dens):
+    test, _ = threshold_test_or_failure(process, fs)
+    if test is None:
         raise ContractError("input is not a test supermartingale for the given system")
-    return _threshold_test(nums, dens)
+    return test
 
 
 def supermartingale_from_test(
@@ -181,29 +191,16 @@ def supermartingale_from_test(
     return value / 2, remainder
 
 
-def _summed_process(levels, dens, normalize_root: bool) -> Process:
-    """The Process of _halved_sum's levels and denominators, its root replaced by 1 on request."""
-    values = _heap_values(levels, dens)
+def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool) -> Process:
+    """Half the weighted sum of the cuts' upper-probability maps, as a Process."""
+    if depth < 0:
+        raise DomainError("process depth must be non-negative")
+    values = _heap_values(*_fold_sum(fs, weighted_cuts, depth, divisor=2))
     if normalize_root:
         if values[ROOT] > 1:
             raise ContractError("assembled root exceeds 1; refusing to normalise")
         values[ROOT] = Fraction(1)
-    return Process._in_heap_order(len(levels) - 1, values)
-
-
-def _halved_sum(fs, weighted_cuts, depth: int):
-    if depth < 0:
-        raise DomainError("process depth must be non-negative")
-    return _fold_sum(fs, weighted_cuts, depth, divisor=2)
-
-
-def _assembled_levels(fs, test: RandomnessTest, n_max: int):
-    """(levels, dens) of _halved_sum over levels 0..n_max, untruncated, to the test's
-    depth; each level's budget is checked against its own fold's root."""
-    _require_stored(test, n_max)
-    levels, dens, probs = _halved_sum(fs, ((1, cut) for cut in test.levels[: n_max + 1]), test.max_depth)
-    _require_budgets(fs, test, n_max, probs)
-    return levels, dens
+    return Process._in_heap_order(depth, values)
 
 
 def assemble_test_supermartingale(
@@ -220,16 +217,29 @@ def assemble_test_supermartingale(
     Replacing the root by 1 keeps the supermartingale property because the
     assembled root never exceeds 1 when the budgets hold.
     """
-    if cutoff is None and depth is None:
-        return _summed_process(*_assembled_levels(fs, test, n_max), normalize_root)
     _require_stored(test, n_max)
     _require_budgets(fs, test, n_max)
-    if cutoff is None:
-        cutoff = test.max_depth + 1
-    if depth is None:
-        depth = test.max_depth
+    cutoff = test.max_depth + 1 if cutoff is None else cutoff
+    depth = test.max_depth if depth is None else depth
     cuts = ((1, test.level_below(n, cutoff)) for n in range(n_max + 1))
-    return _summed_process(*_halved_sum(fs, cuts, depth)[:2], normalize_root)
+    return _summed_process(fs, cuts, depth, normalize_root)
+
+
+def assembled_process_text(
+    fs: ForecastingSystem, test: RandomnessTest, n_max: int
+) -> tuple[Fraction, list[str], str]:
+    """assemble_test_supermartingale(fs, test, n_max) as (its root before the root is
+    replaced by 1, check_supermartingale's violations, dump_process's text), with each
+    level's budget checked against that level's own fold as soon as it is folded."""
+    from .formats import _dump_levels  # formats imports this module
+    _require_stored(test, n_max)
+    levels, dens = _fold_sum(fs, ((1, cut) for cut in test.levels[: n_max + 1]), test.max_depth,
+                             divisor=2, on_root=_require_budget)
+    root = Fraction(levels[0][0], dens[0])
+    levels[0] = dens[:1]  # the root, half the level probabilities, is below 1 once the budgets pass
+    # _violations takes a denominator per value: a process's level need not share one
+    violations = _violations(fs, levels, [[d] * len(level) for d, level in zip(dens, levels)])
+    return root, violations, _dump_levels(levels, dens)
 
 
 def schnorr_test_from_martingale(
@@ -245,7 +255,7 @@ def schnorr_test_from_martingale(
     where it holds vacuously.
     """
     nums, dens = _integer_levels(process)
-    if not _is_test_supermartingale(fs, nums, dens):
+    if _test_failures(fs, nums, dens):
         raise ContractError("input is not a test supermartingale for the given system")
     thresholds = [rho(n) for n in range(process.depth + 1)]
     # rho(w) >= 2**n for the first rho(w).bit_length() levels n
@@ -332,7 +342,7 @@ def assemble_schnorr_supermartingale(
         for k in range(k_cap + 1)
         for n in range(test.num_levels)
     )
-    return _summed_process(*_halved_sum(fs, cuts, depth)[:2], normalize_root)
+    return _summed_process(fs, cuts, depth, normalize_root)
 
 
 def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> GrowthFunction:
@@ -346,15 +356,13 @@ def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> Gr
         raise DomainError("tail-bound derivation needs a precise forecasting system")
     _require_budgets(fs, test, test.num_levels - 1)
 
-    def residual(n: int, cutoff: int) -> Fraction:
-        return cut_upper_prob(fs, test.level_at_least(n, cutoff))
-
     top = test.deepest_member() + 1
 
-    # the first cutoff where done(residual) holds, else top + 1, by bisection:
-    # the residual never rises with the cutoff, so done holds on from there
+    # the first cutoff where done(level n's residual mass past it) holds, else top + 1, by
+    # bisection: the residual never rises with the cutoff, so done holds on from there
     def first(n: int, done) -> int:
-        return bisect_left(range(top + 1), True, key=lambda cutoff: done(residual(n, cutoff)))
+        return bisect_left(range(top + 1), True, key=lambda cutoff: done(
+            cut_upper_prob(fs, test.level_at_least(n, cutoff))))
 
     prefix = []
     for big_n in range(test.num_levels):

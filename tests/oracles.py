@@ -20,7 +20,9 @@ from treebet import (
 from treebet.errors import ContractError, DomainError, ParseError, ResourceError
 from treebet.expectation import _endpoints
 from treebet.forecast import ForecastingSystem, is_precise
-from treebet.formats import _int, _key_value, _meaningful, dump_process, dump_test, parse_rational
+from treebet.formats import (
+    MAX_LEVELS, _int, _key_value, _meaningful, dump_process, dump_test, parse_rational,
+)
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
 from treebet.martingale import kelly_gamble
@@ -342,7 +344,8 @@ def _budget_lines(reports) -> list[str]:
 
 def convert_to_test_by_nodes(fs: ForecastingSystem, process: Process):
     """`convert to-test`: a Fraction comparison per value for the negativity
-    scan, check_supermartingale_by_nodes and threshold_levels_by_nodes."""
+    scan, check_supermartingale_by_nodes and threshold_levels_by_nodes; a test
+    of more levels than a .test file may declare is refused before its budgets."""
     if process.root != 1:
         root = format_rational(process.root)
         return 3, "", f"not a test supermartingale: root is {root}, not 1\n", None
@@ -351,6 +354,8 @@ def convert_to_test_by_nodes(fs: ForecastingSystem, process: Process):
     if failures:
         return 3, "", f"not a test supermartingale: check fails at {failures[0] or '@'}\n", None
     test = RandomnessTest(threshold_levels_by_nodes(process), max_depth=process.depth)
+    if test.num_levels > MAX_LEVELS:
+        return 4, "", f"treebet: test has {test.num_levels} levels, over the limit of {MAX_LEVELS}\n", None
     reports = validate_ml_test(fs, test)
     lines = _budget_lines(reports)
     if not all(r.passed for r in reports):

@@ -35,6 +35,7 @@ from treebet import (
     martingale_to_test,
     schnorr_test_from_martingale,
 )
+from treebet import expectation
 from treebet.cli import main
 from treebet.errors import ContractError, DomainError, TreebetError
 from treebet.formats import dump_forecasting_system, dump_process, dump_test
@@ -252,7 +253,7 @@ def test_to_martingale_matches_assembled_process_path(tmp_path_factory, seed, de
         argv = ["convert", "to-martingale", "--test", str(tmp / "a.test"), "--fs", str(tmp / "a.fs"),
                 "--levels", str(n_max)]
         assert _cli(tmp, argv) == convert_to_martingale_by_process(fs, test, n_max)
-        # the library's default path (budgets from the fold roots) and its explicit one agree
+        # the library's defaults are the untruncated cutoff and the test's depth
         for normalize_root in (False, True):
             assert _library(lambda: assemble_test_supermartingale(
                 fs, test, n_max, normalize_root=normalize_root)) == _library(
@@ -274,6 +275,45 @@ def test_to_martingale_over_budget_and_level_zero(tmp_path):
     zero = _cli(tmp_path, argv + ["0"])
     assert zero[:3] == (0, "root 1/4 normalized 1\nremainder bound 1\nsupermartingale check pass\n", "")
     assert zero == convert_to_martingale_by_process(fs, test, 0)
+
+
+def test_to_martingale_stops_at_the_first_level_over_budget(tmp_path, monkeypatch):
+    # level 1 holds mass 1 > 1/2; the 18 levels after it each hold a depth-18
+    # member, and none of them is folded
+    fs = Stationary(interval("1/2"))
+    (tmp_path / "a.fs").write_text(dump_forecasting_system(fs))
+    levels = (frozenset(), frozenset({"0", "1"})) + tuple(frozenset({"1" * 18}) for _ in range(18))
+    test = RandomnessTest(levels, max_depth=18)
+    (tmp_path / "a.test").write_text(dump_test(test))
+    folded = []
+    cut_leaves = expectation._cut_leaves
+    monkeypatch.setattr(expectation, "_cut_leaves", lambda cut, depth: folded.append(cut) or cut_leaves(cut, depth))
+    argv = ["convert", "to-martingale", "--test", str(tmp_path / "a.test"),
+            "--fs", str(tmp_path / "a.fs"), "--levels", "19"]
+    start = time.perf_counter()
+    over = _cli(tmp_path, argv)
+    assert time.perf_counter() - start < 1
+    assert folded == [frozenset({"0", "1"})]
+    assert over == (3, "", "treebet: level 1 over budget: 1 > 1/2\n", None)
+    assert over == convert_to_martingale_by_process(fs, test, 19)
+
+
+def test_written_tests_keep_to_the_level_limit(tmp_path):
+    # under a {0} row the 1 child cannot occur, so any capital there passes
+    # the check: 2**5000 crosses 5000 levels, more than a .test file may declare
+    zero = Stationary(interval("0"))
+    big = 1 << 5000
+    process = Process(1, {"": Fraction(1), "0": Fraction(1), "1": Fraction(big)})
+    (tmp_path / "a.fs").write_text(dump_forecasting_system(zero))
+    (tmp_path / "a.proc").write_text(dump_process(process))
+    argv = ["convert", "to-test", "--process", str(tmp_path / "a.proc"), "--fs", str(tmp_path / "a.fs")]
+    refused = _cli(tmp_path, argv)
+    assert refused == (4, "", "treebet: test has 5000 levels, over the limit of 4096\n", None)
+    assert refused == convert_to_test_by_nodes(zero, process)
+    # rho(1) = 2**5000 is reached at 1, so the Schnorr test has 5001 levels
+    argv[1] = "schnorr-from-martingale"
+    refused = _cli(tmp_path, argv + ["--rho", f"table 1 {big} ; affine {big} 0 1"])
+    assert refused == (4, "", "treebet: test has 5001 levels, over the limit of 4096\n", None)
 
 
 @pytest.mark.parametrize(

@@ -214,7 +214,7 @@ def test_assembled_sum_with_all_values_distinct(lower):
     }
     fs = Table(IntervalForecast(Fraction(1, 2), Fraction(1, 2)), overrides)
     leaf_cuts = [(weight, frozenset({bits(j, depth)})) for j, weight in enumerate(weights)]
-    levels, dens, _ = _fold_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)
+    levels, dens = _fold_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)
     values = _heap_values(levels, dens)
     maps = [cut_value_map_by_nodes(fs, cut, depth, lower) for _, cut in leaf_cuts]
     expected = [
