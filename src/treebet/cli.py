@@ -28,7 +28,7 @@ from .formats import (
     load,
     parse_forecasting_system,
     parse_growth,
-    parse_process,
+    parse_process_levels,
     parse_sequence,
     parse_test,
     save,
@@ -39,7 +39,7 @@ from .numerals import EXACT, format_rational, parse_rational, ratio_text
 from .randtest import (
     assembled_process_text,
     combine_universal,
-    schnorr_test_from_martingale,
+    schnorr_test_from_levels,
     threshold_test_or_failure,
     validate_ml_test,
     validate_schnorr_tail,
@@ -150,25 +150,22 @@ def cmd_convert(args) -> int:
     if args.direction == "to-test":
         if not args.process:
             raise ParseError("to-test needs --process")
-        process = load(args.process, parse_process)
-        if process.depth > args.depth_cap:
+        nums, dens = load(args.process, parse_process_levels)
+        if len(nums) - 1 > args.depth_cap:
             raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
-        if process.root != 1:
-            print(f"not a test supermartingale: root is {format_rational(process.root)}, not 1", file=sys.stderr)
-            return 3
-        test, failure = threshold_test_or_failure(process, fs)
+        test, failure = threshold_test_or_failure(nums, dens, fs)
         if test is None:
-            print(f"not a test supermartingale: check fails at {failure or '@'}", file=sys.stderr)
+            print(f"not a test supermartingale: {failure}", file=sys.stderr)
             return 3
         passed = _report_budgets(fs, test)
     elif args.direction == "schnorr-from-martingale":
         if not args.process or not args.rho:
             raise ParseError("schnorr-from-martingale needs --process and --rho")
-        process = load(args.process, parse_process)
-        if process.depth > args.depth_cap:
+        nums, dens = load(args.process, parse_process_levels)
+        if len(nums) - 1 > args.depth_cap:
             raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
         rho = parse_growth(args.rho)
-        test = schnorr_test_from_martingale(process, rho, fs, horizon=args.horizon)
+        test = schnorr_test_from_levels(nums, dens, rho, fs, horizon=args.horizon)
         passed = _report_budgets(fs, test)
         tail_reports = validate_schnorr_tail(fs, test, k_max=max(4, test.num_levels))
         for r in tail_reports:

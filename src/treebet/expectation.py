@@ -196,6 +196,11 @@ def _cut_prob(fs, cut, s, rule: _LocalRule) -> Fraction:
     return _sparse_cut_value(fs, s, int("1" + s, 2), [m for m in members if m.startswith(s)], rule)
 
 
+def _checked_cut_upper_prob(fs: ForecastingSystem, members: frozenset[str]) -> Fraction:
+    """cut_upper_prob(fs, members) for an antichain already checked, such as a RandomnessTest's level."""
+    return _sparse_cut_value(fs, ROOT, 1, list(members), upper_expectation)
+
+
 def cut_upper_prob(fs: ForecastingSystem, cut: Iterable[str], s: str = ROOT) -> Fraction:
     """Upper probability, conditional on ``s``, of ever passing through ``cut``."""
     return _cut_prob(fs, cut, s, upper_expectation)

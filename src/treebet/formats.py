@@ -4,22 +4,22 @@ All formats are line oriented UTF-8; ``#`` starts a comment that runs to
 the end of the line, and blank lines are ignored.  Rationals go through
 ``numerals``.  Serialisation is canonical: fixed key order, levels ascending,
 situations sorted, so a parse/serialise round trip of our own output is byte identical.
-A process in dump_process's own layout is read in one pass, any other line by line.
+A process in dump_process's own layout is read in one pass, any other line by line;
+the writer itself decides which.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, cycle, islice, repeat
-from operator import eq
+from itertools import chain, islice, repeat
 
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
 from .growth import GrowthFunction
-from .martingale import Process
+from .martingale import Process, _integer_levels
 from .numerals import format_rational, parse_rational
 from .randtest import RandomnessTest
-from .tree import ROOT, ROOT_LABEL, format_situation, parse_situation, situations_up_to
+from .tree import ROOT_LABEL, format_situation, parse_situation, situations_up_to
 
 MAX_LEVELS = 4096  # the most levels a .test file may declare
 
@@ -139,34 +139,42 @@ def dump_forecasting_system(fs: ForecastingSystem) -> str:
     raise TypeError(f"not a forecasting system: {fs!r}")
 
 
-def _dumped_process(text: str) -> Process | None:
-    """The process of a text in dump_process's exact layout, read in one pass; else None."""
-    if not (text.startswith("depth: ") and text.count(" ") == text.count("\n")):
-        return None  # a comment, a blank line or other spacing: one space per line is the layout
+def _dumped(text: str) -> tuple[int, list[str], dict[str, Fraction]] | None:
+    """(depth, the value texts in heap order, each distinct text's value) of a text in
+    dump_process's exact layout whose values all parse, read in one pass; else None."""
     tokens = text.split()  # 'depth:', D, then a name and a value per situation
     depth = len(tokens).bit_length() - 3  # the one depth with 4 << depth tokens, if any
-    if depth < 0 or len(tokens) != 4 << depth or tokens[1] != str(depth):
-        return None
-    # the layout: the tokens, joined by ' ' and '\n' in turn, spell the text
-    if "".join(chain.from_iterable(zip(tokens, cycle(" \n")))) != text:
-        return None
-    if tokens[2] == ROOT_LABEL:
-        tokens[2] = ROOT
-    if not all(map(eq, situations_up_to(depth), islice(tokens, 2, None, 2))):
-        return None
     literals = tokens[3::2]
-    try:  # value texts repeat heavily, so each distinct one is parsed once
-        made = {literal: parse_rational(literal) for literal in set(literals)}
-    except ParseError:
+    # the layout: the writer, given the same values, writes the very same text
+    if depth < 0 or len(tokens) != 4 << depth or _process_text(depth, literals) != text:
         return None
-    values = map(made.__getitem__, literals)
-    return Process._in_heap_order(depth, dict(zip(islice(tokens, 2, None, 2), values)))
+    try:  # value texts repeat heavily, so each distinct one is parsed once
+        return depth, literals, {literal: parse_rational(literal) for literal in set(literals)}
+    except ParseError:  # read line by line, for the message's line number
+        return None
 
 
 def parse_process(text: str) -> Process:
-    dumped = _dumped_process(text)
-    if dumped is not None:
-        return dumped
+    dumped = _dumped(text)
+    if dumped is None:
+        return _process_by_lines(text)
+    depth, literals, made = dumped
+    return Process._in_heap_order(depth, dict(zip(situations_up_to(depth), map(made.__getitem__, literals))))
+
+
+def parse_process_levels(text: str) -> tuple[list[list[int]], list[list[int]]]:
+    """_integer_levels(parse_process(text)), with no Process built for a text in dump_process's layout."""
+    dumped = _dumped(text)
+    if dumped is None:
+        return _integer_levels(_process_by_lines(text))
+    depth, literals, made = dumped
+    nums = {literal: v.numerator for literal, v in made.items()}
+    dens = {literal: v.denominator for literal, v in made.items()}
+    levels = [literals[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)]  # level w, in heap order
+    return tuple([[*map(table.__getitem__, level)] for level in levels] for table in (nums, dens))
+
+
+def _process_by_lines(text: str) -> Process:
     lines = _meaningful(text)
     if not lines:
         raise ParseError("empty process file")
@@ -208,7 +216,7 @@ def _dump_levels(levels: list[list[int]], dens: list[int]) -> str:
 
 
 def _process_text(depth: int, texts) -> str:
-    names = chain([ROOT_LABEL], islice(situations_up_to(depth), 1, None))  # the root's name is empty
+    names = [ROOT_LABEL, *islice(situations_up_to(depth), 1, None)]  # the root's name is empty
     return f"depth: {depth}\n" + "".join(chain.from_iterable(zip(names, repeat(" "), texts, repeat("\n"))))
 
 

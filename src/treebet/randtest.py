@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ContractError, DomainError
-from .expectation import _fold_sum, _heap_values, cut_upper_prob
+from .expectation import _checked_cut_upper_prob, _fold_sum, _heap_values, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, _integer_levels, _test_failures, _violations
@@ -44,6 +45,13 @@ class RandomnessTest:
                 raise DomainError("level member deeper than the declared test depth")
             checked.append(members)
         object.__setattr__(self, "levels", tuple(checked))
+
+    @classmethod
+    def _from_antichains(cls, levels: tuple[frozenset[str], ...], max_depth: int, tail=None) -> "RandomnessTest":
+        """A test whose levels are antichains no deeper than max_depth, unchecked."""
+        test = cls.__new__(cls)
+        vars(test).update(levels=levels, max_depth=max_depth, tail=tail)
+        return test
 
     @property
     def num_levels(self) -> int:
@@ -88,7 +96,7 @@ def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelR
     """Check every stored level against its 2**-n upper-probability budget."""
     reports = []
     for n, cut in enumerate(test.levels):
-        budget, actual = Fraction(1, 1 << n), cut_upper_prob(fs, cut)
+        budget, actual = Fraction(1, 1 << n), _checked_cut_upper_prob(fs, cut)
         reports.append(LevelReport(n, budget, actual, actual <= budget))
     return reports
 
@@ -103,9 +111,8 @@ def validate_schnorr_tail(
     for k in range(k_max + 1):
         cutoff = test.tail(k)
         budget = Fraction(1, 1 << k)
-        worst = Fraction(0)
-        for n in range(test.num_levels):
-            worst = max(worst, cut_upper_prob(fs, test.level_at_least(n, cutoff)))
+        worst = max((_checked_cut_upper_prob(fs, test.level_at_least(n, cutoff)) for n in range(test.num_levels)),
+                    default=Fraction(0))
         reports.append(TailReport(k, cutoff, budget, worst, worst <= budget))
     return reports
 
@@ -148,17 +155,17 @@ def _threshold_test(nums, dens) -> RandomnessTest:
     # 2**n < p/q iff 2**n <= (p - 1) // q: the levels crossed are that quotient's bits
     levels = _first_passages(nums, dens, lambda w, ps, qs: [
         ((p - 1) // q).bit_length() if p > q else 0 for p, q in zip(ps, qs)])
-    return RandomnessTest(levels, max_depth=len(nums) - 1)
+    return RandomnessTest._from_antichains(levels, max_depth=len(nums) - 1)
 
 
-def threshold_test_or_failure(
-    process: Process, fs: ForecastingSystem
-) -> tuple[RandomnessTest | None, str | None]:
-    """(martingale_to_test's test, None), or (None, the first situation where its check
-    fails): the root unless it is 1, else the first negative value, else the first violation."""
-    nums, dens = _integer_levels(process)
+def threshold_test_or_failure(nums: list[list[int]], dens: list[list[int]],
+                              fs: ForecastingSystem) -> tuple[RandomnessTest | None, str | None]:
+    """(martingale_to_test's test, None) on a process's _integer_levels, or (None, why the process is not
+    a test supermartingale): its root unless that is 1, else the first negative value, else the first violation."""
+    if nums[0] != [1] or dens[0] != [1]:
+        return None, f"root is {format_rational(Fraction(nums[0][0], dens[0][0]))}, not 1"
     failures = _test_failures(fs, nums, dens)
-    return (None, failures[0]) if failures else (_threshold_test(nums, dens), None)
+    return (None, f"check fails at {failures[0] or '@'}") if failures else (_threshold_test(nums, dens), None)
 
 
 def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTest:
@@ -167,7 +174,7 @@ def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTes
     The budgets hold automatically: reaching 2**n from capital 1 has upper
     probability at most 2**-n.
     """
-    test, _ = threshold_test_or_failure(process, fs)
+    test, _ = threshold_test_or_failure(*_integer_levels(process), fs)
     if test is None:
         raise ContractError("input is not a test supermartingale for the given system")
     return test
@@ -254,10 +261,15 @@ def schnorr_test_from_martingale(
     past the stored members it continues affinely above the test depth,
     where it holds vacuously.
     """
-    nums, dens = _integer_levels(process)
+    return schnorr_test_from_levels(*_integer_levels(process), rho, fs, horizon)
+
+
+def schnorr_test_from_levels(nums: list[list[int]], dens: list[list[int]], rho: GrowthFunction,
+                             fs: ForecastingSystem, horizon: int = DEFAULT_HORIZON) -> RandomnessTest:
+    """schnorr_test_from_martingale on a process's _integer_levels."""
     if _test_failures(fs, nums, dens):
         raise ContractError("input is not a test supermartingale for the given system")
-    thresholds = [rho(n) for n in range(process.depth + 1)]
+    thresholds = [rho(n) for n in range(len(nums))]
     # rho(w) >= 2**n for the first rho(w).bit_length() levels n
     levels = _first_passages(nums, dens, lambda w, ps, qs: [
         t.bit_length() if p >= t * q else 0 for t in thresholds[w:w + 1] for p, q in zip(ps, qs)])
@@ -272,7 +284,7 @@ def schnorr_test_from_martingale(
         k += 1
     slack = max(0, prefix[-1] - len(prefix))
     tail = GrowthFunction(tuple(prefix), 1, slack, 1)
-    return RandomnessTest(levels, max_depth=process.depth, tail=tail)
+    return RandomnessTest._from_antichains(levels, max_depth=len(nums) - 1, tail=tail)
 
 
 def sigma_from_tailbound(tail: GrowthFunction) -> GrowthFunction:
@@ -354,15 +366,16 @@ def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> Gr
     """
     if not is_precise(fs):
         raise DomainError("tail-bound derivation needs a precise forecasting system")
-    _require_budgets(fs, test, test.num_levels - 1)
+    mass = cache(partial(cut_upper_prob, fs))  # distinct cutoffs and levels often cut the same members
+    for n, cut in enumerate(test.levels):
+        _require_budget(n, mass(cut))
 
     top = test.deepest_member() + 1
 
     # the first cutoff where done(level n's residual mass past it) holds, else top + 1, by
     # bisection: the residual never rises with the cutoff, so done holds on from there
     def first(n: int, done) -> int:
-        return bisect_left(range(top + 1), True, key=lambda cutoff: done(
-            cut_upper_prob(fs, test.level_at_least(n, cutoff))))
+        return bisect_left(range(top + 1), True, key=lambda cutoff: done(mass(test.level_at_least(n, cutoff))))
 
     prefix = []
     for big_n in range(test.num_levels):
@@ -386,13 +399,13 @@ def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTes
         threshold = Fraction(3, 1 << (n + 2))
         # the running mass changes only where a member length is passed, and
         # never falls as the length grows: bisect for the first length over
-        if cut_upper_prob(fs, cut) > threshold:
+        if _checked_cut_upper_prob(fs, cut) > threshold:
             lengths = sorted({len(t) for t in cut})
-            over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: cut_upper_prob(
+            over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: _checked_cut_upper_prob(
                 fs, frozenset(t for t in cut if len(t) <= length)) > threshold)
             cut = frozenset(t for t in cut if len(t) < lengths[over])
         clipped.append(cut)
-    return RandomnessTest(tuple(clipped), max_depth=test.max_depth)
+    return RandomnessTest._from_antichains(tuple(clipped), max_depth=test.max_depth)
 
 
 def combine_universal(
@@ -413,7 +426,7 @@ def combine_universal(
                 union |= t.levels[n + m + 1]
         levels.append(minimal_antichain(union))
     max_depth = max((t.max_depth for t in tests), default=0)
-    return RandomnessTest(tuple(levels), max_depth=max_depth)
+    return RandomnessTest._from_antichains(tuple(levels), max_depth=max_depth)
 
 
 def levels_hit(test: RandomnessTest, w: str) -> set[int]:

@@ -275,3 +275,35 @@ def rand_proc_text(rng: random.Random) -> str:
         head = f"depth: {rng.choice([depth + 1, depth + 3, 10, 64, 65])}"
     text = "\n".join([head] + lines)
     return text if kind == "no final newline" else text + "\n"
+
+
+DUMP_MUTATIONS = ["none", "comment line", "blank line", "trailing space", "tab", "crlf", "swapped lines",
+                  "root name", "depth mismatch", "no final newline", "long numeral"]
+
+
+def mutated_dump(rng: random.Random, text: str, kind: str) -> str:
+    """A dump_process text with one kind of damage from DUMP_MUTATIONS ('none' keeps it)."""
+    head, *lines = text.splitlines()
+    at = rng.randrange(len(lines))
+    if kind == "comment line":
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["# note", "#", "@ 1 # trailing"]))
+    elif kind == "blank line":
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", " "]))
+    elif kind == "trailing space":
+        lines[at] += " "
+    elif kind == "tab":
+        lines[at] = lines[at].replace(" ", "\t")
+    elif kind == "crlf":
+        return text.replace("\n", "\r\n")
+    elif kind == "swapped lines" and len(lines) > 1:
+        i, j = rng.sample(range(len(lines)), 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "root name":
+        lines[0] = rng.choice(["", "0", "@@", "r"]) + lines[0][1:]
+    elif kind == "depth mismatch":
+        depth = int(head.split()[1])
+        head = f"depth: {rng.choice([depth + 1, max(depth - 1, 0) if depth else 2])}"
+    elif kind == "long numeral":
+        lines[at] = f"{lines[at].split()[0]} {rng.choice(['', '-'])}{'7' * 4301}/{rng.choice(['1', '3'])}"
+    out = "\n".join([head] + lines)
+    return out if kind == "no final newline" else out + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, cycle, islice, product
 from typing import Callable
 
 from treebet import (
@@ -123,13 +123,14 @@ def grid_extremes(
     forecast: IntervalForecast, f: LocalGamble, steps: int = 100
 ) -> tuple[Fraction, Fraction]:
     """(max, min) of the precise expectation over interval endpoints and a grid."""
-    candidates = {forecast.lo, forecast.hi}
-    for k in range(steps + 1):
-        p = Fraction(k, steps)
-        if forecast.lo <= p <= forecast.hi:
-            candidates.add(p)
-    values = [precise_expectation(p, f) for p in candidates]
+    values = [precise_expectation(p, f) for p in grid_candidates(forecast, steps)]
     return max(values), min(values)
+
+
+def grid_candidates(forecast: IntervalForecast, steps: int = 100) -> set[Fraction]:
+    """The interval's endpoints and the grid points k/steps inside it."""
+    first, last = math.ceil(forecast.lo * steps), math.floor(forecast.hi * steps)
+    return {forecast.lo, forecast.hi, *(Fraction(k, steps) for k in range(first, last + 1))}
 
 
 # Per-node references for the integer tree kernel: one one-step Fraction
@@ -256,6 +257,28 @@ def schnorr_levels_by_scans(process: Process, rho: GrowthFunction) -> tuple[froz
             return tuple(levels)
         levels.append(cut)
         n += 1
+
+
+def dumped_by_tokens(text: str) -> bool:
+    """Whether the one-pass .proc reader takes a text: it starts with 'depth: D' and has 4 << D
+    tokens, the tokens joined by a space and a newline in turn spell the text, the names are
+    situations_up_to(D)'s with the root written '@', and every value parses."""
+    if not (text.startswith("depth: ") and text.count(" ") == text.count("\n")):
+        return False
+    tokens = text.split()
+    depth = len(tokens).bit_length() - 3
+    if depth < 0 or len(tokens) != 4 << depth or tokens[1] != str(depth):
+        return False
+    if "".join(chain.from_iterable(zip(tokens, cycle(" \n")))) != text:
+        return False
+    if tokens[2::2] != ["@", *islice(situations_up_to(depth), 1, None)]:
+        return False
+    try:
+        for literal in tokens[3::2]:
+            parse_rational(literal)
+    except ParseError:
+        return False
+    return True
 
 
 def parse_process_by_lines(text: str) -> Process:

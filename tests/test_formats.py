@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treebet import Markov, Process, RandomnessTest, Stationary, Table, affine, interval
-from treebet.errors import ConfigError, ParseError, ResourceError
+from treebet.errors import ConfigError, ParseError, ResourceError, TreebetError
 from treebet.formats import (
     MAX_LEVELS,
-    _dumped_process,
+    _dumped,
     dump_forecasting_system,
     dump_growth,
     dump_process,
@@ -20,14 +20,18 @@ from treebet.formats import (
     parse_forecasting_system,
     parse_growth,
     parse_process,
+    parse_process_levels,
     parse_rational,
     parse_sequence,
     parse_test,
 )
+from treebet.martingale import _integer_levels
 from treebet.numerals import format_rational
 
-from gen import ones_test, rand_fraction, rand_proc_text, rand_supermartingale, rand_system
-from oracles import parse_process_by_lines
+from gen import (
+    DUMP_MUTATIONS, mutated_dump, ones_test, rand_fraction, rand_proc_text, rand_supermartingale, rand_system,
+)
+from oracles import dumped_by_tokens, parse_process_by_lines
 
 
 def test_parse_rational():
@@ -164,6 +168,13 @@ def _outcome(parse, text):
     return process.depth, list(process.values.items())
 
 
+def _levels_outcome(read, text):
+    try:
+        return read(text)
+    except TreebetError as exc:  # a bad situation name is a DomainError
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_parse_process_matches_line_by_line_reference(seed):
@@ -171,8 +182,13 @@ def test_parse_process_matches_line_by_line_reference(seed):
     expected = _outcome(parse_process_by_lines, text)
     assert _outcome(parse_process, text) == expected
     # the one-pass reader refuses a text or reads it as the line-by-line one does
-    bulk = _dumped_process(text)
-    assert bulk is None or (bulk.depth, list(bulk.values.items())) == expected
+    parsed = _dumped(text)
+    assert parsed is None or (parsed[0], [parsed[2][t] for t in parsed[1]]) == (
+        expected[0], [v for _, v in expected[1]])
+    assert (parsed is not None) == dumped_by_tokens(text)
+    # so does the integer reader
+    levels = _levels_outcome(lambda t: _integer_levels(parse_process_by_lines(t)), text)
+    assert _levels_outcome(parse_process_levels, text) == levels
 
 
 @pytest.mark.parametrize(
@@ -197,9 +213,32 @@ def test_dumped_processes_are_read_in_one_pass(seed=127):
         for _ in range(4):
             span = rng.choice([1, 10**6])
             process = Process.from_function(depth, lambda s: rand_fraction(rng, span))
-            again = _dumped_process(dump_process(process))
-            assert again is not None
-            assert again.depth == depth and list(again.values.items()) == list(process.values.items())
+            parsed = _dumped(dump_process(process))
+            assert parsed is not None
+            read, literals, made = parsed
+            assert read == depth and [made[t] for t in literals] == list(process.values.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(DUMP_MUTATIONS))
+def test_writer_layout_check_and_integer_reader_match_references(seed, kind):
+    # the writer, as a layout check, takes exactly the texts the token rejoin and the
+    # name comparison took; the integer reader reads every text as parse_process does
+    rng = random.Random(seed)
+    depth = rng.randint(0, 5)
+    if rng.random() < 0.5:
+        fs = rand_system(rng, depth=depth, non_degenerate=True)
+        process = rand_supermartingale(rng, fs, depth=depth)
+    else:
+        span = rng.choice([1, 10**6])
+        process = Process.from_function(depth, lambda s: rand_fraction(rng, span))
+    text = mutated_dump(rng, dump_process(process), kind)
+    assert (_dumped(text) is not None) == dumped_by_tokens(text)
+    if kind == "none":
+        assert _dumped(text) is not None
+    expected = _levels_outcome(lambda t: _integer_levels(parse_process_by_lines(t)), text)
+    assert _levels_outcome(parse_process_levels, text) == expected
+    assert _levels_outcome(lambda t: _integer_levels(parse_process(t)), text) == expected
 
 
 def test_growth_spec_round_trip():

@@ -29,21 +29,24 @@ from treebet import (
     check_supermartingale,
     check_test_supermartingale,
     clip_to_budget,
+    combine_universal,
     cut_upper_prob,
     derive_tail_bound_precise,
     interval,
     martingale_to_test,
     schnorr_test_from_martingale,
+    validate_ml_test,
+    validate_schnorr_tail,
 )
-from treebet import expectation
+from treebet import expectation, randtest
 from treebet.cli import main
 from treebet.errors import ContractError, DomainError, TreebetError
-from treebet.formats import dump_forecasting_system, dump_process, dump_test
+from treebet.formats import dump_forecasting_system, dump_growth, dump_process, dump_test
 from treebet.martingale import _integer_levels
 from treebet.randtest import _threshold_test
 from treebet.tree import bits, situations_up_to
 
-from gen import ENDPOINT_POOL, FAIR, rand_fraction, rand_system
+from gen import ENDPOINT_POOL, FAIR, decaying_system, rand_fraction, rand_system, rand_valid_test
 from oracles import (
     check_supermartingale_by_delta,
     check_supermartingale_by_nodes,
@@ -209,6 +212,52 @@ def test_convert_to_test_matches_per_node_reference(tmp_path_factory, seed, dept
     assert _cli(tmp, argv) == convert_to_test_by_nodes(fs, process)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=5), st.booleans())
+def test_convert_reads_dumped_and_edited_proc_alike(tmp_path_factory, seed, depth, nudge):
+    # a comment line and a blank line send the .proc to the line-by-line reader
+    rng = random.Random(seed)
+    fs = system(rng, depth)
+    rho = rand_rho(rng)
+    process = edge_process(rng, fs, depth, rho)
+    if nudge:
+        process = nudged(rng, process)
+    tmp = tmp_path_factory.mktemp("layouts")
+    (tmp / "a.fs").write_text(dump_forecasting_system(fs))
+    (tmp / "dumped.proc").write_text(dump_process(process))
+    (tmp / "edited.proc").write_text("# edited\n" + dump_process(process) + "\n")
+    for direction, extra in (("to-test", []), ("schnorr-from-martingale", ["--rho", dump_growth(rho)])):
+        dumped, edited = (_cli(tmp, ["convert", direction, "--process", str(tmp / f"{name}.proc"),
+                                     "--fs", str(tmp / "a.fs")] + extra) for name in ("dumped", "edited"))
+        assert dumped == edited
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=6))
+def test_built_tests_pass_the_checked_constructor(seed, depth):
+    # the tests the library builds skip the antichain and depth checks;
+    # the public constructor takes each back unchanged
+    rng = random.Random(seed)
+    fs = system(rng, depth)
+    rho = rand_rho(rng)
+    process = edge_process(rng, fs, depth, rho)
+    inputs = [rand_test(rng, fs, depth) for _ in range(rng.randint(0, 3))]
+    if inputs:  # shifted one level on, the last test's members extended: the union needs minimising
+        inputs.append(RandomnessTest((frozenset(),) + tuple(
+            frozenset(t + "1" for t in cut if len(t) < depth) for cut in inputs[-1].levels), max_depth=depth))
+    built = [clip_to_budget(fs, t) for t in inputs] + [combine_universal(fs, inputs)]
+    if check_test_supermartingale(fs, process):
+        built += [martingale_to_test(process, fs), schnorr_test_from_martingale(process, rho, fs)]
+    for test in built:
+        assert RandomnessTest(test.levels, test.max_depth, test.tail) == test
+        assert [r.actual for r in validate_ml_test(fs, test)] == [cut_upper_prob(fs, cut) for cut in test.levels]
+        if test.tail is not None:
+            for r in validate_schnorr_tail(fs, test, k_max=3):
+                assert r.worst_actual == max(
+                    (cut_upper_prob(fs, test.level_at_least(n, r.cutoff)) for n in range(test.num_levels)),
+                    default=0)
+
+
 def rand_level(rng: random.Random, fs, n: int, depth: int) -> frozenset[str]:
     """Empty, a random antichain, or one member deep enough to fit 2**-n."""
     kind = rng.random()
@@ -368,6 +417,26 @@ def test_tail_bound_bisection_matches_every_cutoff(seed, depth):
     fs = system(rng, depth, precise=True)
     test = rand_test(rng, fs, depth)
     assert _tail(fs, test) == _tail_reference(fs, test)
+
+
+def test_tail_bound_evaluates_each_distinct_cut_once(monkeypatch):
+    calls = []
+
+    def counted(fs, cut, s=""):
+        calls.append(frozenset(cut))
+        return cut_upper_prob(fs, cut, s)
+
+    rng = random.Random(3)
+    cases = []
+    for _ in range(10):
+        fs = decaying_system(rng, precise=True)
+        test, _ = rand_valid_test(rng, fs, 8, 16)
+        cases.append((fs, test, tail_bound_by_cutoffs(fs, test)))
+    monkeypatch.setattr(randtest, "cut_upper_prob", counted)
+    for fs, test, expected in cases:
+        calls.clear()
+        assert derive_tail_bound_precise(fs, test) == expected
+        assert len(calls) == len(set(calls))
 
 
 def test_tail_bound_with_massless_members():

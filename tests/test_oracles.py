@@ -1,5 +1,6 @@
 """The brute-force oracles themselves: worked examples and guard rails."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from treebet import DepthGamble, IntervalForecast, Stationary, Table, interval
 from treebet.errors import DomainError, ResourceError
 
-from gen import FAIR, WIDE
+from gen import FAIR, WIDE, rand_interval
 from oracles import (
+    grid_candidates,
     lower_by_endpoint_enumeration,
     precise_expectation_by_paths,
     series_limit_probe,
@@ -50,3 +52,14 @@ def test_series_limit_probe():
     assert last == Fraction(1, 1 << 20)
     with pytest.raises(DomainError):
         series_limit_probe(lambda k: Fraction(-1), 3)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 100])
+def test_grid_candidates_are_the_grid_points_inside(steps):
+    rng = random.Random(31)
+    rows = [interval(0), interval(1), interval(0, 1), interval("1/2"), interval("1/3", "2/3")]
+    rows += [IntervalForecast(*sorted(Fraction(rng.randint(0, 999), 999) for _ in "lh")) for _ in range(100)]
+    for forecast in rows + [rand_interval(rng) for _ in range(300)]:
+        points = {Fraction(k, steps) for k in range(steps + 1)}
+        expected = {forecast.lo, forecast.hi} | {p for p in points if forecast.lo <= p <= forecast.hi}
+        assert grid_candidates(forecast, steps) == expected
