@@ -4,14 +4,17 @@ A gamble that only depends on the first n bits is evaluated by exact
 backward recursion: leaf values are folded towards the root, applying the
 one-step upper (or lower) expectation at every interior node.  Upper and
 lower probabilities of partial cuts and cylinder sets are special cases.
+A cut's probability is 1 at and below its members and 0 off their trie, which
+``_cut_trie`` folds alone, without recursing; ``randtest``'s budget checks and cut
+sums use it, while ``cut_upper_prob``/``cut_lower_prob`` keep ``_sparse_cut_value``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
@@ -87,19 +90,18 @@ def _cut_leaves(members: Iterable[str], depth: int) -> list[int]:
 # above the leaves share the denominator D * L**h and each one-step
 # expectation is integer arithmetic with an integer endpoint comparison.
 
-def _endpoints(fs: ForecastingSystem, s: str, height: int, lower: bool = False):
-    """(L, rows): rows[w][j] is the scaled endpoint pair at s + bits(j, w), w < height.
-
-    A pair is (L times the endpoint the upper expectation takes when
-    f(1) >= f(0), L times the other one); ``lower`` swaps them.  Level w
-    below s spans the positions [first << w, (first + 1) << w).
-    """
+def _pairs(fs: ForecastingSystem, lower: bool = False) -> tuple[int, list[tuple[int, int]]]:
+    """(L, pairs): pairs[k] is fs.intervals[k] as (L times the endpoint the upper expectation
+    takes when f(1) >= f(0), L times the other one); ``lower`` swaps them."""
     scale = math.lcm(*(x.denominator for i in fs.intervals for x in (i.lo, i.hi)))
-    pairs = []
-    for i in fs.intervals:
-        lo = i.lo.numerator * (scale // i.lo.denominator)
-        hi = i.hi.numerator * (scale // i.hi.denominator)
-        pairs.append((lo, hi) if lower else (hi, lo))
+    ends = [[x.numerator * (scale // x.denominator) for x in (i.lo, i.hi)] for i in fs.intervals]
+    return scale, [(lo, hi) if lower else (hi, lo) for lo, hi in ends]
+
+
+def _endpoints(fs: ForecastingSystem, s: str, height: int, lower: bool = False):
+    """(L, rows): rows[w][j] is _pairs' scaled endpoint pair at s + bits(j, w), w < height;
+    level w below s spans the positions [first << w, (first + 1) << w)."""
+    scale, pairs = _pairs(fs, lower)
     if len(set(pairs)) == 1:
         return scale, [[pairs[0]] * (1 << w) for w in range(height)]
     first, slot = int("1" + s, 2), fs._slot
@@ -129,22 +131,56 @@ def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fractio
     return Fraction(root[0], den * scale ** m)
 
 
+def _cut_trie(fs: ForecastingSystem, members, lower: bool = False) -> tuple[int, list[dict[int, int]]]:
+    """(L, nodes) for a checked antichain with deepest member at depth D = len(nodes) - 1: nodes[t]
+    maps j to the numerator, over L**(D-t), of the cut probability at bits(j, t), for each depth-t
+    member and strict prefix of a member.  A member is worth L**(D-t), a node L*x + P*(y-x) (the
+    _fold_levels step) from its children x (0) and y (1), a child off the trie 0; nothing recurses."""
+    scale, pairs = _pairs(fs, lower)
+    slot = fs._slot if len(set(pairs)) > 1 else None
+    members = sorted(members, key=len)
+    nodes, level, one = [{}] * (len(members[-1]) + 1 if members else 1), {}, 1
+    for t in range(len(nodes) - 1, -1, -1):
+        while members and len(members[-1]) == t:
+            level[_leaf_index(members.pop())] = one
+        nodes[t], up, row, get = level, {}, 1 << t >> 1, level.get
+        for k in {j >> 1 for j in level} if t else ():
+            x, y = get(2 * k, 0), get(2 * k + 1, 0)
+            p, q = pairs[slot(row | k) if slot else 0]
+            up[k] = scale * x + (p if y >= x else q) * (y - x)
+        level, one = up, one * scale
+    return scale, nodes
+
+
 def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False, on_root=None):
     """(levels, dens) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight,
-    cut) pairs: level w's numerators in heap order over dens[w].  Each cut is folded once into one
-    running table; on_root(i, v), if given, gets the i-th cut's own root value v once it is folded."""
-    scale, rows = _endpoints(fs, ROOT, depth, lower)
-    total = [[0] * (1 << (depth - h)) for h in range(depth + 1)]
+    cut) pairs: level w's numerators in heap order over dens[w].  Each cut adds its _cut_trie nodes
+    to one running table and its weight to a count at each member; the counts are pushed down onto
+    the covered nodes at the end.  on_root(i, v), if given, gets the i-th cut's root v once it is in."""
+    scale = _pairs(fs, lower)[0]
+    total = [[0] * (1 << t) for t in range(depth + 1)]
+    counts = [Counter() for _ in range(depth + 1)]
     for i, (weight, cut) in enumerate(weighted_cuts):
         if any(len(t) > depth for t in cut):
             raise DomainError("cut member deeper than the requested sweep depth")
-        level = [0]
-        if cut:
-            for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
-                total[h] = list(map(add, total[h], level if weight == 1 else [weight * v for v in level]))
+        nodes = _cut_trie(fs, cut, lower)[1] if cut else [{}]
+        lift = weight * scale ** (depth + 1 - len(nodes))
+        for row, level in zip(total, nodes):
+            for j, v in level.items():
+                row[j] += lift * v
+        for m in cut:
+            counts[len(m)][_leaf_index(m)] += weight
         if on_root:
-            on_root(i, Fraction(level[0], scale ** depth))
-    return total[::-1], [divisor * scale ** h for h in range(depth, -1, -1)]
+            on_root(i, Fraction(nodes[0].get(0, 0), scale ** (len(nodes) - 1)))
+    above: list[int] = []  # at depth t, the weight of the members strictly above each node
+    for t, here in enumerate(counts):
+        above = [c for c in above for _ in (0, 1)] or [0]
+        if any(above):
+            power = scale ** (depth - t)
+            total[t] = [v + c * power for v, c in zip(total[t], above)]
+        for j, c in here.items():
+            above[j] += c
+    return total, [divisor * scale ** h for h in range(depth, -1, -1)]
 
 
 def _heap_values(levels: list[list[int]], dens: list[int]) -> dict[str, Fraction]:
@@ -198,7 +234,8 @@ def _cut_prob(fs, cut, s, rule: _LocalRule) -> Fraction:
 
 def _checked_cut_upper_prob(fs: ForecastingSystem, members: frozenset[str]) -> Fraction:
     """cut_upper_prob(fs, members) for an antichain already checked, such as a RandomnessTest's level."""
-    return _sparse_cut_value(fs, ROOT, 1, list(members), upper_expectation)
+    scale, nodes = _cut_trie(fs, members)
+    return Fraction(nodes[0].get(0, 0), scale ** (len(nodes) - 1))
 
 
 def cut_upper_prob(fs: ForecastingSystem, cut: Iterable[str], s: str = ROOT) -> Fraction:

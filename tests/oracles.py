@@ -18,7 +18,7 @@ from treebet import (
     assemble_test_supermartingale, cut_upper_prob, interval, validate_ml_test,
 )
 from treebet.errors import ContractError, DomainError, ParseError, ResourceError
-from treebet.expectation import _endpoints
+from treebet.expectation import _cut_leaves, _endpoints, _fold_levels
 from treebet.forecast import ForecastingSystem, is_precise
 from treebet.formats import (
     MAX_LEVELS, _int, _key_value, _meaningful, dump_process, dump_test, parse_rational,
@@ -168,6 +168,24 @@ def cut_value_map_by_nodes(
             f = LocalGamble(on1=values[t + "1"], on0=values[t + "0"])
             values[t] = rule(forecast_by_name(fs, t), f)
     return values
+
+
+def fold_sum_by_leaves(fs: ForecastingSystem, weighted_cuts, depth: int, divisor: int = 1,
+                       lower: bool = False, on_root=None):
+    """expectation._fold_sum with every cut folded over all 2**depth leaves of its indicator,
+    0s and 1s included, into one running table of integer numerators."""
+    scale, rows = _endpoints(fs, "", depth, lower)
+    total = [[0] * (1 << (depth - h)) for h in range(depth + 1)]
+    for i, (weight, cut) in enumerate(weighted_cuts):
+        if any(len(t) > depth for t in cut):
+            raise DomainError("cut member deeper than the requested sweep depth")
+        level = [0]
+        if cut:
+            for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
+                total[h] = [v + weight * u for v, u in zip(total[h], level)]
+        if on_root:
+            on_root(i, Fraction(level[0], scale ** depth))
+    return total[::-1], [divisor * scale ** h for h in range(depth, -1, -1)]
 
 
 def check_supermartingale_by_delta(fs: ForecastingSystem, process: Process) -> list[str]:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from treebet import RandomnessTest
 from treebet.cli import main
-from treebet.formats import dump_process, parse_process, parse_test
+from treebet.formats import dump_process, dump_test, parse_process, parse_test
 from treebet.martingale import kelly_process
 
 from gen import FAIR
@@ -136,6 +137,17 @@ def test_convert_universal_golden(workdir, capsys):
     )
     combined = parse_test((workdir / "u.test").read_text())
     assert [sorted(cut) for cut in combined.levels] == [["11"], ["111"]]
+
+
+def test_convert_universal_with_a_member_3000_bits_deep(workdir, capsys):
+    # clipping and validating walk the member's 3,000 prefixes without recursing
+    member = frozenset({"1" * 3000})
+    (workdir / "deep.test").write_text(dump_test(RandomnessTest((member, member), max_depth=3000)))
+    code = main(["convert", "universal", "deep.test", "--fs", "fair.fs", "--depth-cap", "5000",
+                 "--out", "u.test"])
+    assert code == 0
+    assert capsys.readouterr().out == f"level 0: actual 1/{1 << 3000} budget 1 pass\nall budgets pass\n"
+    assert parse_test((workdir / "u.test").read_text()).levels == (member,)
 
 
 def test_convert_schnorr_from_martingale(workdir, capsys):

@@ -335,8 +335,8 @@ def test_to_martingale_stops_at_the_first_level_over_budget(tmp_path, monkeypatc
     test = RandomnessTest(levels, max_depth=18)
     (tmp_path / "a.test").write_text(dump_test(test))
     folded = []
-    cut_leaves = expectation._cut_leaves
-    monkeypatch.setattr(expectation, "_cut_leaves", lambda cut, depth: folded.append(cut) or cut_leaves(cut, depth))
+    cut_trie = expectation._cut_trie
+    monkeypatch.setattr(expectation, "_cut_trie", lambda fs, cut, *lower: folded.append(cut) or cut_trie(fs, cut, *lower))
     argv = ["convert", "to-martingale", "--test", str(tmp_path / "a.test"),
             "--fs", str(tmp_path / "a.fs"), "--levels", "19"]
     start = time.perf_counter()

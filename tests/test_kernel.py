@@ -23,11 +23,13 @@ from treebet import (
     cond_lower,
     cond_upper,
     cut_value_map,
+    cylinder_bounds,
     is_non_degenerate,
     martingale_to_test,
     schnorr_test_from_martingale,
 )
-from treebet.expectation import _fold_sum, _heap_values
+from treebet.expectation import _checked_cut_upper_prob, _fold_sum, _heap_values, _sparse_cut_value
+from treebet.local import upper_expectation
 from treebet.tree import bits, situations_up_to
 
 from gen import (
@@ -44,6 +46,7 @@ from oracles import (
     check_supermartingale_by_delta,
     cut_value_map_by_nodes,
     fold_by_nodes,
+    fold_sum_by_leaves,
     schnorr_levels_by_scans,
     threshold_levels_by_scans,
 )
@@ -94,6 +97,45 @@ def test_cut_value_map_matches_node_sweep(seed, depth, lower):
     fs = system(rng, depth)
     cut = rand_cut(rng, depth)
     assert cut_value_map(fs, cut, depth, lower) == cut_value_map_by_nodes(fs, cut, depth, lower)
+
+
+def odd_cut(rng: random.Random, depth: int) -> frozenset[str]:
+    """An empty cut, the root alone, or a random antichain at most ``depth`` deep."""
+    return rng.choice([frozenset(), frozenset({""}), rand_cut(rng, rng.randint(0, depth))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, depths, st.booleans(), st.sampled_from([1, 2]))
+def test_fold_sum_matches_dense_leaf_fold(seed, depth, lower, divisor):
+    # cuts shallower than the sweep, weights 1 and 2**k; the same levels, dens and roots in order
+    rng = random.Random(seed)
+    fs = system(rng, depth)
+    cuts = [(rng.choice([1, 1 << rng.randint(0, 40)]), odd_cut(rng, depth)) for _ in range(rng.randint(0, 5))]
+    roots, expected_roots = [], []
+    got = _fold_sum(fs, cuts, depth, divisor, lower, on_root=lambda i, v: roots.append((i, v)))
+    expected = fold_sum_by_leaves(fs, cuts, depth, divisor, lower, on_root=lambda i, v: expected_roots.append((i, v)))
+    assert got == expected
+    assert roots == expected_roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, depths)
+def test_checked_cut_upper_prob_matches_the_recursion(seed, depth):
+    rng = random.Random(seed)
+    fs = system(rng, depth)
+    cut = odd_cut(rng, depth)
+    recursion = _sparse_cut_value(fs, "", 1, list(cut), upper_expectation)
+    assert _checked_cut_upper_prob(fs, cut) == recursion == cut_value_map_by_nodes(fs, cut, depth)[""]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_checked_cut_upper_prob_of_a_member_past_1000_bits(kind):
+    # the kernel walks the trie level by level, so no depth reaches a recursion limit
+    rng = random.Random(kind)
+    for pool in (DEGENERATE_POOL, ENDPOINT_POOL):
+        fs = rand_system(rng, depth=4, kind=kind, pool=pool)
+        member = "".join(rng.choice("01") for _ in range(rng.randint(1001, 3000)))
+        assert _checked_cut_upper_prob(fs, frozenset({member})) == cylinder_bounds(fs, member)[0]
 
 
 @settings(max_examples=150, deadline=None)
