@@ -90,21 +90,23 @@ def _cut_leaves(members: Iterable[str], depth: int) -> list[int]:
 # above the leaves share the denominator D * L**h and each one-step
 # expectation is integer arithmetic with an integer endpoint comparison.
 
-def _pairs(fs: ForecastingSystem, lower: bool = False) -> tuple[int, list[tuple[int, int]]]:
-    """(L, pairs): pairs[k] is fs.intervals[k] as (L times the endpoint the upper expectation
-    takes when f(1) >= f(0), L times the other one); ``lower`` swaps them."""
+def _pairs(fs: ForecastingSystem, lower: bool = False):
+    """(L, pairs, slot): pairs[k] is fs.intervals[k] as (L times the endpoint the upper expectation
+    takes when f(1) >= f(0), L times the other one), ``lower`` swapping them; slot is fs._slot, or
+    None when every position takes pairs[0]."""
     scale = math.lcm(*(x.denominator for i in fs.intervals for x in (i.lo, i.hi)))
     ends = [[x.numerator * (scale // x.denominator) for x in (i.lo, i.hi)] for i in fs.intervals]
-    return scale, [(lo, hi) if lower else (hi, lo) for lo, hi in ends]
+    pairs = [(lo, hi) if lower else (hi, lo) for lo, hi in ends]
+    return scale, pairs, fs._slot if len(set(pairs)) > 1 else None
 
 
 def _endpoints(fs: ForecastingSystem, s: str, height: int, lower: bool = False):
     """(L, rows): rows[w][j] is _pairs' scaled endpoint pair at s + bits(j, w), w < height;
     level w below s spans the positions [first << w, (first + 1) << w)."""
-    scale, pairs = _pairs(fs, lower)
-    if len(set(pairs)) == 1:
+    scale, pairs, slot = _pairs(fs, lower)
+    if slot is None:
         return scale, [[pairs[0]] * (1 << w) for w in range(height)]
-    first, slot = int("1" + s, 2), fs._slot
+    first = int("1" + s, 2)
     return scale, [[pairs[slot(p)] for p in range(first << w, (first + 1) << w)]
                    for w in range(height)]
 
@@ -131,13 +133,12 @@ def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fractio
     return Fraction(root[0], den * scale ** m)
 
 
-def _cut_trie(fs: ForecastingSystem, members, lower: bool = False) -> tuple[int, list[dict[int, int]]]:
-    """(L, nodes) for a checked antichain with deepest member at depth D = len(nodes) - 1: nodes[t]
-    maps j to the numerator, over L**(D-t), of the cut probability at bits(j, t), for each depth-t
-    member and strict prefix of a member.  A member is worth L**(D-t), a node L*x + P*(y-x) (the
-    _fold_levels step) from its children x (0) and y (1), a child off the trie 0; nothing recurses."""
-    scale, pairs = _pairs(fs, lower)
-    slot = fs._slot if len(set(pairs)) > 1 else None
+def _cut_trie(ends, members) -> tuple[Fraction, list[dict[int, int]]]:
+    """(root, nodes) for _pairs' ends and a checked antichain, deepest member at D = len(nodes) - 1:
+    the cut probability at ROOT, and nodes[t] mapping j to the numerator, over L**(D-t), of the one at
+    bits(j, t) for each depth-t member and strict member prefix.  A member is worth L**(D-t), a node
+    L*x + P*(y-x) (the _fold_levels step) from its children x (0) and y (1), one off the trie 0."""
+    scale, pairs, slot = ends
     members = sorted(members, key=len)
     nodes, level, one = [{}] * (len(members[-1]) + 1 if members else 1), {}, 1
     for t in range(len(nodes) - 1, -1, -1):
@@ -149,7 +150,7 @@ def _cut_trie(fs: ForecastingSystem, members, lower: bool = False) -> tuple[int,
             p, q = pairs[slot(row | k) if slot else 0]
             up[k] = scale * x + (p if y >= x else q) * (y - x)
         level, one = up, one * scale
-    return scale, nodes
+    return Fraction(nodes[0].get(0, 0), one // scale), nodes
 
 
 def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False, on_root=None):
@@ -157,13 +158,13 @@ def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = Fal
     cut) pairs: level w's numerators in heap order over dens[w].  Each cut adds its _cut_trie nodes
     to one running table and its weight to a count at each member; the counts are pushed down onto
     the covered nodes at the end.  on_root(i, v), if given, gets the i-th cut's root v once it is in."""
-    scale = _pairs(fs, lower)[0]
-    total = [[0] * (1 << t) for t in range(depth + 1)]
+    ends = _pairs(fs, lower)
+    scale, total = ends[0], [[0] * (1 << t) for t in range(depth + 1)]
     counts = [Counter() for _ in range(depth + 1)]
     for i, (weight, cut) in enumerate(weighted_cuts):
         if any(len(t) > depth for t in cut):
             raise DomainError("cut member deeper than the requested sweep depth")
-        nodes = _cut_trie(fs, cut, lower)[1] if cut else [{}]
+        root, nodes = _cut_trie(ends, cut) if cut else (ZERO, [{}])
         lift = weight * scale ** (depth + 1 - len(nodes))
         for row, level in zip(total, nodes):
             for j, v in level.items():
@@ -171,7 +172,7 @@ def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = Fal
         for m in cut:
             counts[len(m)][_leaf_index(m)] += weight
         if on_root:
-            on_root(i, Fraction(nodes[0].get(0, 0), scale ** (len(nodes) - 1)))
+            on_root(i, root)
     above: list[int] = []  # at depth t, the weight of the members strictly above each node
     for t, here in enumerate(counts):
         above = [c for c in above for _ in (0, 1)] or [0]
@@ -232,10 +233,10 @@ def _cut_prob(fs, cut, s, rule: _LocalRule) -> Fraction:
     return _sparse_cut_value(fs, s, int("1" + s, 2), [m for m in members if m.startswith(s)], rule)
 
 
-def _checked_cut_upper_prob(fs: ForecastingSystem, members: frozenset[str]) -> Fraction:
-    """cut_upper_prob(fs, members) for an antichain already checked, such as a RandomnessTest's level."""
-    scale, nodes = _cut_trie(fs, members)
-    return Fraction(nodes[0].get(0, 0), scale ** (len(nodes) - 1))
+def _checked_cut_upper_prob(fs: ForecastingSystem, members: frozenset[str], ends=None) -> Fraction:
+    """cut_upper_prob(fs, members) for a checked antichain, such as a RandomnessTest's level; callers
+    checking many cuts of one system pass ends = _pairs(fs) once."""
+    return _cut_trie(ends or _pairs(fs), members)[0]
 
 
 def cut_upper_prob(fs: ForecastingSystem, cut: Iterable[str], s: str = ROOT) -> Fraction:

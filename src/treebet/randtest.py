@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ContractError, DomainError
-from .expectation import _checked_cut_upper_prob, _fold_sum, _heap_values, cut_upper_prob
+from .expectation import _checked_cut_upper_prob, _fold_sum, _heap_values, _pairs, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, _integer_levels, _test_failures, _violations
@@ -94,9 +94,9 @@ class TailReport:
 
 def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelReport]:
     """Check every stored level against its 2**-n upper-probability budget."""
-    reports = []
+    reports, ends = [], _pairs(fs)
     for n, cut in enumerate(test.levels):
-        budget, actual = Fraction(1, 1 << n), _checked_cut_upper_prob(fs, cut)
+        budget, actual = Fraction(1, 1 << n), _checked_cut_upper_prob(fs, cut, ends)
         reports.append(LevelReport(n, budget, actual, actual <= budget))
     return reports
 
@@ -107,12 +107,12 @@ def validate_schnorr_tail(
     """Check the tail bound: mass at depth e(K) or beyond stays within 2**-K."""
     if test.tail is None:
         raise DomainError("test carries no tail bound")
-    reports = []
+    reports, ends = [], _pairs(fs)
     for k in range(k_max + 1):
         cutoff = test.tail(k)
         budget = Fraction(1, 1 << k)
-        worst = max((_checked_cut_upper_prob(fs, test.level_at_least(n, cutoff)) for n in range(test.num_levels)),
-                    default=Fraction(0))
+        worst = max((_checked_cut_upper_prob(fs, test.level_at_least(n, cutoff), ends)
+                     for n in range(test.num_levels)), default=Fraction(0))
         reports.append(TailReport(k, cutoff, budget, worst, worst <= budget))
     return reports
 
@@ -394,15 +394,15 @@ def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTes
     probability stays within 3 * 2**-(n+2); the result always validates,
     and inputs already meeting their budgets at every stage are unchanged.
     """
-    clipped = []
+    clipped, ends = [], _pairs(fs)
     for n, cut in enumerate(test.levels):
         threshold = Fraction(3, 1 << (n + 2))
         # the running mass changes only where a member length is passed, and
         # never falls as the length grows: bisect for the first length over
-        if _checked_cut_upper_prob(fs, cut) > threshold:
+        if _checked_cut_upper_prob(fs, cut, ends) > threshold:
             lengths = sorted({len(t) for t in cut})
             over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: _checked_cut_upper_prob(
-                fs, frozenset(t for t in cut if len(t) <= length)) > threshold)
+                fs, frozenset(t for t in cut if len(t) <= length), ends) > threshold)
             cut = frozenset(t for t in cut if len(t) < lengths[over])
         clipped.append(cut)
     return RandomnessTest._from_antichains(tuple(clipped), max_depth=test.max_depth)

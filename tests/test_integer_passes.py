@@ -336,7 +336,7 @@ def test_to_martingale_stops_at_the_first_level_over_budget(tmp_path, monkeypatc
     (tmp_path / "a.test").write_text(dump_test(test))
     folded = []
     cut_trie = expectation._cut_trie
-    monkeypatch.setattr(expectation, "_cut_trie", lambda fs, cut, *lower: folded.append(cut) or cut_trie(fs, cut, *lower))
+    monkeypatch.setattr(expectation, "_cut_trie", lambda ends, cut: folded.append(cut) or cut_trie(ends, cut))
     argv = ["convert", "to-martingale", "--test", str(tmp_path / "a.test"),
             "--fs", str(tmp_path / "a.fs"), "--levels", "19"]
     start = time.perf_counter()
