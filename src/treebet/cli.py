@@ -1,7 +1,7 @@
 """Command-line interface: evaluation, verification, conversion, sampling, analysis.
 
 Exit codes: 0 success, 2 unparseable or invalid inputs, 3 semantic
-verification failure, 4 resource cap exceeded.
+verification failure, 4 resource cap exceeded or memory exhausted.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
 from .expectation import cut_lower_prob, cut_upper_prob
 from .forecast import IntervalForecast
 from .formats import (
+    MAX_BITS,
     MAX_LEVELS,
     dump_test,
     load,
@@ -84,7 +85,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample bits from a compatible precise system")
     p.add_argument("--fs", required=True)
     p.add_argument("--selector", choices=list(SELECTORS), default="mid")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"number of bits, at most {MAX_BITS}")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="run a strategy battery along a sequence")
@@ -190,6 +191,8 @@ def cmd_sample(args) -> int:
     fs = load(args.fs, parse_forecasting_system)
     if args.n < 0:
         raise DomainError("--n must be non-negative")
+    if args.n > MAX_BITS:  # refused before a bit is drawn
+        raise ResourceError(f"--n {args.n} over the limit of {MAX_BITS} bits")
     print(sample_path(fs, args.selector, args.n, args.seed))
     return 0
 
@@ -330,8 +333,8 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         print(f"treebet: {exc}", file=sys.stderr)
         return 3
-    except (ResourceError, HorizonError) as exc:
-        print(f"treebet: {exc}", file=sys.stderr)
+    except (ResourceError, HorizonError, MemoryError) as exc:
+        print(f"treebet: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

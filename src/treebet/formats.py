@@ -11,7 +11,7 @@ the writer itself decides which.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
@@ -22,6 +22,7 @@ from .randtest import RandomnessTest
 from .tree import ROOT_LABEL, format_situation, parse_situation, situations_up_to
 
 MAX_LEVELS = 4096  # the most levels a .test file may declare
+MAX_BITS = 10**7  # the most bits sample may draw: its list of one-bit strings takes about 80 MB
 
 
 def _strip(line: str) -> str:
@@ -216,7 +217,8 @@ def _dump_levels(levels: list[list[int]], dens: list[int]) -> str:
 
 
 def _process_text(depth: int, texts) -> str:
-    names = [ROOT_LABEL, *islice(situations_up_to(depth), 1, None)]  # the root's name is empty
+    names = [*situations_up_to(depth)]
+    names[0] = ROOT_LABEL  # the root's name is empty
     return f"depth: {depth}\n" + "".join(chain.from_iterable(zip(names, repeat(" "), texts, repeat("\n"))))
 
 

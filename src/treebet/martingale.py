@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from operator import eq
 from typing import Callable, Literal
 
@@ -100,12 +101,21 @@ def _integer_levels(process: Process) -> tuple[list[list[int]], list[list[int]]]
 def _violations(fs: ForecastingSystem, nums: list[list[int]], dens: list[list[int]]) -> list[str]:
     """check_supermartingale on the value nums[w][j] / dens[w][j] at bits(j, w)."""
     scale, rows = _endpoints(fs, ROOT, len(nums) - 1)
-    # with L the scale, the gain's upper expectation is positive iff
-    # L*f0 + P*(f1 - f0) > L*v, P the endpoint it takes: the fold step, cross-multiplied
-    return [bits(j, w) for w, row in enumerate(rows)
-            for j, (n, d, n0, d0, n1, d1, (p, q)) in enumerate(zip(
-                nums[w], dens[w], nums[w + 1][::2], dens[w + 1][::2], nums[w + 1][1::2], dens[w + 1][1::2], row))
-            if (scale * (a := n0 * d1) + (p if (r := n1 * d0 - a) >= 0 else q) * r) * d > scale * n * d0 * d1]
+
+    def fails(n, d, n0, d0, n1, d1, ends) -> bool:
+        # with L the scale, the gain's upper expectation is positive iff L*f0 + P*(f1 - f0) > L*v,
+        # P the endpoint it takes (the pair's first when f1 >= f0): the fold step, cross-multiplied
+        r = n1 * d0 - (a := n0 * d1)
+        return (scale * a + ends[r < 0] * r) * d > scale * n * d0 * d1
+
+    violations = []
+    for w, row in enumerate(rows):
+        columns = (nums[w], dens[w], nums[w + 1][::2], dens[w + 1][::2], nums[w + 1][1::2], dens[w + 1][1::2], row)
+        # rows (a value, its children's, the endpoint pair) repeat heavily: each distinct one is checked
+        # once, and the level is walked again only to name the nodes of failing ones, in heap order
+        if bad := {t for t in set(zip(*columns)) if fails(*t)}:
+            violations += [bits(j, w) for j in compress(count(), map(bad.__contains__, zip(*columns)))]
+    return violations
 
 
 def _test_failures(fs: ForecastingSystem, nums, dens) -> list[str]:

@@ -16,6 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
+from itertools import compress, count
+from operator import gt
 from typing import Sequence
 
 from .errors import ContractError, DomainError
@@ -139,7 +141,7 @@ def _first_passages(nums, dens, crossed) -> tuple[frozenset[str], ...]:
     reached = [0]
     for w, (ps, qs) in enumerate(zip(nums, dens)):
         here = crossed(w, ps, qs)
-        for j in [j for j, (x, r) in enumerate(zip(here, reached)) if x > r]:
+        for j in [*compress(count(), map(gt, here, reached))]:  # the nodes that cross a new level
             levels.extend([] for _ in range(len(levels), here[j]))
             for n in range(reached[j], here[j]):
                 levels[n].append(bits(j, w))

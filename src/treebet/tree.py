@@ -9,6 +9,7 @@ sets of its members are pairwise disjoint.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -109,10 +110,7 @@ def bits(value: int, width: int) -> str:
 
 
 def situations_up_to(depth: int) -> Iterator[str]:
-    """All situations of depth at most ``depth``, level by level, lexicographic;
-    each level's names are the previous level's with '0', then '1', appended."""
-    level = [ROOT]
-    for n in range(depth + 1):
-        yield from level
-        if n < depth:
-            level = [t + c for t in level for c in "01"]
+    """All situations of depth at most ``depth``, level by level, lexicographic: each level is
+    the level above with '0' prefixed, then with '1' prefixed, which keeps the order."""
+    levels = accumulate(range(depth), lambda up, _: ["0" + t for t in up] + ["1" + t for t in up], initial=[ROOT])
+    return chain.from_iterable(levels if depth >= 0 else ())

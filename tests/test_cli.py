@@ -2,9 +2,9 @@
 
 import pytest
 
-from treebet import RandomnessTest
+from treebet import RandomnessTest, cli
 from treebet.cli import main
-from treebet.formats import dump_process, dump_test, parse_process, parse_test
+from treebet.formats import MAX_BITS, dump_process, dump_test, parse_process, parse_test
 from treebet.martingale import kelly_process
 
 from gen import FAIR
@@ -179,6 +179,30 @@ def test_sample_uniform_snapshot(workdir, capsys):
     assert main(["sample", "--fs", "wide.fs", "--selector", "uniform", "--n", "16",
                  "--seed", "7"]) == 0
     assert capsys.readouterr().out == "1111100110110111\n"
+
+
+def test_sample_past_the_bit_limit_exits_4_at_once(workdir, capsys):
+    # the count alone is refused: no bit is drawn and no list of 10**30 bits is built
+    assert main(["sample", "--fs", "fair.fs", "--n", str(10**30)]) == 4
+    assert capsys.readouterr() == ("", f"treebet: --n {10**30} over the limit of {MAX_BITS} bits\n")
+
+
+def test_sample_bit_limit_is_inclusive(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_BITS", 4)
+    assert main(["sample", "--fs", "point-one.fs", "--n", "4"]) == 0
+    assert capsys.readouterr().out == "1111\n"
+    assert main(["sample", "--fs", "point-one.fs", "--n", "5"]) == 4
+    assert capsys.readouterr() == ("", "treebet: --n 5 over the limit of 4 bits\n")
+
+
+def test_memory_error_exits_4_with_a_message(workdir, capsys, monkeypatch):
+    # a command that runs out of memory ends in the resource-cap code, not a traceback
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "sample", exhausted)
+    assert main(["sample", "--fs", "fair.fs", "--n", "4"]) == 4
+    assert capsys.readouterr() == ("", "treebet: out of memory\n")
 
 
 def test_analyze_golden(workdir, capsys):

@@ -8,6 +8,9 @@ are of all three kinds, with {0}, {1} and [0, 1] rows among them; processes
 sit on the edges the passes decide: one-step gains with upper expectation
 exactly 0, capitals exactly at 2**n and at rho(n), negative values, roots
 other than 1, and violations at the root and at the last interior level.
+Kelly capitals, whose values depend only on the count of ones, put one row
+(failing or not) at many nodes of a level, since the check evaluates each
+distinct row of a level once.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from treebet import (
     GrowthFunction,
+    Markov,
     Process,
     RandomnessTest,
     Stationary,
@@ -33,6 +37,7 @@ from treebet import (
     cut_upper_prob,
     derive_tail_bound_precise,
     interval,
+    kelly_gamble,
     martingale_to_test,
     schnorr_test_from_martingale,
     validate_ml_test,
@@ -46,7 +51,7 @@ from treebet.martingale import _integer_levels
 from treebet.randtest import _threshold_test
 from treebet.tree import bits, situations_up_to
 
-from gen import ENDPOINT_POOL, FAIR, decaying_system, rand_fraction, rand_system, rand_valid_test
+from gen import ENDPOINT_POOL, FAIR, decaying_system, rand_fraction, rand_interval, rand_system, rand_valid_test
 from oracles import (
     check_supermartingale_by_delta,
     check_supermartingale_by_nodes,
@@ -195,6 +200,80 @@ def test_edge_processes_reach_the_edges():
         crossed |= {n for n, cut in enumerate(_threshold_levels(process)) if cut}
         at_rho += sum(v == rho(len(s)) > 1 for s, v in process.values.items())
     assert {0, 1, 2, 3} <= crossed and at_rho
+
+
+def count_process(rng: random.Random, forecast, depth: int, moved: bool) -> Process:
+    """A Kelly bettor's capital against ``forecast``: its value depends only on a situation's depth
+    and count of ones, so each level's rows (a value, its children's and the forecast) repeat
+    heavily. With ``moved``, one (depth, ones) class is moved by 1/97 either way, which puts one
+    row, failing or not, at every node above the class that shares a forecast."""
+    g = kelly_gamble(forecast, rng.choice(["on-one", "on-zero"]))
+    stake = rng.choice([Fraction(1, 2), Fraction(3, 4), Fraction(1)])
+    win, lose = 1 + stake * g.on1, 1 + stake * g.on0
+    n = rng.randint(1, depth)
+    cls, nudge = (n, rng.randint(0, n)), (rng.choice([NUDGE, -NUDGE]) if moved else 0)
+    return Process(depth, {s: win ** s.count("1") * lose ** s.count("0")
+                           + (nudge if (len(s), s.count("1")) == cls else 0) for s in situations_up_to(depth)})
+
+
+def _failing_row_repeats(fs, process: Process, violations: list[str]) -> bool:
+    """Whether two failing nodes of one level share their row."""
+    values = process.values
+    rows = [(len(s), values[s], values[s + "0"], values[s + "1"], fs.at(s)) for s in violations]
+    return len(set(rows)) < len(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(KINDS), st.integers(min_value=1, max_value=8), st.booleans())
+def test_repeated_rows_match_per_node_references(seed, kind, depth, moved):
+    # the check evaluates each distinct row of a level once: the violations must still be
+    # every failing node, in heap order, and the first passages every crossing node
+    rng = random.Random(seed)
+    pool = DEGENERATE_POOL + [Fraction(1, 2)] if rng.random() < 0.2 else ENDPOINT_POOL
+    forecast = rand_interval(rng, non_degenerate=True, pool=pool)
+    fs = rand_system(rng, depth=depth, kind=kind, pool=pool)
+    if kind == "stationary" and rng.random() < 0.5:  # the bettor's own system: a test supermartingale
+        fs = Stationary(forecast)
+    process = count_process(rng, forecast, depth, moved)
+
+    violations = check_supermartingale(fs, process)
+    assert violations == check_supermartingale_by_nodes(fs, process)
+    assert violations == check_supermartingale_by_delta(fs, process)  # sorted into heap order
+    assert _threshold_levels(process) == threshold_levels_by_nodes(process)
+    if check_test_supermartingale(fs, process):
+        assert martingale_to_test(process, fs).levels == threshold_levels_by_nodes(process)
+        rho = rand_rho(rng)
+        assert schnorr_test_from_martingale(process, rho, fs).levels == schnorr_levels_by_nodes(process, rho)
+
+
+def test_count_processes_repeat_failing_rows_and_cross_at_many_nodes():
+    # the generator above does put one failing row at several nodes of a level, and
+    # one level's first passages at several nodes, on every system kind
+    for kind in KINDS:
+        rng = random.Random(kind)
+        repeated = crowded = 0
+        for _ in range(40):
+            forecast = rand_interval(rng, non_degenerate=True, pool=ENDPOINT_POOL)
+            fs = rand_system(rng, depth=6, kind=kind, pool=ENDPOINT_POOL)
+            process = count_process(rng, forecast, 6, moved=True)
+            repeated += _failing_row_repeats(fs, process, check_supermartingale(fs, process))
+            crowded += any(len(cut) > 1 for cut in _threshold_levels(process))
+        assert repeated and crowded, kind
+
+
+@pytest.mark.parametrize("fs", [FAIR, Stationary(interval("2/5", "7/10")), Markov(1, {
+    "": interval("1/2"), "0": interval("1/4", "2/5"), "1": interval("2/5", "7/10")})], ids=["fair", "wide", "markov"])
+def test_a_failing_row_repeated_across_a_level_names_every_node_in_heap_order(fs):
+    # the value 1 everywhere, raised at the depth-3 nodes with one 1 and the depth-2 node with two:
+    # "1" fails for its child "11", "00" for "001", and "01" and "10" for one row, (1, 1 + 1/97, 1)
+    process = Process(4, {s: 1 + (NUDGE if (len(s), s.count("1")) in {(3, 1), (2, 2)} else 0)
+                          for s in situations_up_to(4)})
+    violations = check_supermartingale(fs, process)
+    assert violations == ["1", "00", "01", "10"]
+    assert violations == check_supermartingale_by_nodes(fs, process)
+    assert not check_test_supermartingale(fs, process)
+    if isinstance(fs, Stationary):
+        assert _failing_row_repeats(fs, process, violations)
 
 
 @settings(max_examples=120, deadline=None)

@@ -120,7 +120,7 @@ def test_situations_up_to_is_total():
     assert listing == ["", "0", "1", "00", "01", "10", "11"]
 
 
-@pytest.mark.parametrize("depth", range(11))
+@pytest.mark.parametrize("depth", range(-1, 13))
 def test_situations_up_to_matches_bits(depth):
     expected = [bits(j, n) for n in range(depth + 1) for j in range(1 << n)]
     assert list(situations_up_to(depth)) == expected
