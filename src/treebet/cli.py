@@ -111,7 +111,10 @@ def cmd_cutprob(args) -> int:
     if cut and max(len(t) for t in cut) > args.depth_cap:
         raise ResourceError(f"cut deeper than --depth-cap {args.depth_cap}")
     cond = parse_situation(args.cond)
-    prob = cut_lower_prob(fs, cut, cond) if args.lower else cut_upper_prob(fs, cut, cond)
+    try:  # the public cut probabilities recurse once per member bit
+        prob = cut_lower_prob(fs, cut, cond) if args.lower else cut_upper_prob(fs, cut, cond)
+    except RecursionError:
+        raise ResourceError(f"cut member {max(map(len, cut))} bits deep is past the recursion limit") from None
     print(format_rational(prob))
     return 0
 

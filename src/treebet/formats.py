@@ -22,7 +22,7 @@ from .randtest import RandomnessTest
 from .tree import ROOT_LABEL, format_situation, parse_situation, situations_up_to
 
 MAX_LEVELS = 4096  # the most levels a .test file may declare
-MAX_BITS = 10**7  # the most bits sample may draw: its list of one-bit strings takes about 80 MB
+MAX_BITS = 10**7  # the most bits sample may draw: one byte each, then the text; about 36 MB peak RSS
 
 
 def _strip(line: str) -> str:

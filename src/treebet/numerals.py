@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # fullmatched: ASCII digits, no final newline
 
 
 def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL.match(text):
+    if not _RATIONAL.fullmatch(text):
         raise ParseError(f"not a rational (want p/q or an integer): {text!r}")
     numerator, _, denominator = text.partition("/")
     try:  # int() refuses numerals past sys.get_int_max_str_digits()

@@ -28,7 +28,7 @@ from treebet.local import lower_expectation, precise_expectation, upper_expectat
 from treebet.martingale import kelly_gamble
 from treebet.numerals import format_rational
 from treebet.randtest import RandomnessTest
-from treebet.sampling import SELECTORS, splitmix64
+from treebet.sampling import SELECTORS, _constants
 from treebet.tree import (
     CutStatus,
     bits,
@@ -487,6 +487,44 @@ def analyze_by_fractions(
         f"max_capital={max_capital} ville_bound={1 / max_capital}"
     )
     return "\n".join(lines) + "\n"
+
+
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """One scalar splitmix64 step; returns (new_state, 64-bit output)."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
+def sample_path_by_words(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
+    """sample_path with one scalar splitmix64 step per word and the slot constants per bit."""
+    if selector not in SELECTORS:
+        raise DomainError(f"unknown selector {selector!r}")
+    uniform = selector == "uniform"
+    constants: list = [None] * len(fs.intervals)
+    state = seed & MASK64
+    drawn = []
+    p = 1
+    for _ in range(n):
+        k = fs._slot(p)
+        c = constants[k]
+        if c is None:
+            c = constants[k] = _constants(fs.intervals[k], selector)
+        if uniform:
+            state, pick = splitmix64(state)
+            state, word = splitmix64(state)
+            bit = "1" if word * c[0] < c[1] + c[2] * pick else "0"
+        else:
+            state, word = splitmix64(state)
+            bit = "1" if word < c else "0"
+        drawn.append(bit)
+        p = fs._follow(p, bit)
+    return "".join(drawn)
 
 
 class BitSampler:

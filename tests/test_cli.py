@@ -40,6 +40,12 @@ def test_local_malformed_rational(capsys):
     assert "not a rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo", ["1/3\n", "\u0661/\u0663"])
+def test_local_rational_with_a_newline_or_non_ascii_digits_exits_2(capsys, lo):
+    assert main(["local", "--interval", lo, "1/2", "--gamble", "1", "0"]) == 2
+    assert capsys.readouterr() == ("", f"treebet: not a rational (want p/q or an integer): {lo!r}\n")
+
+
 def test_cutprob_fair(workdir, capsys):
     assert main(["cutprob", "--fs", "fair.fs", "--cut", "1,00"]) == 0
     assert capsys.readouterr().out == "3/4\n"
@@ -59,6 +65,14 @@ def test_cutprob_depth_cap(workdir, capsys):
     deep = "1" * 30
     assert main(["cutprob", "--fs", "fair.fs", "--cut", deep, "--depth-cap", "8"]) == 4
     assert "depth-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lower", [[], ["--lower"]])
+def test_cutprob_past_the_recursion_limit_names_the_depth(workdir, capsys, lower):
+    # the cut probabilities recurse once per member bit: 3,000 bits is past the default limit
+    argv = ["cutprob", "--fs", "fair.fs", "--cut", "1" * 3000, "--depth-cap", "5000"]
+    assert main(argv + lower) == 4
+    assert capsys.readouterr() == ("", "treebet: cut member 3000 bits deep is past the recursion limit\n")
 
 
 def test_convert_to_test_golden(workdir, capsys):

@@ -37,7 +37,10 @@ from oracles import dumped_by_tokens, parse_process_by_lines
 def test_parse_rational():
     assert parse_rational("7/10") == Fraction(7, 10)
     assert parse_rational("-3") == Fraction(-3)
-    for bad in ("0.5", "1/2/3", "x", "", "1/0", "-3/00"):
+    # the last five: a final newline, and Arabic-Indic (1/3) and fullwidth (7) digits,
+    # which int() would read
+    for bad in ("0.5", "1/2/3", "x", "", "1/0", "-3/00",
+                "1/3\n", "7\n", "\u0661/\u0663", "1/\u0663", "\uff17"):
         with pytest.raises(ParseError):
             parse_rational(bad)
 

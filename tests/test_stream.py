@@ -4,18 +4,20 @@ of every generated command line.
 """
 
 import contextlib
+import hashlib
 import io
 import random
 import sys
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebet import Markov, RandomnessTest, Stationary, Table, interval
+from treebet import Markov, RandomnessTest, Stationary, Table, interval, sampling
 from treebet.cli import DEFAULT_BATTERY, main
 from treebet.errors import DomainError
 from treebet.formats import (
@@ -26,7 +28,9 @@ from treebet.randtest import assemble_test_supermartingale
 from treebet.sampling import SELECTORS, sample_path
 from treebet.tree import bits, format_situation, situations_up_to
 
-from oracles import analyze_by_fractions, sample_path_by_sampler
+from oracles import (
+    MASK64, analyze_by_fractions, sample_path_by_sampler, sample_path_by_words, splitmix64,
+)
 
 # {0}, {1}, [0, 1], precise and imprecise intervals with mixed denominators
 INTERVALS = [
@@ -168,6 +172,89 @@ def test_sample_draw_is_exact_at_the_threshold(selector):
 def test_sample_path_rejects_unknown_selector():
     with pytest.raises(DomainError):
         sample_path(Stationary(INTERVALS[3]), "median", 0, 0)
+
+
+# ------------------------------------------------------------ block words
+
+BLOCK = sampling._BLOCK
+# one system per kind; the table pins its first two bits and the markov rows include [0, 1]
+SAMPLE_SYSTEMS = {
+    "stationary": "kind: stationary\ninterval: 1/4 3/5\n",
+    "table": "kind: table\ndefault: 1/4 3/5\nnode @ 1 1\nnode 1 0 0\nnode 10 1/3 1/3\n"
+             "node 100 5/9 6/7\nnode 101 2/5 7/10\n",
+    "markov": "kind: markov\norder: 2\nrow @ 1/4 3/5\nrow 0 1/3 1/3\nrow 1 2/5 7/10\n"
+              "row 00 1/4 3/5\nrow 01 1/2 1/2\nrow 10 0 1\nrow 11 5/9 6/7\n",
+}
+
+
+def scalar_words(seed: int, n: int) -> list[int]:
+    state, words = seed & MASK64, []
+    for _ in range(n):
+        state, word = splitmix64(state)
+        words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1, -12345, (1 << 64) + 99])
+def test_block_words_match_scalar_splitmix64(seed):
+    blocks = list(islice(sampling._blocks(seed), 4))
+    assert [len(block) for block in blocks] == [BLOCK] * 4
+    assert list(chain.from_iterable(blocks)) == scalar_words(seed, 4 * BLOCK)
+
+
+@pytest.mark.parametrize("kind", SAMPLE_SYSTEMS)
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_sample_path_matches_per_word_reference_across_blocks(kind, selector):
+    fs = parse_forecasting_system(SAMPLE_SYSTEMS[kind])
+    for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+        assert sample_path(fs, selector, n, 731) == sample_path_by_words(fs, selector, n, 731)
+
+
+@pytest.fixture
+def odd_block(monkeypatch):
+    """Blocks of 5 words, so that uniform's pick and draw straddle block edges."""
+    monkeypatch.setattr(sampling, "_BLOCK", 5)
+    sampling._lanes.cache_clear()
+    yield
+    sampling._lanes.cache_clear()
+
+
+@pytest.mark.parametrize("kind", SAMPLE_SYSTEMS)
+def test_sample_path_with_odd_blocks_matches_per_word_reference(odd_block, kind):
+    fs = parse_forecasting_system(SAMPLE_SYSTEMS[kind])
+    words = scalar_words(7, 15)
+    assert list(islice(sampling._blocks(7), 3)) == [tuple(words[i:i + 5]) for i in (0, 5, 10)]
+    for selector in SELECTORS:
+        for n in (1, 2, 3, 7, 33):
+            assert sample_path(fs, selector, n, 7) == sample_path_by_words(fs, selector, n, 7)
+
+
+# sha256 of `sample --n 10000 --seed 2014` on SAMPLE_SYSTEMS: a seed's bits are fixed
+SAMPLE_DIGESTS = {
+    ("stationary", "low"): "5f7ef8f0ee3f5164a670b13ac8fca75fb24074d86b8d2b6a1face29be45c942a",
+    ("stationary", "high"): "0ea43b17970b4434104679c3ac7b953c264ce6ce457fb3fc2ebbed7a9f11f359",
+    ("stationary", "mid"): "5eb4860f84eb8d9cc5ea5182ed3a2c9541f06f27086e8b5725c02a542bd84651",
+    ("stationary", "uniform"): "98418e904de7bfb51ae786b6ffb473628b11602f40abb5b817f86150d034919c",
+    ("table", "low"): "3343f2621f1b8f501f1aacca823e789576de89f9aba3e644991632a755204f80",
+    ("table", "high"): "56e958f6879821a153cf5d43cd968500b6082f18add4f38a2da50c3c23cb4bbb",
+    ("table", "mid"): "4aa4176d9888ace996e35ae69102981398a565ae28d7d12aff432c3b9eb1dfc7",
+    ("table", "uniform"): "bfa8cdef03e19ccb39b5b7f1e13265f0f4620d3170cb05c387c792a17903d7da",
+    ("markov", "low"): "578b7062932f9699da4adc271628738775187bc7a8e60ec1269c2189a9214105",
+    ("markov", "high"): "e6aaa85a6e2d1235891a4dd6ac3f4293db98fc41847ead4cb5d3b6dd50daf3f0",
+    ("markov", "mid"): "aec54fc9ad453b638dbed5e9a04d8130fd6889b2c0c05dd81cfc6bb3ab2552d0",
+    ("markov", "uniform"): "b94a2e6052224b95dba7ff482b24864a99e9dc4e9cb918215141c42f96719bc5",
+}
+
+
+@pytest.mark.parametrize("kind, selector", SAMPLE_DIGESTS)
+def test_sample_output_is_pinned(tmp_path, kind, selector):
+    (tmp_path / "s.fs").write_text(SAMPLE_SYSTEMS[kind])
+    argv = ["sample", "--fs", str(tmp_path / "s.fs"), "--selector", selector, "--n", "10000",
+            "--seed", "2014"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert len(out) == 10001
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[kind, selector]
 
 
 def test_default_battery_past_the_int_str_limit(tmp_path):
