@@ -25,23 +25,24 @@ from .forecast import IntervalForecast
 from .formats import (
     MAX_BITS,
     MAX_LEVELS,
+    dump_process,
     dump_test,
     load,
     parse_forecasting_system,
     parse_growth,
-    parse_process_levels,
+    parse_process,
     parse_sequence,
     parse_test,
     save,
 )
 from .local import LocalGamble, lower_expectation, upper_expectation
-from .martingale import kelly_gamble
+from .martingale import check_supermartingale, kelly_gamble
 from .numerals import EXACT, format_rational, parse_rational, ratio_text
 from .randtest import (
-    assembled_process_text,
+    assemble_test_supermartingale,
     combine_universal,
-    schnorr_test_from_levels,
-    threshold_test_or_failure,
+    martingale_to_test,
+    schnorr_test_from_martingale,
     validate_ml_test,
     validate_schnorr_tail,
 )
@@ -140,36 +141,39 @@ def cmd_convert(args) -> int:
         test = load(args.test, parse_test)
         if test.max_depth > args.depth_cap:
             raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
-        value, violations, text = assembled_process_text(fs, test, args.levels)
-        print(f"root {format_rational(value)} normalized 1")
+        process = assemble_test_supermartingale(fs, test, args.levels, normalize_root=False)
+        print(f"root {format_rational(process.root)} normalized 1")  # below 1 once the budgets pass
         print(f"remainder bound {format_rational(Fraction(1, 1 << args.levels))}")
+        process = process.with_root(1)
+        violations = check_supermartingale(fs, process)
         if violations:
             print(f"supermartingale check FAIL at {violations[0] or '@'}")
             return 3
         print("supermartingale check pass")
-        save(args.out, text)
+        save(args.out, dump_process(process))
         return 0
 
     # the other directions write a test
     if args.direction == "to-test":
         if not args.process:
             raise ParseError("to-test needs --process")
-        nums, dens = load(args.process, parse_process_levels)
-        if len(nums) - 1 > args.depth_cap:
+        process = load(args.process, parse_process)
+        if process.depth > args.depth_cap:
             raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
-        test, failure = threshold_test_or_failure(nums, dens, fs)
-        if test is None:
-            print(f"not a test supermartingale: {failure}", file=sys.stderr)
+        try:
+            test = martingale_to_test(process, fs)
+        except ContractError as exc:
+            print(f"not a test supermartingale: {exc.reason}", file=sys.stderr)
             return 3
         passed = _report_budgets(fs, test)
     elif args.direction == "schnorr-from-martingale":
         if not args.process or not args.rho:
             raise ParseError("schnorr-from-martingale needs --process and --rho")
-        nums, dens = load(args.process, parse_process_levels)
-        if len(nums) - 1 > args.depth_cap:
+        process = load(args.process, parse_process)
+        if process.depth > args.depth_cap:
             raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
         rho = parse_growth(args.rho)
-        test = schnorr_test_from_levels(nums, dens, rho, fs, horizon=args.horizon)
+        test = schnorr_test_from_martingale(process, rho, fs, horizon=args.horizon)
         passed = _report_budgets(fs, test)
         tail_reports = validate_schnorr_tail(fs, test, k_max=max(4, test.num_levels))
         for r in tail_reports:

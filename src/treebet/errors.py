@@ -14,7 +14,11 @@ class ConfigError(TreebetError):
 
 
 class ContractError(TreebetError):
-    """A caller-supplied object violates a stated precondition."""
+    """A caller-supplied object violates a stated precondition; ``reason``, if given, says where."""
+
+    def __init__(self, message: str, reason: str | None = None):
+        super().__init__(message)
+        self.reason = reason
 
 
 class HorizonError(TreebetError):

@@ -5,8 +5,10 @@ backward recursion: leaf values are folded towards the root, applying the
 one-step upper (or lower) expectation at every interior node.  Upper and
 lower probabilities of partial cuts and cylinder sets are special cases.
 A cut's probability is 1 at and below its members and 0 off their trie, which
-``_cut_trie`` folds alone, without recursing; ``randtest``'s budget checks and cut
-sums use it, while ``cut_upper_prob``/``cut_lower_prob`` keep ``_sparse_cut_value``.
+``_cut_trie`` folds alone, without recursing; ``randtest``'s budget checks use it,
+and ``_fold_sum`` adds many cuts' tries into the integer levels a ``Process`` keeps
+(``cut_value_map`` and the ``assemble_*`` builders), while
+``cut_upper_prob``/``cut_lower_prob`` keep ``_sparse_cut_value``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import DomainError
 from .forecast import ONE, ZERO, ForecastingSystem, IntervalForecast
 from .local import LocalGamble, lower_expectation, upper_expectation
-from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation, situations_up_to
+from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation
 
 _LocalRule = Callable[[IntervalForecast, LocalGamble], Fraction]
 
@@ -154,10 +156,11 @@ def _cut_trie(ends, members) -> tuple[Fraction, list[dict[int, int]]]:
 
 
 def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False, on_root=None):
-    """(levels, dens) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight,
-    cut) pairs: level w's numerators in heap order over dens[w].  Each cut adds its _cut_trie nodes
-    to one running table and its weight to a count at each member; the counts are pushed down onto
-    the covered nodes at the end.  on_root(i, v), if given, gets the i-th cut's root v once it is in."""
+    """(nums, dens) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight,
+    cut) pairs, as a Process keeps them: the value at bits(j, w) is nums[w][j] / dens[w][j].  Each
+    cut adds its _cut_trie nodes to one running table and its weight to a count at each member; the
+    counts are pushed down onto the covered nodes at the end.  on_root(i, v), if given, gets the
+    i-th cut's root v once it is in."""
     ends = _pairs(fs, lower)
     scale, total = ends[0], [[0] * (1 << t) for t in range(depth + 1)]
     counts = [Counter() for _ in range(depth + 1)]
@@ -181,16 +184,7 @@ def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = Fal
             total[t] = [v + c * power for v, c in zip(total[t], above)]
         for j, c in here.items():
             above[j] += c
-    return total, [divisor * scale ** h for h in range(depth, -1, -1)]
-
-
-def _heap_values(levels: list[list[int]], dens: list[int]) -> dict[str, Fraction]:
-    """Each situation's value, level w's over dens[w]: one Fraction per distinct numerator."""
-    heap: list[Fraction] = []
-    for level, den in zip(levels, dens):
-        made = {v: Fraction(v, den) for v in set(level)}
-        heap += map(made.__getitem__, level)
-    return dict(zip(situations_up_to(len(levels) - 1), heap))
+    return total, [[divisor * scale ** (depth - t)] * (1 << t) for t in range(depth + 1)]
 
 
 def cond_upper(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:
@@ -255,7 +249,8 @@ def cut_value_map(
 
     One bottom-up sweep; requires ``depth`` at or below no cut member.
     """
-    return _heap_values(*_fold_sum(fs, [(1, require_antichain(cut))], depth, lower=lower))
+    from .martingale import Process  # martingale imports this module
+    return dict(Process._from_levels(*_fold_sum(fs, [(1, require_antichain(cut))], depth, lower=lower)).values)
 
 
 def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:

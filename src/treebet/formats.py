@@ -4,8 +4,9 @@ All formats are line oriented UTF-8; ``#`` starts a comment that runs to
 the end of the line, and blank lines are ignored.  Rationals go through
 ``numerals``.  Serialisation is canonical: fixed key order, levels ascending,
 situations sorted, so a parse/serialise round trip of our own output is byte identical.
-A process in dump_process's own layout is read in one pass, any other line by line;
-the writer itself decides which.
+A process in dump_process's own layout is read in one pass straight into the
+integer levels a Process keeps, any other line by line; the writer itself decides
+which.  The writer makes one text per distinct value of a level.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import chain, repeat
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
 from .growth import GrowthFunction
-from .martingale import Process, _integer_levels
+from .martingale import Process
 from .numerals import format_rational, parse_rational
 from .randtest import RandomnessTest
 from .tree import ROOT_LABEL, format_situation, parse_situation, situations_up_to
@@ -159,20 +160,11 @@ def parse_process(text: str) -> Process:
     dumped = _dumped(text)
     if dumped is None:
         return _process_by_lines(text)
-    depth, literals, made = dumped
-    return Process._in_heap_order(depth, dict(zip(situations_up_to(depth), map(made.__getitem__, literals))))
-
-
-def parse_process_levels(text: str) -> tuple[list[list[int]], list[list[int]]]:
-    """_integer_levels(parse_process(text)), with no Process built for a text in dump_process's layout."""
-    dumped = _dumped(text)
-    if dumped is None:
-        return _integer_levels(_process_by_lines(text))
-    depth, literals, made = dumped
+    depth, literals, made = dumped  # straight into the Process's integer levels
     nums = {literal: v.numerator for literal, v in made.items()}
     dens = {literal: v.denominator for literal, v in made.items()}
     levels = [literals[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)]  # level w, in heap order
-    return tuple([[*map(table.__getitem__, level)] for level in levels] for table in (nums, dens))
+    return Process._from_levels(*([[*map(table.__getitem__, level)] for level in levels] for table in (nums, dens)))
 
 
 def _process_by_lines(text: str) -> Process:
@@ -206,14 +198,17 @@ def _process_by_lines(text: str) -> Process:
 
 
 def dump_process(process: Process) -> str:
-    return _process_text(process.depth, map(format_rational, process.values.values()))
+    return _process_text(process.depth, chain.from_iterable(map(_level_texts, process.nums, process.dens)))
 
 
-def _dump_levels(levels: list[list[int]], dens: list[int]) -> str:
-    """dump_process's text for levels[w][j] / dens[w] at bits(j, w), one text per distinct numerator."""
-    return _process_text(len(levels) - 1, chain.from_iterable(
-        map({v: format_rational(Fraction(v, d)) for v in set(level)}.__getitem__, level)
-        for level, d in zip(levels, dens)))
+def _level_texts(nums: list[int], dens: list[int]):
+    """The texts of a level's values, one made per distinct value: keyed by the numerator when the
+    level shares one denominator (as the assembled sums' levels do), else by the pair."""
+    if dens.count(dens[0]) == len(dens):
+        made = {n: format_rational(Fraction(n, dens[0])) for n in set(nums)}
+        return map(made.__getitem__, nums)
+    made = {pair: format_rational(Fraction(*pair)) for pair in set(zip(nums, dens))}
+    return map(made.__getitem__, zip(nums, dens))
 
 
 def _process_text(depth: int, texts) -> str:

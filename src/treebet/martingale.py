@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from operator import eq
-from typing import Callable, Literal
+from numbers import Rational
+from types import MappingProxyType
+from typing import Callable, Literal, Mapping
 
 from .errors import ContractError, DomainError
 from .expectation import _endpoints, cut_upper_prob
@@ -31,15 +32,18 @@ KellyDirection = Literal["on-one", "on-zero"]
 class Process:
     """A total rational-valued map on the tree truncated at ``depth``.
 
-    ``values`` keeps the situations in heap order, the order ``situations_up_to``
-    yields (a mapping in another order is rebuilt): the supermartingale, Ville
-    and bound checks, the first-passage levels, ``dump_process`` and the CLI's
-    diagnosis read it in place and rely on that order.
+    The values are kept as integers, level by level: the value at bits(j, w)
+    is ``nums[w][j] / dens[w][j]``, with every denominator positive but not
+    necessarily in lowest terms.  The supermartingale, test and first-passage
+    checks and ``dump_process`` read these lists; processes share them
+    (``with_root``, negation), so they are never changed in place.
+    ``values`` maps each situation to its Fraction in heap order, the order
+    ``situations_up_to`` yields; it is read-only and built on first use.
     """
 
-    __slots__ = ("depth", "values")
+    __slots__ = ("depth", "nums", "dens", "_values")
 
-    def __init__(self, depth: int, values: dict[str, Fraction]):
+    def __init__(self, depth: int, values: Mapping[str, Fraction]):
         if depth < 0:
             raise DomainError("process depth must be non-negative")
         if depth > max(64, len(values).bit_length()):  # no count can match; 2**depth may not fit
@@ -48,24 +52,39 @@ class Process:
         expected = (2 << depth) - 1
         if len(values) != expected:
             raise DomainError(f"depth-{depth} process needs {expected} values, got {len(values)}")
-        if not all(map(eq, situations_up_to(depth), values)):
-            try:
-                values = {s: values[s] for s in situations_up_to(depth)}
-            except KeyError as exc:
-                raise DomainError(f"process missing value at {exc.args[0] or '@'!r}") from None
-        self.depth = depth
-        self.values = values
+        names = [*situations_up_to(depth)]
+        try:
+            heap = [values[s] for s in names]
+        except KeyError as exc:
+            raise DomainError(f"process missing value at {exc.args[0] or '@'!r}") from None
+        for s, v in zip(names, heap):
+            if not isinstance(v, Rational):  # a float would reach the checks and the writer
+                raise DomainError(f"process value at {s or '@'!r} is not rational: {v!r}")
+        self.depth, self._values = depth, None
+        self.nums, self.dens = ([row[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)]
+                                for row in ([v.numerator for v in heap], [v.denominator for v in heap]))
 
     @classmethod
-    def _in_heap_order(cls, depth: int, values: dict[str, Fraction]) -> "Process":
-        """A process whose keys are situations_up_to(depth)'s own, unchecked."""
+    def _from_levels(cls, nums: list[list[int]], dens: list[list[int]]) -> "Process":
+        """The process with these levels, unchecked: one list per level w, 2**w long, positive dens."""
         process = cls.__new__(cls)
-        process.depth, process.values = depth, values
+        process.depth, process.nums, process.dens, process._values = len(nums) - 1, nums, dens, None
         return process
 
     @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "Process":
         return cls(depth, {s: Fraction(fn(s)) for s in situations_up_to(depth)})
+
+    @property
+    def values(self) -> Mapping[str, Fraction]:
+        """Each situation's value in heap order, one Fraction per distinct value of a level."""
+        if self._values is None:
+            heap: list[Fraction] = []
+            for ns, ds in zip(self.nums, self.dens):
+                made = {pair: Fraction(*pair) for pair in set(zip(ns, ds))}
+                heap += map(made.__getitem__, zip(ns, ds))
+            self._values = MappingProxyType(dict(zip(situations_up_to(self.depth), heap)))
+        return self._values
 
     def at(self, s: str) -> Fraction:
         require_situation(s)
@@ -75,32 +94,36 @@ class Process:
 
     @property
     def root(self) -> Fraction:
-        return self.values[ROOT]
+        return Fraction(self.nums[0][0], self.dens[0][0])
+
+    def with_root(self, value: Fraction) -> "Process":
+        """The same process with ``value`` at the root."""
+        if not isinstance(value, Rational):
+            raise DomainError(f"process value at '@' is not rational: {value!r}")
+        return Process._from_levels([[value.numerator], *self.nums[1:]], [[value.denominator], *self.dens[1:]])
 
     def delta(self, s: str) -> LocalGamble:
         """The one-step difference gamble at an interior situation."""
         if len(s) >= self.depth:
             raise DomainError(f"no children below {s!r} at depth {self.depth}")
-        here = self.values[s]
-        return LocalGamble(on1=self.values[s + "1"] - here, on0=self.values[s + "0"] - here)
+        values = self.values
+        here = values[s]
+        return LocalGamble(on1=values[s + "1"] - here, on0=values[s + "0"] - here)
 
     def max_value(self) -> Fraction:
         return max(self.values.values())
 
     def __neg__(self) -> "Process":
-        return Process(self.depth, {s: -v for s, v in self.values.items()})
+        return Process._from_levels([[-n for n in ns] for ns in self.nums], self.dens)
 
 
-def _integer_levels(process: Process) -> tuple[list[list[int]], list[list[int]]]:
-    """The values' numerators and denominators, level w at index w, each in heap order."""
-    values = process.values.values()
-    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
-    return tuple([heap[(1 << w) - 1:(2 << w) - 1] for w in range(process.depth + 1)] for heap in (nums, dens))
+def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
+    """Every interior situation where the one-step gain has positive upper expectation, in heap order.
 
-
-def _violations(fs: ForecastingSystem, nums: list[list[int]], dens: list[list[int]]) -> list[str]:
-    """check_supermartingale on the value nums[w][j] / dens[w][j] at bits(j, w)."""
-    scale, rows = _endpoints(fs, ROOT, len(nums) - 1)
+    An empty list certifies the supermartingale property on the truncated tree.
+    """
+    nums, dens = process.nums, process.dens
+    scale, rows = _endpoints(fs, ROOT, process.depth)
 
     def fails(n, d, n0, d0, n1, d1, ends) -> bool:
         # with L the scale, the gain's upper expectation is positive iff L*f0 + P*(f1 - f0) > L*v,
@@ -118,26 +141,18 @@ def _violations(fs: ForecastingSystem, nums: list[list[int]], dens: list[list[in
     return violations
 
 
-def _test_failures(fs: ForecastingSystem, nums, dens) -> list[str]:
-    """Where the test-supermartingale check fails on _integer_levels: the root unless it is 1,
-    else every negative value in heap order (shortest, then leftmost), else every violation."""
-    if nums[0] != [1] or dens[0] != [1]:
+def _test_failures(fs: ForecastingSystem, process: Process) -> list[str]:
+    """Where the test-supermartingale check fails: the root unless it is 1, else every
+    negative value in heap order (shortest, then leftmost), else every violation."""
+    if process.nums[0] != process.dens[0]:  # the root's denominator need not be 1
         return [ROOT]
-    negative = [bits(j, w) for w, ps in enumerate(nums) if min(ps) < 0 for j, p in enumerate(ps) if p < 0]
-    return negative or _violations(fs, nums, dens)
-
-
-def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
-    """Every interior situation where the one-step gain has positive upper expectation.
-
-    An empty list certifies the supermartingale property on the truncated tree.
-    """
-    return _violations(fs, *_integer_levels(process))
+    negative = [bits(j, w) for w, ps in enumerate(process.nums) if min(ps) < 0 for j, p in enumerate(ps) if p < 0]
+    return negative or check_supermartingale(fs, process)
 
 
 def check_test_supermartingale(fs: ForecastingSystem, process: Process) -> bool:
     """Root value 1, non-negative everywhere, and no supermartingale violations."""
-    return not _test_failures(fs, *_integer_levels(process))
+    return not _test_failures(fs, process)
 
 
 def capital_along(process: Process, w: str) -> list[Fraction]:

@@ -21,10 +21,10 @@ from operator import gt
 from typing import Sequence
 
 from .errors import ContractError, DomainError
-from .expectation import _checked_cut_upper_prob, _fold_sum, _heap_values, _pairs, cut_upper_prob
+from .expectation import _checked_cut_upper_prob, _fold_sum, _pairs, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
-from .martingale import Process, _integer_levels, _test_failures, _violations
+from .martingale import Process, _test_failures
 from .numerals import format_rational
 from .tree import ROOT, bits, minimal_antichain, require_antichain
 
@@ -134,12 +134,12 @@ def _require_stored(test: RandomnessTest, n_max: int) -> None:
         raise DomainError(f"levels 0..{n_max} not all stored")
 
 
-def _first_passages(nums, dens, crossed) -> tuple[frozenset[str], ...]:
+def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
     """Level n: each situation whose count exceeds n while no strict prefix's does,
-    crossed(w, ps, qs) giving the counts of the values p/q of level w of _integer_levels."""
+    crossed(w, ps, qs) giving the counts of the values p/q of the process's level w."""
     levels: list[list[str]] = []
     reached = [0]
-    for w, (ps, qs) in enumerate(zip(nums, dens)):
+    for w, (ps, qs) in enumerate(zip(process.nums, process.dens)):
         here = crossed(w, ps, qs)
         for j in [*compress(count(), map(gt, here, reached))]:  # the nodes that cross a new level
             levels.extend([] for _ in range(len(levels), here[j]))
@@ -152,22 +152,21 @@ def _first_passages(nums, dens, crossed) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(level) for level in levels)
 
 
-def _threshold_test(nums, dens) -> RandomnessTest:
-    """martingale_to_test on _integer_levels, without its test-supermartingale check."""
+def _threshold_test(process: Process) -> RandomnessTest:
+    """martingale_to_test's test, without its test-supermartingale check."""
     # 2**n < p/q iff 2**n <= (p - 1) // q: the levels crossed are that quotient's bits
-    levels = _first_passages(nums, dens, lambda w, ps, qs: [
+    levels = _first_passages(process, lambda w, ps, qs: [
         ((p - 1) // q).bit_length() if p > q else 0 for p, q in zip(ps, qs)])
-    return RandomnessTest._from_antichains(levels, max_depth=len(nums) - 1)
+    return RandomnessTest._from_antichains(levels, max_depth=process.depth)
 
 
-def threshold_test_or_failure(nums: list[list[int]], dens: list[list[int]],
-                              fs: ForecastingSystem) -> tuple[RandomnessTest | None, str | None]:
-    """(martingale_to_test's test, None) on a process's _integer_levels, or (None, why the process is not
-    a test supermartingale): its root unless that is 1, else the first negative value, else the first violation."""
-    if nums[0] != [1] or dens[0] != [1]:
-        return None, f"root is {format_rational(Fraction(nums[0][0], dens[0][0]))}, not 1"
-    failures = _test_failures(fs, nums, dens)
-    return (None, f"check fails at {failures[0] or '@'}") if failures else (_threshold_test(nums, dens), None)
+def _require_test_supermartingale(fs: ForecastingSystem, process: Process) -> None:
+    """A ContractError unless the process is a test supermartingale, its reason naming the root
+    unless that is 1, else the first negative value, else the first violation."""
+    if failures := _test_failures(fs, process):
+        root = process.root
+        reason = f"check fails at {failures[0] or '@'}" if root == 1 else f"root is {format_rational(root)}, not 1"
+        raise ContractError("input is not a test supermartingale for the given system", reason)
 
 
 def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTest:
@@ -176,10 +175,8 @@ def martingale_to_test(process: Process, fs: ForecastingSystem) -> RandomnessTes
     The budgets hold automatically: reaching 2**n from capital 1 has upper
     probability at most 2**-n.
     """
-    test, _ = threshold_test_or_failure(*_integer_levels(process), fs)
-    if test is None:
-        raise ContractError("input is not a test supermartingale for the given system")
-    return test
+    _require_test_supermartingale(fs, process)
+    return _threshold_test(process)
 
 
 def supermartingale_from_test(
@@ -200,16 +197,16 @@ def supermartingale_from_test(
     return value / 2, remainder
 
 
-def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool) -> Process:
+def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool, on_root=None) -> Process:
     """Half the weighted sum of the cuts' upper-probability maps, as a Process."""
     if depth < 0:
         raise DomainError("process depth must be non-negative")
-    values = _heap_values(*_fold_sum(fs, weighted_cuts, depth, divisor=2))
+    process = Process._from_levels(*_fold_sum(fs, weighted_cuts, depth, divisor=2, on_root=on_root))
     if normalize_root:
-        if values[ROOT] > 1:
+        if process.root > 1:
             raise ContractError("assembled root exceeds 1; refusing to normalise")
-        values[ROOT] = Fraction(1)
-    return Process._in_heap_order(depth, values)
+        process = process.with_root(1)
+    return process
 
 
 def assemble_test_supermartingale(
@@ -227,28 +224,14 @@ def assemble_test_supermartingale(
     assembled root never exceeds 1 when the budgets hold.
     """
     _require_stored(test, n_max)
-    _require_budgets(fs, test, n_max)
+    if cutoff is None and depth is None:  # whole levels: each budget is checked on its own fold's root
+        return _summed_process(fs, ((1, cut) for cut in test.levels[: n_max + 1]), test.max_depth,
+                               normalize_root, on_root=_require_budget)
+    _require_budgets(fs, test, n_max)  # on the whole levels, before the cutoff and depth are used
     cutoff = test.max_depth + 1 if cutoff is None else cutoff
     depth = test.max_depth if depth is None else depth
     cuts = ((1, test.level_below(n, cutoff)) for n in range(n_max + 1))
     return _summed_process(fs, cuts, depth, normalize_root)
-
-
-def assembled_process_text(
-    fs: ForecastingSystem, test: RandomnessTest, n_max: int
-) -> tuple[Fraction, list[str], str]:
-    """assemble_test_supermartingale(fs, test, n_max) as (its root before the root is
-    replaced by 1, check_supermartingale's violations, dump_process's text), with each
-    level's budget checked against that level's own fold as soon as it is folded."""
-    from .formats import _dump_levels  # formats imports this module
-    _require_stored(test, n_max)
-    levels, dens = _fold_sum(fs, ((1, cut) for cut in test.levels[: n_max + 1]), test.max_depth,
-                             divisor=2, on_root=_require_budget)
-    root = Fraction(levels[0][0], dens[0])
-    levels[0] = dens[:1]  # the root, half the level probabilities, is below 1 once the budgets pass
-    # _violations takes a denominator per value: a process's level need not share one
-    violations = _violations(fs, levels, [[d] * len(level) for d, level in zip(dens, levels)])
-    return root, violations, _dump_levels(levels, dens)
 
 
 def schnorr_test_from_martingale(
@@ -263,17 +246,10 @@ def schnorr_test_from_martingale(
     past the stored members it continues affinely above the test depth,
     where it holds vacuously.
     """
-    return schnorr_test_from_levels(*_integer_levels(process), rho, fs, horizon)
-
-
-def schnorr_test_from_levels(nums: list[list[int]], dens: list[list[int]], rho: GrowthFunction,
-                             fs: ForecastingSystem, horizon: int = DEFAULT_HORIZON) -> RandomnessTest:
-    """schnorr_test_from_martingale on a process's _integer_levels."""
-    if _test_failures(fs, nums, dens):
-        raise ContractError("input is not a test supermartingale for the given system")
-    thresholds = [rho(n) for n in range(len(nums))]
+    _require_test_supermartingale(fs, process)
+    thresholds = [rho(n) for n in range(process.depth + 1)]
     # rho(w) >= 2**n for the first rho(w).bit_length() levels n
-    levels = _first_passages(nums, dens, lambda w, ps, qs: [
+    levels = _first_passages(process, lambda w, ps, qs: [
         t.bit_length() if p >= t * q else 0 for t in thresholds[w:w + 1] for p, q in zip(ps, qs)])
     deepest = max((len(t) for cut in levels for t in cut), default=-1)
     prefix = []
@@ -286,7 +262,7 @@ def schnorr_test_from_levels(nums: list[list[int]], dens: list[list[int]], rho: 
         k += 1
     slack = max(0, prefix[-1] - len(prefix))
     tail = GrowthFunction(tuple(prefix), 1, slack, 1)
-    return RandomnessTest._from_antichains(levels, max_depth=len(nums) - 1, tail=tail)
+    return RandomnessTest._from_antichains(levels, max_depth=process.depth, tail=tail)
 
 
 def sigma_from_tailbound(tail: GrowthFunction) -> GrowthFunction:

@@ -185,7 +185,15 @@ def fold_sum_by_leaves(fs: ForecastingSystem, weighted_cuts, depth: int, divisor
                 total[h] = [v + weight * u for v, u in zip(total[h], level)]
         if on_root:
             on_root(i, Fraction(level[0], scale ** depth))
-    return total[::-1], [divisor * scale ** h for h in range(depth, -1, -1)]
+    return total[::-1], [[divisor * scale ** h] * (1 << (depth - h)) for h in range(depth, -1, -1)]
+
+
+def integer_levels(process: Process) -> tuple[list[list[int]], list[list[int]]]:
+    """Process.nums and Process.dens as a process read from text keeps them: its values'
+    numerators and denominators in lowest terms, level w at index w, each in heap order."""
+    values = process.values.values()
+    nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+    return tuple([heap[(1 << w) - 1:(2 << w) - 1] for w in range(process.depth + 1)] for heap in (nums, dens))
 
 
 def check_supermartingale_by_delta(fs: ForecastingSystem, process: Process) -> list[str]:
@@ -416,7 +424,7 @@ def convert_to_martingale_by_process(fs: ForecastingSystem, test: RandomnessTest
     except ContractError as exc:
         return 3, "", f"treebet: {exc}\n", None
     value = process.root
-    process.values[""] = Fraction(1)
+    process = Process(process.depth, {**process.values, "": Fraction(1)})
     violations = check_supermartingale_by_nodes(fs, process)
     lines = [f"root {format_rational(value)} normalized 1",
              f"remainder bound {format_rational(Fraction(1, 1 << n_max))}"]

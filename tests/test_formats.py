@@ -20,18 +20,16 @@ from treebet.formats import (
     parse_forecasting_system,
     parse_growth,
     parse_process,
-    parse_process_levels,
     parse_rational,
     parse_sequence,
     parse_test,
 )
-from treebet.martingale import _integer_levels
 from treebet.numerals import format_rational
 
 from gen import (
     DUMP_MUTATIONS, mutated_dump, ones_test, rand_fraction, rand_proc_text, rand_supermartingale, rand_system,
 )
-from oracles import dumped_by_tokens, parse_process_by_lines
+from oracles import dumped_by_tokens, integer_levels, parse_process_by_lines
 
 
 def test_parse_rational():
@@ -171,6 +169,11 @@ def _outcome(parse, text):
     return process.depth, list(process.values.items())
 
 
+def _read_levels(text):
+    process = parse_process(text)
+    return process.nums, process.dens
+
+
 def _levels_outcome(read, text):
     try:
         return read(text)
@@ -189,9 +192,9 @@ def test_parse_process_matches_line_by_line_reference(seed):
     assert parsed is None or (parsed[0], [parsed[2][t] for t in parsed[1]]) == (
         expected[0], [v for _, v in expected[1]])
     assert (parsed is not None) == dumped_by_tokens(text)
-    # so does the integer reader
-    levels = _levels_outcome(lambda t: _integer_levels(parse_process_by_lines(t)), text)
-    assert _levels_outcome(parse_process_levels, text) == levels
+    # and its integer levels are the line-by-line values' numerators and denominators
+    levels = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
+    assert _levels_outcome(_read_levels, text) == levels
 
 
 @pytest.mark.parametrize(
@@ -239,9 +242,9 @@ def test_writer_layout_check_and_integer_reader_match_references(seed, kind):
     assert (_dumped(text) is not None) == dumped_by_tokens(text)
     if kind == "none":
         assert _dumped(text) is not None
-    expected = _levels_outcome(lambda t: _integer_levels(parse_process_by_lines(t)), text)
-    assert _levels_outcome(parse_process_levels, text) == expected
-    assert _levels_outcome(lambda t: _integer_levels(parse_process(t)), text) == expected
+    expected = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
+    assert _levels_outcome(_read_levels, text) == expected
+    assert _levels_outcome(lambda t: integer_levels(parse_process(t)), text) == expected
 
 
 def test_growth_spec_round_trip():

@@ -47,7 +47,6 @@ from treebet import expectation, randtest
 from treebet.cli import main
 from treebet.errors import ContractError, DomainError, TreebetError
 from treebet.formats import dump_forecasting_system, dump_growth, dump_process, dump_test
-from treebet.martingale import _integer_levels
 from treebet.randtest import _threshold_test
 from treebet.tree import bits, situations_up_to
 
@@ -139,7 +138,7 @@ def nudged(rng: random.Random, process: Process) -> Process:
 
 
 def _threshold_levels(process):
-    return _threshold_test(*_integer_levels(process)).levels
+    return _threshold_test(process).levels
 
 
 def _cli(tmp: Path, argv: list[str]):
@@ -461,6 +460,49 @@ def test_assembly_with_explicit_cutoff_or_depth_keeps_its_errors(n_max, cutoff, 
     with pytest.raises(error) as info:
         assemble_test_supermartingale(FAIR, test, n_max, cutoff=cutoff, depth=depth)
     assert str(info.value) == message
+
+
+# cylinder upper probabilities fall by at least 5/8 a step, so rand_valid_test can place its levels
+DECAYING_POOL = [Fraction(3, 8), Fraction(2, 5), Fraction(1, 2), Fraction(5, 8)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.sampled_from(KINDS), st.integers(min_value=6, max_value=8))
+def test_assembled_processes_are_test_supermartingales_that_convert_back(seed, kind, depth):
+    # the assembled levels are over unreduced shared denominators, the root over 1 once normalised
+    rng = random.Random(seed)
+    fs = rand_system(rng, depth=depth, kind=kind, pool=DECAYING_POOL, precise=rng.random() < 0.3)
+    test, _ = rand_valid_test(rng, fs, rng.randint(1, 4), depth)
+    process = assemble_test_supermartingale(fs, test, rng.randrange(test.num_levels))
+    assert check_test_supermartingale(fs, process)
+    assert martingale_to_test(process, fs).levels == threshold_levels_by_nodes(process)
+
+
+def test_an_unreduced_root_of_1_is_a_root_of_1():
+    # 4/4 at the root, 2/4 and 6/4 below: the fair system's martingale 1, 1/2, 3/2
+    process = Process._from_levels([[4], [2, 6]], [[4], [4, 4]])
+    assert process.root == 1 and process.values == {"": 1, "0": Fraction(1, 2), "1": Fraction(3, 2)}
+    assert check_test_supermartingale(FAIR, process)
+    assert martingale_to_test(process, FAIR).levels == (frozenset({"1"}),)
+    assert not check_test_supermartingale(FAIR, Process._from_levels([[4], [2, 6]], [[2], [4, 4]]))
+
+
+@pytest.mark.parametrize(
+    "values, reason",
+    [
+        ({"": 2, "0": 2, "1": 2}, "root is 2, not 1"),
+        ({"": 1, "0": 3, "1": -1}, "check fails at 1"),
+        ({"": 1, "0": 2, "1": 2}, "check fails at @"),
+    ],
+)
+def test_conversions_say_why_a_process_is_not_a_test_supermartingale(values, reason):
+    process = Process(1, values)
+    for convert in (lambda: martingale_to_test(process, FAIR),
+                    lambda: schnorr_test_from_martingale(process, GrowthFunction((), 1, 0, 1), FAIR)):
+        with pytest.raises(ContractError) as info:
+            convert()
+        assert str(info.value) == "input is not a test supermartingale for the given system"
+        assert info.value.reason == reason
 
 
 @settings(max_examples=150, deadline=None)

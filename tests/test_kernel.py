@@ -28,7 +28,7 @@ from treebet import (
     martingale_to_test,
     schnorr_test_from_martingale,
 )
-from treebet.expectation import _checked_cut_upper_prob, _fold_sum, _heap_values, _sparse_cut_value
+from treebet.expectation import _checked_cut_upper_prob, _fold_sum, _sparse_cut_value
 from treebet.local import upper_expectation
 from treebet.tree import bits, situations_up_to
 
@@ -257,7 +257,7 @@ def test_assembled_sum_with_all_values_distinct(lower):
     fs = Table(IntervalForecast(Fraction(1, 2), Fraction(1, 2)), overrides)
     leaf_cuts = [(weight, frozenset({bits(j, depth)})) for j, weight in enumerate(weights)]
     levels, dens = _fold_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)
-    values = _heap_values(levels, dens)
+    values = Process._from_levels(levels, dens).values
     maps = [cut_value_map_by_nodes(fs, cut, depth, lower) for _, cut in leaf_cuts]
     expected = [
         (s, sum(weight * m[s] for (weight, _), m in zip(leaf_cuts, maps)) / 2)

@@ -1,6 +1,7 @@
 """Supermartingale verification, Ville cuts, rationalization, strategies."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from treebet import (
     cumulative_bound,
     kelly_gamble,
     kelly_process,
+    martingale_to_test,
     rationalize,
     upper_expectation,
     ville_threshold,
@@ -66,6 +68,46 @@ def test_process_count_message(depth, count, need):
 def test_process_missing_value_named_in_heap_order():
     with pytest.raises(DomainError, match="process missing value at '0'"):
         Process(1, {"1": Fraction(1), "": Fraction(1), "00": Fraction(1)})
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2", None])
+def test_values_that_are_not_rational_are_refused(value):
+    # a float used to be kept, then written as '0.5', which the reader refuses
+    with pytest.raises(DomainError) as info:
+        Process(1, {"": Fraction(1), "0": value, "1": Fraction(3, 2)})
+    assert str(info.value) == f"process value at '0' is not rational: {value!r}"
+    with pytest.raises(DomainError):
+        DOUBLER.with_root(1.0)
+
+
+def test_from_function_converts_floats_exactly():
+    # so the writer and the checks take what it builds
+    process = Process.from_function(1, {"": 1, "0": 0.5, "1": 1.5}.__getitem__)
+    assert process.values == {"": 1, "0": Fraction(1, 2), "1": Fraction(3, 2)}
+    assert dump_process(process) == "depth: 1\n@ 1\n0 1/2\n1 3/2\n"
+    assert check_supermartingale(FAIR, process) == []
+    assert check_test_supermartingale(FAIR, process)
+    assert martingale_to_test(process, FAIR).levels == (frozenset({"1"}),)
+
+
+def test_values_are_read_only():
+    process = kelly_process(FAIR, 1, "on-one", 2)
+    with pytest.raises(TypeError):
+        process.values[""] = Fraction(2)
+    with pytest.raises(AttributeError):
+        process.values = {}
+    assert process.root == 1 and process.values[""] == 1
+    assert process.with_root(2).values == {**process.values, "": 2}
+    assert process.values[""] == 1
+
+
+def test_process_levels_hold_integers_in_heap_order():
+    # read off each value's Fraction, so in lowest terms
+    process = Process(2, {s: Fraction(int(s or "0", 2) + len(s), 3) for s in situations_up_to(2)})
+    assert process.nums == [[0], [1, 2], [2, 1, 4, 5]]
+    assert process.dens == [[1], [3, 3], [3, 1, 3, 3]]
+    assert (-process).nums == [[0], [-1, -2], [-2, -1, -4, -5]] and (-process).dens == process.dens
+    assert (-process).values == {s: -v for s, v in process.values.items()}
 
 
 def test_doubler_is_test_supermartingale():
