@@ -6,43 +6,37 @@ the end of the line, and blank lines are ignored.  Rationals go through
 situations sorted, so a parse/serialise round trip of our own output is byte identical.
 A process in dump_process's own layout is read in one pass straight into the
 integer levels a Process keeps, any other line by line; the writer itself decides
-which.  The writer makes one text per distinct value of a level.
+which.  The writer makes one text per distinct value of a level and fills one
+'<name> %s' line template per depth with them, building no name per situation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
 from .growth import GrowthFunction
 from .martingale import Process
-from .numerals import format_rational, parse_rational
+from .numerals import format_rational, parse_integer, parse_rational
 from .randtest import RandomnessTest
-from .tree import ROOT_LABEL, format_situation, parse_situation, situations_up_to
+from .tree import ROOT_LABEL, format_situation, parse_situation
 
 MAX_LEVELS = 4096  # the most levels a .test file may declare
 MAX_BITS = 10**7  # the most bits sample may draw: one byte each, then the text; about 36 MB peak RSS
 
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def _meaningful(text: str) -> list[tuple[int, str]]:
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if line:
-            out.append((number, line))
-    return out
+    """(line number, text) of each line not blank once its comment is cut."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(number, line) for number, line in enumerate(stripped, start=1) if line]
 
 
 def _int(text: str, what: str, number: int) -> int:
     try:
-        return int(text)
-    except ValueError:
+        return parse_integer(text)
+    except ParseError:
         raise ParseError(f"bad {what} {text!r}", number) from None
 
 
@@ -81,44 +75,35 @@ def parse_forecasting_system(text: str) -> ForecastingSystem:
         raise ParseError("stationary config missing 'interval:'")
 
     if kind == "table":
-        default = None
-        overrides = {}
-        for number, line in lines[1:]:
-            if line.startswith("node "):
-                parts = line.split()
-                if len(parts) != 4:
-                    raise ParseError(f"expected 'node <situation> <lo> <hi>', got {line!r}", number)
-                s = parse_situation(parts[1])
-                overrides[s] = _parse_interval(f"{parts[2]} {parts[3]}", number)
-            else:
-                key, value = _key_value(line, number)
-                if key != "default":
-                    raise ParseError(f"unexpected key {key!r} in table config", number)
-                default = _parse_interval(value, number)
-        if default is None:
-            raise ParseError("table config missing 'default:'")
+        default, overrides = _keyed_rows(lines, kind, "node <situation>", "default", _parse_interval)
         return Table(default, overrides)
 
     if kind == "markov":
-        order = None
-        rows = {}
-        for number, line in lines[1:]:
-            if line.startswith("row "):
-                parts = line.split()
-                if len(parts) != 4:
-                    raise ParseError(f"expected 'row <context> <lo> <hi>', got {line!r}", number)
-                ctx = parse_situation(parts[1])
-                rows[ctx] = _parse_interval(f"{parts[2]} {parts[3]}", number)
-            else:
-                key, value = _key_value(line, number)
-                if key != "order":
-                    raise ParseError(f"unexpected key {key!r} in markov config", number)
-                order = _int(value, "order", number)
-        if order is None:
-            raise ParseError("markov config missing 'order:'")
+        order, rows = _keyed_rows(lines, kind, "row <context>", "order", lambda v, n: _int(v, "order", n))
         return Markov(order, rows)
 
     raise ParseError(f"unknown kind {kind!r}", number)
+
+
+def _keyed_rows(lines, kind: str, row: str, wanted: str, read):
+    """A table or markov config's one other key, read by read(value, number), and its rows, read in line order."""
+    word = row.split()[0]
+    found, rows = None, {}
+    for number, line in lines[1:]:
+        if line.startswith(word + " "):
+            parts = line.split()
+            if len(parts) != 4:
+                raise ParseError(f"expected '{row} <lo> <hi>', got {line!r}", number)
+            s = parse_situation(parts[1])
+            rows[s] = _parse_interval(f"{parts[2]} {parts[3]}", number)
+        else:
+            key, value = _key_value(line, number)
+            if key != wanted:
+                raise ParseError(f"unexpected key {key!r} in {kind} config", number)
+            found = read(value, number)
+    if found is None:
+        raise ParseError(f"{kind} config missing '{wanted}:'")
+    return found, rows
 
 
 def _interval_text(i: IntervalForecast) -> str:
@@ -129,16 +114,16 @@ def dump_forecasting_system(fs: ForecastingSystem) -> str:
     if isinstance(fs, Stationary):
         return f"kind: stationary\ninterval: {_interval_text(fs.interval)}\n"
     if isinstance(fs, Table):
-        lines = ["kind: table", f"default: {_interval_text(fs.default)}"]
-        for s in sorted(fs.overrides, key=lambda t: (len(t), t)):
-            lines.append(f"node {format_situation(s)} {_interval_text(fs.overrides[s])}")
-        return "\n".join(lines) + "\n"
+        return _keyed_text(["kind: table", f"default: {_interval_text(fs.default)}"], "node", fs.overrides)
     if isinstance(fs, Markov):
-        lines = ["kind: markov", f"order: {fs.order}"]
-        for ctx in sorted(fs.rows, key=lambda t: (len(t), t)):
-            lines.append(f"row {format_situation(ctx)} {_interval_text(fs.rows[ctx])}")
-        return "\n".join(lines) + "\n"
+        return _keyed_text(["kind: markov", f"order: {fs.order}"], "row", fs.rows)
     raise TypeError(f"not a forecasting system: {fs!r}")
+
+
+def _keyed_text(head: list[str], word: str, rows) -> str:
+    for s in sorted(rows, key=lambda t: (len(t), t)):
+        head.append(f"{word} {format_situation(s)} {_interval_text(rows[s])}")
+    return "\n".join(head) + "\n"
 
 
 def _dumped(text: str) -> tuple[int, list[str], dict[str, Fraction]] | None:
@@ -212,9 +197,14 @@ def _level_texts(nums: list[int], dens: list[int]):
 
 
 def _process_text(depth: int, texts) -> str:
-    names = [*situations_up_to(depth)]
-    names[0] = ROOT_LABEL  # the root's name is empty
-    return f"depth: {depth}\n" + "".join(chain.from_iterable(zip(names, repeat(" "), texts, repeat("\n"))))
+    """The .proc text of the value texts in heap order: one '<name> %s' line template, filled once
+    (a value text is an argument, never a directive); a level's names are the level above's, prefixed."""
+    template = [f"depth: {depth}\n{ROOT_LABEL} %s\n"]
+    names = ""  # the root's name is empty
+    for _ in range(depth):
+        names = "0" + names.replace(" ", " 0") + " 1" + names.replace(" ", " 1")
+        template.append(names.replace(" ", " %s\n") + " %s\n")
+    return "".join(template) % tuple(texts)
 
 
 def parse_growth(text: str) -> GrowthFunction:
@@ -227,9 +217,9 @@ def parse_growth(text: str) -> GrowthFunction:
     if len(tail) != 4 or tail[0] != "affine":
         raise ParseError(f"growth tail must be 'affine a b c', got {parts[1]!r}")
     try:
-        prefix = tuple(int(v) for v in head[1:])
-        a, b, c = (int(v) for v in tail[1:])
-    except ValueError:
+        prefix = tuple(map(parse_integer, head[1:]))
+        a, b, c = map(parse_integer, tail[1:])
+    except ParseError:
         raise ParseError(f"growth spec values must be integers: {text!r}") from None
     return GrowthFunction(prefix, a, b, c)
 
@@ -259,6 +249,8 @@ def parse_test(text: str) -> RandomnessTest:
         key, value = _key_value(line, number)
         if key == "levels":
             num_levels = _int(value, "level count", number)
+            if num_levels < 0:
+                raise ParseError(f"negative level count {value!r}", number)
             if num_levels > MAX_LEVELS:  # every level is built, checked and reported
                 raise ResourceError(f"line {number}: test has {value} levels, over the limit of {MAX_LEVELS}")
         elif key == "depth":

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import ParseError
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # fullmatched: ASCII digits, no final newline
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,6 +29,16 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"numeral over {limit} digits in rational {text[:20]!r}...") from None
+
+
+def parse_integer(text: str) -> int:
+    """An integer field: ASCII digits with an optional sign, as parse_rational reads a numerator."""
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(f"not an integer: {text!r}")
+    try:  # int() refuses numerals past sys.get_int_max_str_digits()
+        return int(text)
+    except ValueError:
+        raise ParseError(f"numeral over {sys.get_int_max_str_digits()} digits in integer {text[:20]!r}...") from None
 
 
 # Exact integer arithmetic on decimal integers: str() of a Decimal is linear

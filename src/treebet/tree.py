@@ -78,13 +78,10 @@ def cut_status(s: str, cut: Iterable[str]) -> CutStatus:
 
 
 def is_antichain(members: Iterable[str]) -> bool:
-    by_length = sorted(members, key=len)
-    seen: set[str] = set()
-    for s in by_length:
-        if any(s[:k] in seen for k in range(len(s))):
-            return False
-        seen.add(s)
-    return True
+    """Whether no member is a strict prefix of another; repeats count once.  Sorted, a member
+    that is a prefix of another is a prefix of its successor too, so only neighbours are compared."""
+    ordered = sorted(set(members))
+    return not any(map(str.startswith, ordered[1:], ordered))
 
 
 def require_antichain(members: Iterable[str]) -> frozenset[str]:
@@ -95,12 +92,12 @@ def require_antichain(members: Iterable[str]) -> frozenset[str]:
 
 
 def minimal_antichain(members: Iterable[str]) -> frozenset[str]:
-    """Keep only the prefix-minimal situations; the cylinder union is unchanged."""
-    kept: set[str] = set()
-    for s in sorted(set(members), key=len):
-        require_situation(s)
-        if not any(s[:k] in kept for k in range(len(s) + 1)):
-            kept.add(s)
+    """Keep only the prefix-minimal situations; the cylinder union is unchanged.  Sorted, a member
+    with a prefix among the members starts with the last member kept before it."""
+    kept: list[str] = []
+    for s in sorted(set(map(require_situation, members))):
+        if not kept or not s.startswith(kept[-1]):
+            kept.append(s)
     return frozenset(kept)
 
 

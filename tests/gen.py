@@ -278,7 +278,7 @@ def rand_proc_text(rng: random.Random) -> str:
 
 
 DUMP_MUTATIONS = ["none", "comment line", "blank line", "trailing space", "tab", "crlf", "swapped lines",
-                  "root name", "depth mismatch", "no final newline", "long numeral"]
+                  "root name", "depth mismatch", "no final newline", "long numeral", "percent value"]
 
 
 def mutated_dump(rng: random.Random, text: str, kind: str) -> str:
@@ -305,5 +305,7 @@ def mutated_dump(rng: random.Random, text: str, kind: str) -> str:
         head = f"depth: {rng.choice([depth + 1, max(depth - 1, 0) if depth else 2])}"
     elif kind == "long numeral":
         lines[at] = f"{lines[at].split()[0]} {rng.choice(['', '-'])}{'7' * 4301}/{rng.choice(['1', '3'])}"
+    elif kind == "percent value":  # %-formatting directives, which a value column must keep as data
+        lines[at] = f"{lines[at].split()[0]} {rng.choice(['%s', '%%', '%(x)s', '%d'])}"
     out = "\n".join([head] + lines)
     return out if kind == "no final newline" else out + "\n"

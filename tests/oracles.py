@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, cycle, islice, product
+from itertools import chain, cycle, islice, product, repeat
 from typing import Callable
 
 from treebet import (
@@ -30,11 +30,13 @@ from treebet.numerals import format_rational
 from treebet.randtest import RandomnessTest
 from treebet.sampling import SELECTORS, _constants
 from treebet.tree import (
+    ROOT_LABEL,
     CutStatus,
     bits,
     cut_status,
     minimal_antichain,
     parse_situation,
+    require_situation,
     situations_up_to,
 )
 
@@ -283,6 +285,26 @@ def schnorr_levels_by_scans(process: Process, rho: GrowthFunction) -> tuple[froz
             return tuple(levels)
         levels.append(cut)
         n += 1
+
+
+def is_antichain_by_pairs(members) -> bool:
+    """Whether no member is a strict prefix of another, over every ordered pair of members."""
+    members = list(members)
+    return not any(s != t and t.startswith(s) for s in members for t in members)
+
+
+def minimal_antichain_by_pairs(members) -> frozenset[str]:
+    """The members that no other member is a strict prefix of; every member is checked first."""
+    members = [require_situation(s) for s in members]
+    return frozenset(s for s in members if not any(t != s and s.startswith(t) for t in members))
+
+
+def process_text_by_names(depth: int, texts) -> str:
+    """The .proc writer by situation names: each name, a space, its value text and a newline,
+    joined, after the 'depth: D' line; the root is written '@'."""
+    names = [*situations_up_to(depth)]
+    names[0] = ROOT_LABEL
+    return f"depth: {depth}\n" + "".join(chain.from_iterable(zip(names, repeat(" "), texts, repeat("\n"))))
 
 
 def dumped_by_tokens(text: str) -> bool:

@@ -175,6 +175,21 @@ def test_convert_schnorr_from_martingale(workdir, capsys):
     assert [sorted(cut) for cut in schnorr.levels] == [["1"], ["11"]]
 
 
+def test_convert_refuses_integer_fields_int_would_read(workdir, capsys):
+    # a negative level count, and a growth table with an Arabic-Indic digit and an underscore
+    (workdir / "neg.test").write_text("levels: -3\ndepth: 2\n")
+    code = main(["convert", "to-martingale", "--test", "neg.test", "--fs", "fair.fs", "--levels", "0",
+                 "--out", "w.proc"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "treebet: line 1: negative level count '-3'\n")
+    rho = "table \u0661 2_0 ; affine 1 0 1"
+    code = main(["convert", "schnorr-from-martingale", "--process", "doubler.proc",
+                 "--fs", "fair.fs", "--rho", rho, "--out", "s.test"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"treebet: growth spec values must be integers: {rho!r}\n")
+    assert not (workdir / "w.proc").exists() and not (workdir / "s.test").exists()
+
+
 def test_sample_degenerate_mass(workdir, capsys):
     assert main(["sample", "--fs", "point-one.fs", "--selector", "mid", "--n", "4"]) == 0
     assert capsys.readouterr().out == "1111\n"

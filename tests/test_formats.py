@@ -13,6 +13,7 @@ from treebet.errors import ConfigError, ParseError, ResourceError, TreebetError
 from treebet.formats import (
     MAX_LEVELS,
     _dumped,
+    _process_text,
     dump_forecasting_system,
     dump_growth,
     dump_process,
@@ -24,12 +25,13 @@ from treebet.formats import (
     parse_sequence,
     parse_test,
 )
-from treebet.numerals import format_rational
+from treebet.martingale import kelly_process
+from treebet.numerals import format_rational, parse_integer
 
 from gen import (
     DUMP_MUTATIONS, mutated_dump, ones_test, rand_fraction, rand_proc_text, rand_supermartingale, rand_system,
 )
-from oracles import dumped_by_tokens, integer_levels, parse_process_by_lines
+from oracles import dumped_by_tokens, integer_levels, parse_process_by_lines, process_text_by_names
 
 
 def test_parse_rational():
@@ -41,6 +43,19 @@ def test_parse_rational():
                 "1/3\n", "7\n", "\u0661/\u0663", "1/\u0663", "\uff17"):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+
+def test_parse_integer():
+    assert [parse_integer(t) for t in ("0", "-3", "+7", "007", "9" * 4300)] == [0, -3, 7, 7, 10**4300 - 1]
+    # underscores, non-ASCII digits (Arabic-Indic, superscript, fullwidth) and a final newline,
+    # all of which int() reads or strips
+    for bad in ("1_0", "\u0663", "\u00b2", "\uff17", "7\n", " 7", "", "+", "1/2", "1.0", "0x1"):
+        with pytest.raises(ParseError) as info:
+            parse_integer(bad)
+        assert str(info.value) == f"not an integer: {bad!r}"
+    with pytest.raises(ParseError) as info:
+        parse_integer("1" * 4301)
+    assert str(info.value) == f"numeral over 4300 digits in integer {'1' * 20!r}..."
 
 
 # integers from one digit to twice Python's 4,300-digit int-string limit
@@ -247,6 +262,40 @@ def test_writer_layout_check_and_integer_reader_match_references(seed, kind):
     assert _levels_outcome(lambda t: integer_levels(parse_process(t)), text) == expected
 
 
+def _texts(process):
+    return map(format_rational, process.values.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.sampled_from(["stationary", "table", "markov"]), st.integers(0, 2**32))
+def test_dump_process_matches_the_writer_by_names(depth, kind, seed):
+    rng = random.Random(seed)
+    process = rand_supermartingale(rng, rand_system(rng, depth=depth, kind=kind, non_degenerate=True), depth=depth)
+    assert dump_process(process) == process_text_by_names(depth, _texts(process))
+
+
+def test_dump_process_matches_the_writer_by_names_at_depth_16():
+    process = kelly_process(Stationary(interval("2/5", "3/5")), Fraction(1, 2), "on-one", 16)
+    assert dump_process(process) == process_text_by_names(16, _texts(process))
+
+
+def test_dump_process_matches_the_writer_by_names_past_the_digit_limit():
+    # numerals past 4,300 digits, on a level over one unreduced denominator and on one over pairs
+    big = 10**4400 + 1
+    process = Process._from_levels([[big], [2 * big, 3], [4, -big, 6 * big, 8]], [[3], [6, 6], [1, 7, big + 2, 9]])
+    texts = [*_texts(process)]
+    assert sum(len(t) > 4300 for t in texts) == 4
+    assert dump_process(process) == process_text_by_names(2, texts)
+
+
+@given(st.integers(0, 5).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.one_of(st.sampled_from(["%s", "%%", "%(x)s", "%d", "%", "1/2"]), st.text(max_size=4)),
+    min_size=(2 << d) - 1, max_size=(2 << d) - 1))))
+def test_process_text_keeps_value_texts_as_data(case):
+    depth, texts = case
+    assert _process_text(depth, texts) == process_text_by_names(depth, texts)
+
+
 def test_growth_spec_round_trip():
     g = parse_growth("table 1 2 4 ; affine 1 4 1")
     assert [g(n) for n in range(6)] == [1, 2, 4, 7, 8, 9]
@@ -292,6 +341,26 @@ def test_test_file_rejects_bad_levels():
     ids=["markov-order", "process-depth", "test-levels", "test-depth", "test-level-index"],
 )
 def test_bad_integer_messages(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_test, "levels: 1_0\ndepth: 2\n", "line 1: bad level count '1_0'"),
+        (parse_test, "levels: 1\ndepth: \u0663\n", f"line 2: bad depth {chr(0x663)!r}"),
+        (parse_process, "depth: \u0660\n@ 1\n", f"line 1: bad depth {chr(0x660)!r}"),
+        (parse_test, "# a test\nlevels: -3\ndepth: 2\n", "line 2: negative level count '-3'"),
+        (parse_growth, "table \u0661 2_0 ; affine 1 0 1",
+         f"growth spec values must be integers: {'table ' + chr(0x661) + ' 2_0 ; affine 1 0 1'!r}"),
+        (parse_growth, "table 1 ; affine 1 0 1_0", "growth spec values must be integers: 'table 1 ; affine 1 0 1_0'"),
+    ],
+    ids=["levels-underscore", "test-depth-arabic-indic", "process-depth-arabic-indic", "negative-levels",
+         "growth-table", "growth-affine"],
+)
+def test_integer_fields_take_ascii_digits_only(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message

@@ -1,7 +1,7 @@
 """Event-tree combinatorics: the prefix order, cut status, antichains."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treebet import CutStatus, Relation, cut_status, minimal_antichain, relation
 from treebet.errors import DomainError
@@ -14,6 +14,8 @@ from treebet.tree import (
     require_situation,
     situations_up_to,
 )
+
+from oracles import is_antichain_by_pairs, minimal_antichain_by_pairs
 
 situations = st.text(alphabet="01", max_size=8)
 
@@ -91,6 +93,51 @@ def test_minimal_antichain_properties(members):
         assert any(s.startswith(t) for t in reduced)
     # the output never adds new situations
     assert reduced <= set(members)
+
+
+@st.composite
+def member_lists(draw):
+    """Lists of situations up to 30 bits, with repeats; many are prefixes of a few stems (the root
+    among them), so nested members are common."""
+    stems = draw(st.lists(st.text(alphabet="01", max_size=30), min_size=1, max_size=4))
+    prefixes = st.builds(lambda stem, k: stem[:k], st.sampled_from(stems), st.integers(0, 30))
+    members = draw(st.lists(st.one_of(prefixes, st.text(alphabet="01", max_size=30)), max_size=16))
+    return members + draw(st.lists(st.sampled_from(members), max_size=4)) if members else members
+
+
+@settings(max_examples=300)
+@given(member_lists())
+def test_antichain_checks_match_pairwise_references(members):
+    nested = not is_antichain_by_pairs(members)
+    assert is_antichain(members) is is_antichain(iter(members)) is not nested
+    reduced = minimal_antichain(members)
+    assert reduced == minimal_antichain_by_pairs(members)
+    assert is_antichain([*reduced, *reduced])
+    if nested:
+        with pytest.raises(DomainError):
+            require_antichain(members)
+    else:
+        assert require_antichain(members) == frozenset(members)
+
+
+@pytest.mark.parametrize(
+    "members, antichain, minimal",
+    [([""], True, {""}), (["", ""], True, {""}), (["", "0"], False, {""}), (["1", "", "01", "1"], False, {""}),
+     (["01", "0", "01"], False, {"0"}), (["01", "01", "10"], True, {"01", "10"}), ([], True, set())],
+)
+def test_antichain_checks_on_the_root_and_repeats(members, antichain, minimal):
+    assert is_antichain(members) is is_antichain_by_pairs(members) is antichain
+    assert minimal_antichain(members) == minimal_antichain_by_pairs(members) == minimal
+
+
+@given(member_lists(), st.sampled_from(["2", "0a", "@", " 1", "01\n", "1 0", "\u0661"]), st.integers(0, 20))
+def test_antichain_checks_refuse_a_non_situation(members, bad, at):
+    members = [*members[:at], bad, *members[at:]]
+    # the prefix test reads any strings; the checks that validate refuse the bad member
+    assert is_antichain(members) is is_antichain_by_pairs(members)
+    for check in (require_antichain, minimal_antichain, minimal_antichain_by_pairs):
+        with pytest.raises(DomainError):
+            check(members)
 
 
 def test_require_antichain_rejects_nested():
