@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DomainError,
-    HorizonError,
     ParseError,
     ResourceError,
     TreebetError,

@@ -16,7 +16,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DomainError,
-    HorizonError,
     ParseError,
     ResourceError,
 )
@@ -37,7 +36,7 @@ from .formats import (
 )
 from .local import LocalGamble, lower_expectation, upper_expectation
 from .martingale import check_supermartingale, kelly_gamble
-from .numerals import EXACT, format_rational, parse_rational, ratio_text
+from .numerals import EXACT, format_rational, parse_integer, parse_rational, ratio_text
 from .randtest import (
     assemble_test_supermartingale,
     combine_universal,
@@ -50,8 +49,15 @@ from .sampling import SELECTORS, sample_path
 from .tree import parse_situation, require_antichain
 
 DEFAULT_DEPTH_CAP = 22
-DEFAULT_HORIZON = 1 << 20
 DEFAULT_BATTERY = ("1,on-one", "1,on-zero", "1/2,on-one", "1/2,on-zero")
+
+
+def _integer(text: str) -> int:
+    """An integer option, read as the file formats read integer fields; argparse reports a refusal."""
+    try:
+        return parse_integer(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -69,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cut", required=True, help="comma-separated situations")
     p.add_argument("--cond", default="@", help="conditioning situation (default @)")
     p.add_argument("--lower", action="store_true")
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--depth-cap", type=_integer, default=DEFAULT_DEPTH_CAP)
 
     p = sub.add_parser("convert", help="conversions between processes and tests")
     p.add_argument("direction", choices=["to-test", "to-martingale", "schnorr-from-martingale", "universal"])
@@ -77,17 +83,16 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", required=True)
     p.add_argument("--process")
     p.add_argument("--test")
-    p.add_argument("--levels", type=int)
+    p.add_argument("--levels", type=_integer)
     p.add_argument("--rho", help="growth spec 'table v0 v1 ... ; affine a b c'")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     p.add_argument("--out", required=True)
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--depth-cap", type=_integer, default=DEFAULT_DEPTH_CAP)
 
     p = sub.add_parser("sample", help="sample bits from a compatible precise system")
     p.add_argument("--fs", required=True)
     p.add_argument("--selector", choices=list(SELECTORS), default="mid")
-    p.add_argument("--n", type=int, required=True, help=f"number of bits, at most {MAX_BITS}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_integer, required=True, help=f"number of bits, at most {MAX_BITS}")
+    p.add_argument("--seed", type=_integer, default=0)
 
     p = sub.add_parser("analyze", help="run a strategy battery along a sequence")
     p.add_argument("--fs", required=True)
@@ -173,7 +178,7 @@ def cmd_convert(args) -> int:
         if process.depth > args.depth_cap:
             raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
         rho = parse_growth(args.rho)
-        test = schnorr_test_from_martingale(process, rho, fs, horizon=args.horizon)
+        test = schnorr_test_from_martingale(process, rho, fs)
         passed = _report_budgets(fs, test)
         tail_reports = validate_schnorr_tail(fs, test, k_max=max(4, test.num_levels))
         for r in tail_reports:
@@ -340,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContractError as exc:
         print(f"treebet: {exc}", file=sys.stderr)
         return 3
-    except (ResourceError, HorizonError, MemoryError) as exc:
+    except (ResourceError, MemoryError) as exc:
         print(f"treebet: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 

@@ -21,10 +21,6 @@ class ContractError(TreebetError):
         self.reason = reason
 
 
-class HorizonError(TreebetError):
-    """A bounded search ran past its configured horizon."""
-
-
 class ResourceError(TreebetError):
     """An operation would exceed a configured size cap."""
 

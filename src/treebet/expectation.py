@@ -5,9 +5,9 @@ backward recursion: leaf values are folded towards the root, applying the
 one-step upper (or lower) expectation at every interior node.  Upper and
 lower probabilities of partial cuts and cylinder sets are special cases.
 A cut's probability is 1 at and below its members and 0 off their trie, which
-``_cut_trie`` folds alone, without recursing; ``randtest``'s budget checks use it,
-and ``_fold_sum`` adds many cuts' tries into the integer levels a ``Process`` keeps
-(``cut_value_map`` and the ``assemble_*`` builders), while
+``_cut_trie`` folds alone, without recursing: every unconditional level or cut probability
+in ``randtest`` and ``martingale`` uses it, and ``_fold_sum`` adds many cuts' tries into the
+integer levels a ``Process`` keeps (``cut_value_map`` and the ``assemble_*`` builders), while
 ``cut_upper_prob``/``cut_lower_prob`` keep ``_sparse_cut_value``.
 """
 
@@ -225,12 +225,6 @@ def _cut_prob(fs, cut, s, rule: _LocalRule) -> Fraction:
     if status is CutStatus.INCOMPARABLE:
         return Fraction(0)
     return _sparse_cut_value(fs, s, int("1" + s, 2), [m for m in members if m.startswith(s)], rule)
-
-
-def _checked_cut_upper_prob(fs: ForecastingSystem, members: frozenset[str], ends=None) -> Fraction:
-    """cut_upper_prob(fs, members) for a checked antichain, such as a RandomnessTest's level; callers
-    checking many cuts of one system pass ends = _pairs(fs) once."""
-    return _cut_trie(ends or _pairs(fs), members)[0]
 
 
 def cut_upper_prob(fs: ForecastingSystem, cut: Iterable[str], s: str = ROOT) -> Fraction:

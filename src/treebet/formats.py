@@ -4,6 +4,8 @@ All formats are line oriented UTF-8; ``#`` starts a comment that runs to
 the end of the line, and blank lines are ignored.  Rationals go through
 ``numerals``.  Serialisation is canonical: fixed key order, levels ascending,
 situations sorted, so a parse/serialise round trip of our own output is byte identical.
+Each reader runs its loop over the lines inside one try, so a ParseError or
+DomainError that one line decides is refused naming that line.
 A process in dump_process's own layout is read in one pass straight into the
 integer levels a Process keeps, any other line by line; the writer itself decides
 which.  The writer makes one text per distinct value of a level and fills one
@@ -33,77 +35,74 @@ def _meaningful(text: str) -> list[tuple[int, str]]:
     return [(number, line) for number, line in enumerate(stripped, start=1) if line]
 
 
-def _int(text: str, what: str, number: int) -> int:
+def _natural(text: str, what: str) -> int:
     try:
-        return parse_integer(text)
+        value = parse_integer(text)
     except ParseError:
-        raise ParseError(f"bad {what} {text!r}", number) from None
+        raise ParseError(f"bad {what} {text!r}") from None
+    if value < 0:
+        raise ParseError(f"negative {what} {text!r}")
+    return value
 
 
-def _key_value(line: str, number: int) -> tuple[str, str]:
+def _key_value(line: str) -> tuple[str, str]:
     if ":" not in line:
-        raise ParseError(f"expected 'key: value', got {line!r}", number)
+        raise ParseError(f"expected 'key: value', got {line!r}")
     key, value = line.split(":", 1)
     return key.strip(), value.strip()
 
 
-def _parse_interval(text: str, number: int) -> IntervalForecast:
+def _parse_interval(text: str) -> IntervalForecast:
     parts = text.split()
     if len(parts) != 2:
-        raise ParseError(f"expected '<lo> <hi>', got {text!r}", number)
-    try:
-        return IntervalForecast(parse_rational(parts[0]), parse_rational(parts[1]))
-    except ParseError as exc:
-        raise ParseError(str(exc), number) from None
+        raise ParseError(f"expected '<lo> <hi>', got {text!r}")
+    return IntervalForecast(parse_rational(parts[0]), parse_rational(parts[1]))
+
+
+# per kind: the one key after 'kind:', its reader, the form of the kind's rows ('' when it takes none),
+# and the system made from the key's value and the rows
+_KEYS = {
+    "stationary": ("interval", _parse_interval, "", lambda interval, rows: Stationary(interval)),
+    "table": ("default", _parse_interval, "node <situation>", Table),
+    "markov": ("order", lambda value: _natural(value, "order"), "row <context>", Markov),
+}
 
 
 def parse_forecasting_system(text: str) -> ForecastingSystem:
+    """A config read by one keyed reader for every kind: 'kind:', the kind's one key, its rows; each once."""
     lines = _meaningful(text)
     if not lines:
         raise ParseError("empty forecasting-system config")
     number, first = lines[0]
-    key, kind = _key_value(first, number)
-    if key != "kind":
-        raise ParseError(f"config must start with 'kind:', got {first!r}", number)
-
-    if kind == "stationary":
-        for number, line in lines[1:]:
-            key, value = _key_value(line, number)
-            if key != "interval":
-                raise ParseError(f"unexpected key {key!r} in stationary config", number)
-            return Stationary(_parse_interval(value, number))
-        raise ParseError("stationary config missing 'interval:'")
-
-    if kind == "table":
-        default, overrides = _keyed_rows(lines, kind, "node <situation>", "default", _parse_interval)
-        return Table(default, overrides)
-
-    if kind == "markov":
-        order, rows = _keyed_rows(lines, kind, "row <context>", "order", lambda v, n: _int(v, "order", n))
-        return Markov(order, rows)
-
-    raise ParseError(f"unknown kind {kind!r}", number)
-
-
-def _keyed_rows(lines, kind: str, row: str, wanted: str, read):
-    """A table or markov config's one other key, read by read(value, number), and its rows, read in line order."""
-    word = row.split()[0]
     found, rows = None, {}
-    for number, line in lines[1:]:
-        if line.startswith(word + " "):
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"expected '{row} <lo> <hi>', got {line!r}", number)
-            s = parse_situation(parts[1])
-            rows[s] = _parse_interval(f"{parts[2]} {parts[3]}", number)
-        else:
-            key, value = _key_value(line, number)
+    try:
+        key, kind = _key_value(first)
+        if key != "kind":
+            raise ParseError(f"config must start with 'kind:', got {first!r}")
+        if kind not in _KEYS:
+            raise ParseError(f"unknown kind {kind!r}")
+        wanted, read, row, make = _KEYS[kind]
+        for number, line in lines[1:]:
+            if row and line.startswith(row.split()[0] + " "):
+                parts = line.split()
+                if len(parts) != 4:
+                    raise ParseError(f"expected '{row} <lo> <hi>', got {line!r}")
+                s = parse_situation(parts[1])
+                if s in rows:
+                    raise ParseError(f"duplicate {parts[0]} {parts[1]!r}")
+                rows[s] = _parse_interval(f"{parts[2]} {parts[3]}")
+                continue
+            key, value = _key_value(line)
             if key != wanted:
-                raise ParseError(f"unexpected key {key!r} in {kind} config", number)
-            found = read(value, number)
+                raise ParseError(f"unexpected key {key!r} in {kind} config")
+            if found is not None:
+                raise ParseError(f"duplicate key {key!r}")
+            found = read(value)
+    except (ParseError, DomainError) as exc:
+        raise ParseError(str(exc), number) from None
     if found is None:
         raise ParseError(f"{kind} config missing '{wanted}:'")
-    return found, rows
+    return make(found, rows)
 
 
 def _interval_text(i: IntervalForecast) -> str:
@@ -157,25 +156,28 @@ def _process_by_lines(text: str) -> Process:
     if not lines:
         raise ParseError("empty process file")
     number, first = lines[0]
-    key, value = _key_value(first, number)
-    if key != "depth":
-        raise ParseError(f"process file must start with 'depth:', got {first!r}", number)
-    depth = _int(value, "depth", number)
     values = {}
     # value texts repeat heavily, so each distinct one is parsed once
     rationals: dict[str, Fraction] = {}
-    for number, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected '<situation> <rational>', got {line!r}", number)
-        name, literal = parts
-        s = parse_situation(name)
-        if s in values:
-            raise ParseError(f"duplicate situation {name!r}", number)
-        v = rationals.get(literal)
-        if v is None:
-            v = rationals[literal] = parse_rational(literal)
-        values[s] = v
+    try:
+        key, value = _key_value(first)
+        if key != "depth":
+            raise ParseError(f"process file must start with 'depth:', got {first!r}")
+        depth = _natural(value, "depth")
+        for number, line in lines[1:]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected '<situation> <rational>', got {line!r}")
+            name, literal = parts
+            s = parse_situation(name)
+            if s in values:
+                raise ParseError(f"duplicate situation {name!r}")
+            v = rationals.get(literal)
+            if v is None:
+                v = rationals[literal] = parse_rational(literal)
+            values[s] = v
+    except (ParseError, DomainError) as exc:
+        raise ParseError(str(exc), number) from None
     try:
         return Process(depth, values)
     except DomainError as exc:
@@ -238,32 +240,37 @@ def parse_test(text: str) -> RandomnessTest:
     depth = None
     tail = None
     members: dict[int, set[str]] = {}
-    for number, line in lines:
-        if line.startswith("level "):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 'level <n> <situation>', got {line!r}", number)
-            n = _int(parts[1], "level index", number)
-            members.setdefault(n, set()).add(parse_situation(parts[2]))
-            continue
-        key, value = _key_value(line, number)
-        if key == "levels":
-            num_levels = _int(value, "level count", number)
-            if num_levels < 0:
-                raise ParseError(f"negative level count {value!r}", number)
-            if num_levels > MAX_LEVELS:  # every level is built, checked and reported
-                raise ResourceError(f"line {number}: test has {value} levels, over the limit of {MAX_LEVELS}")
-        elif key == "depth":
-            depth = _int(value, "depth", number)
-        elif key == "tail":
-            tail = parse_growth(value)
-        else:
-            raise ParseError(f"unexpected key {key!r} in test file", number)
+    seen = set()
+    try:
+        for number, line in lines:
+            if line.startswith("level "):
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ParseError(f"expected 'level <n> <situation>', got {line!r}")
+                n = _natural(parts[1], "level index")
+                members.setdefault(n, set()).add(parse_situation(parts[2]))
+                continue
+            key, value = _key_value(line)
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+            if key == "levels":
+                num_levels = _natural(value, "level count")
+                if num_levels > MAX_LEVELS:  # every level is built, checked and reported
+                    raise ResourceError(f"line {number}: test has {value} levels, over the limit of {MAX_LEVELS}")
+            elif key == "depth":
+                depth = _natural(value, "depth")
+            elif key == "tail":
+                tail = parse_growth(value)
+            else:
+                raise ParseError(f"unexpected key {key!r} in test file")
+    except (ParseError, DomainError) as exc:
+        raise ParseError(str(exc), number) from None
     if num_levels is None:
         raise ParseError("test file missing 'levels:'")
     if depth is None:
         raise ParseError("test file missing 'depth:'")
-    if members and (min(members) < 0 or max(members) >= num_levels):
+    if members and max(members) >= num_levels:
         raise ParseError(f"level index outside 0..{num_levels - 1}")
     levels = tuple(frozenset(members.get(n, set())) for n in range(num_levels))
     try:

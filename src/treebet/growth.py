@@ -9,8 +9,9 @@ bounds used by randomness tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
-from .errors import DomainError, HorizonError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,9 @@ class GrowthFunction:
     c: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(int(v) for v in self.prefix))
+        object.__setattr__(self, "prefix", tuple(self.prefix))
+        if bad := [v for v in (*self.prefix, self.a, self.b, self.c) if not isinstance(v, Integral)]:
+            raise DomainError(f"growth function values must be integers, got {bad[0]!r}")
         if self.a < 1 or self.b < 0 or self.c < 1:
             raise DomainError("affine tail needs a >= 1, b >= 0, c >= 1")
         if any(v < 0 for v in self.prefix):
@@ -41,16 +44,13 @@ class GrowthFunction:
             return self.prefix[n]
         return self._tail(n)
 
-    def first_at_least(self, value: int, horizon: int | None = None) -> int:
-        """Smallest n with g(n) >= value; HorizonError when past ``horizon``."""
+    def first_at_least(self, value: int) -> int:
+        """Smallest n with g(n) >= value."""
         for n, v in enumerate(self.prefix):
             if v >= value:
                 return n
         # a*n + b >= c*value is the first tail index reaching the target
-        n = max(len(self.prefix), -(-(self.c * value - self.b) // self.a))
-        if horizon is not None and n > horizon:
-            raise HorizonError(f"growth function does not reach {value} within {horizon}")
-        return n
+        return max(len(self.prefix), -(-(self.c * value - self.b) // self.a))
 
     def last_at_most(self, bound: int) -> int:
         """Largest n with g(n) <= bound, or -1 when even g(0) exceeds it."""

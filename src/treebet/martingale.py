@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Callable, Literal, Mapping
 
 from .errors import ContractError, DomainError
-from .expectation import _endpoints, cut_upper_prob
+from .expectation import _cut_trie, _endpoints, _pairs
 from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
 from .numerals import format_rational
@@ -182,7 +182,7 @@ def ville_threshold(fs: ForecastingSystem, process: Process, threshold) -> Ville
         raise DomainError("threshold must be positive")
     cut = minimal_antichain([s for s, v in process.values.items() if v >= threshold])
     bound = process.root / threshold
-    actual = cut_upper_prob(fs, cut)
+    actual = _cut_trie(_pairs(fs), cut)[0]
     return VilleThreshold(cut=cut, bound=bound, actual=actual)
 
 

@@ -14,21 +14,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from fractions import Fraction
 from itertools import compress, count
 from operator import gt
 from typing import Sequence
 
 from .errors import ContractError, DomainError
-from .expectation import _checked_cut_upper_prob, _fold_sum, _pairs, cut_upper_prob
+from .expectation import _cut_trie, _fold_sum, _pairs, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, _test_failures
 from .numerals import format_rational
 from .tree import ROOT, bits, minimal_antichain, require_antichain
-
-DEFAULT_HORIZON = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelR
     """Check every stored level against its 2**-n upper-probability budget."""
     reports, ends = [], _pairs(fs)
     for n, cut in enumerate(test.levels):
-        budget, actual = Fraction(1, 1 << n), _checked_cut_upper_prob(fs, cut, ends)
+        budget, actual = Fraction(1, 1 << n), _cut_trie(ends, cut)[0]
         reports.append(LevelReport(n, budget, actual, actual <= budget))
     return reports
 
@@ -113,8 +111,8 @@ def validate_schnorr_tail(
     for k in range(k_max + 1):
         cutoff = test.tail(k)
         budget = Fraction(1, 1 << k)
-        worst = max((_checked_cut_upper_prob(fs, test.level_at_least(n, cutoff), ends)
-                     for n in range(test.num_levels)), default=Fraction(0))
+        worst = max((_cut_trie(ends, test.level_at_least(n, cutoff))[0] for n in range(test.num_levels)),
+                    default=Fraction(0))
         reports.append(TailReport(k, cutoff, budget, worst, worst <= budget))
     return reports
 
@@ -125,8 +123,9 @@ def _require_budget(n: int, actual: Fraction) -> None:
 
 
 def _require_budgets(fs, test, up_to: int) -> None:
+    ends = _pairs(fs)
     for n, cut in enumerate(test.levels[: up_to + 1]):
-        _require_budget(n, cut_upper_prob(fs, cut))
+        _require_budget(n, _cut_trie(ends, cut)[0])
 
 
 def _require_stored(test: RandomnessTest, n_max: int) -> None:
@@ -238,7 +237,6 @@ def schnorr_test_from_martingale(
     process: Process,
     rho: GrowthFunction,
     fs: ForecastingSystem,
-    horizon: int = DEFAULT_HORIZON,
 ) -> RandomnessTest:
     """Level n collects situations where capital has reached rho(depth) >= 2**n.
 
@@ -255,7 +253,7 @@ def schnorr_test_from_martingale(
     prefix = []
     k = 0
     while True:
-        value = rho.first_at_least(1 << k, horizon)
+        value = rho.first_at_least(1 << k)
         prefix.append(value)
         if value > deepest:
             break
@@ -344,7 +342,8 @@ def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> Gr
     """
     if not is_precise(fs):
         raise DomainError("tail-bound derivation needs a precise forecasting system")
-    mass = cache(partial(cut_upper_prob, fs))  # distinct cutoffs and levels often cut the same members
+    ends = _pairs(fs)
+    mass = cache(lambda cut: _cut_trie(ends, cut)[0])  # distinct cutoffs and levels often cut the same members
     for n, cut in enumerate(test.levels):
         _require_budget(n, mass(cut))
 
@@ -377,10 +376,10 @@ def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTes
         threshold = Fraction(3, 1 << (n + 2))
         # the running mass changes only where a member length is passed, and
         # never falls as the length grows: bisect for the first length over
-        if _checked_cut_upper_prob(fs, cut, ends) > threshold:
+        if _cut_trie(ends, cut)[0] > threshold:
             lengths = sorted({len(t) for t in cut})
-            over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: _checked_cut_upper_prob(
-                fs, frozenset(t for t in cut if len(t) <= length), ends) > threshold)
+            over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: _cut_trie(
+                ends, frozenset(t for t in cut if len(t) <= length))[0] > threshold)
             cut = frozenset(t for t in cut if len(t) < lengths[over])
         clipped.append(cut)
     return RandomnessTest._from_antichains(tuple(clipped), max_depth=test.max_depth)
@@ -425,7 +424,7 @@ def approx_level_prob(
     if test.tail is None:
         raise DomainError("test carries no tail bound")
     cutoff = test.tail(accuracy)
-    value = cut_upper_prob(fs, test.level_below(n, cutoff))
+    value = _cut_trie(_pairs(fs), test.level_below(n, cutoff))[0]
     exact = not test.level_at_least(n, cutoff)
     error = Fraction(0) if exact else Fraction(1, 1 << accuracy)
     return value, error

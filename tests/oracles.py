@@ -20,13 +20,11 @@ from treebet import (
 from treebet.errors import ContractError, DomainError, ParseError, ResourceError
 from treebet.expectation import _cut_leaves, _endpoints, _fold_levels
 from treebet.forecast import ForecastingSystem, is_precise
-from treebet.formats import (
-    MAX_LEVELS, _int, _key_value, _meaningful, dump_process, dump_test, parse_rational,
-)
+from treebet.formats import MAX_LEVELS, dump_process, dump_test, parse_rational
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
 from treebet.martingale import kelly_gamble
-from treebet.numerals import format_rational
+from treebet.numerals import format_rational, parse_integer
 from treebet.randtest import RandomnessTest
 from treebet.sampling import SELECTORS, _constants
 from treebet.tree import (
@@ -329,26 +327,55 @@ def dumped_by_tokens(text: str) -> bool:
     return True
 
 
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(number, text) of each line that holds more than a comment and blanks."""
+    numbered = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            numbered.append((number, line))
+    return numbered
+
+
+def _process_head(line: str) -> int:
+    """The depth a .proc's first line declares, refused as that line alone decides."""
+    key, colon, value = line.partition(":")
+    if not colon:
+        raise ParseError(f"expected 'key: value', got {line!r}")
+    if key.strip() != "depth":
+        raise ParseError(f"process file must start with 'depth:', got {line!r}")
+    value = value.strip()
+    try:
+        depth = parse_integer(value)
+    except ParseError:
+        raise ParseError(f"bad depth {value!r}") from None
+    if depth < 0:
+        raise ParseError(f"negative depth {value!r}")
+    return depth
+
+
 def parse_process_by_lines(text: str) -> Process:
-    """parse_process with one parse_rational call per value line."""
-    lines = _meaningful(text)
+    """parse_process with one parse_rational call per value line; each line is read on its own,
+    and a fault that it alone decides is refused naming its number."""
+    lines = _numbered_lines(text)
     if not lines:
         raise ParseError("empty process file")
-    number, first = lines[0]
-    key, value = _key_value(first, number)
-    if key != "depth":
-        raise ParseError(f"process file must start with 'depth:', got {first!r}", number)
-    depth = _int(value, "depth", number)
-    values = {}
-    for number, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected '<situation> <rational>', got {line!r}", number)
-        s = parse_situation(parts[0])
-        if s in values:
-            raise ParseError(f"duplicate situation {parts[0]!r}", number)
-        values[s] = parse_rational(parts[1])
-    need = (1 << (depth + 1)) - 1 if 0 <= depth <= 64 else len(values)
+    depth, values = None, {}
+    for number, line in lines:
+        try:
+            if depth is None:
+                depth = _process_head(line)
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"expected '<situation> <rational>', got {line!r}")
+            s = parse_situation(parts[0])
+            if s in values:
+                raise ParseError(f"duplicate situation {parts[0]!r}")
+            values[s] = parse_rational(parts[1])
+        except (ParseError, DomainError) as exc:
+            raise ParseError(str(exc), number) from None
+    need = (1 << (depth + 1)) - 1 if depth <= 64 else len(values)
     if len(values) != need:  # the count message, with the count written out
         raise ParseError(f"depth-{depth} process needs {need} values, got {len(values)}")
     try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from treebet import RandomnessTest, cli
+from treebet import RandomnessTest, cli, validate_schnorr_tail
 from treebet.cli import main
 from treebet.formats import MAX_BITS, dump_process, dump_test, parse_process, parse_test
 from treebet.martingale import kelly_process
@@ -175,6 +175,17 @@ def test_convert_schnorr_from_martingale(workdir, capsys):
     assert [sorted(cut) for cut in schnorr.levels] == [["1"], ["11"]]
 
 
+def test_convert_schnorr_from_martingale_with_a_far_tail(workdir, capsys):
+    # rho first reaches 1 at depth 10**7: no search bound refuses it, and the tail checks pass
+    code = main(["convert", "schnorr-from-martingale", "--process", "doubler.proc",
+                 "--fs", "fair.fs", "--rho", "table 0 ; affine 1 0 10000000", "--out", "s.test"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("all budgets pass\n")
+    schnorr = parse_test((workdir / "s.test").read_text())
+    assert schnorr.tail(0) == 10**7
+    assert all(r.passed for r in validate_schnorr_tail(FAIR, schnorr, k_max=8))
+
+
 def test_convert_refuses_integer_fields_int_would_read(workdir, capsys):
     # a negative level count, and a growth table with an Arabic-Indic digit and an underscore
     (workdir / "neg.test").write_text("levels: -3\ndepth: 2\n")
@@ -188,6 +199,28 @@ def test_convert_refuses_integer_fields_int_would_read(workdir, capsys):
     assert code == 2
     assert capsys.readouterr() == ("", f"treebet: growth spec values must be integers: {rho!r}\n")
     assert not (workdir / "w.proc").exists() and not (workdir / "s.test").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["sample", "--fs", "fair.fs", "--n", "\u0664"], "--n", "\u0664"),
+        (["sample", "--fs", "fair.fs", "--n", "4", "--seed", "1_0"], "--seed", "1_0"),
+        (["convert", "to-martingale", "--test", "a.test", "--fs", "fair.fs", "--levels", " 1", "--out", "w.proc"],
+         "--levels", " 1"),
+        (["cutprob", "--fs", "fair.fs", "--cut", "1", "--depth-cap", "\u00b2"], "--depth-cap", "\u00b2"),
+        (["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs", "--depth-cap", "9.0",
+          "--out", "a.test"], "--depth-cap", "9.0"),
+    ],
+    ids=["n-arabic-indic", "seed-underscore", "levels-space", "cutprob-cap-superscript", "convert-cap-float"],
+)
+def test_integer_options_take_ascii_digits_only(workdir, capsys, argv, option, text):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument {option}: not an integer: {text!r}\n")
+    assert not (workdir / "w.proc").exists() and not (workdir / "a.test").exists()
 
 
 def test_sample_degenerate_mass(workdir, capsys):
@@ -374,8 +407,10 @@ def test_convert_universal_takes_its_test_files_before_or_after_the_options(work
         (["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs", "--out", "a.test",
           "extra.test"], "extra.test"),
         (["local", "--interval", "0", "1", "--gamble", "1", "0", "extra"], "extra"),
+        (["convert", "schnorr-from-martingale", "--process", "doubler.proc", "--fs", "fair.fs",
+          "--rho", "table ; affine 1 0 1", "--horizon", "5", "--out", "a.test"], "--horizon 5"),
     ],
-    ids=["universal-option", "universal-option-value", "to-test-word", "local-word"],
+    ids=["universal-option", "universal-option-value", "to-test-word", "local-word", "schnorr-horizon"],
 )
 def test_leftover_arguments_exit_2(workdir, capsys, argv, stray):
     with pytest.raises(SystemExit) as info:

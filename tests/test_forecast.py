@@ -211,6 +211,19 @@ def test_growth_function_validation():
         GrowthFunction((9,), 1, 0, 1)  # tail would drop to 1
 
 
+@pytest.mark.parametrize(
+    "args, bad",
+    [(((2.7, "3"), 1.5), "2.7"), (((2, "3"),), "'3'"), (((), 1.5), "1.5"),
+     (((), 1, Fraction(1, 2)), "Fraction(1, 2)"), (((1,), 1, 0, 1.0), "1.0")],
+    ids=["prefix-float", "prefix-str", "a", "b", "c"],
+)
+def test_growth_function_refuses_non_integers(args, bad):
+    # nothing is truncated to an integer, as Process refuses float values
+    with pytest.raises(DomainError) as info:
+        GrowthFunction(*args)
+    assert str(info.value) == f"growth function values must be integers, got {bad}"
+
+
 def test_growth_first_at_least_and_last_at_most():
     g = GrowthFunction((1, 2, 4, 8), 1, 4, 1)
     assert g.first_at_least(4) == 2
@@ -218,6 +231,7 @@ def test_growth_first_at_least_and_last_at_most():
     assert g.last_at_most(8) == 4
     assert g.last_at_most(0) == -1
     assert affine(2).last_at_most(5) == 2
+    assert GrowthFunction((0,), 1, 0, 10**7).first_at_least(1 << 40) == 10**7 << 40  # no search bound
 
 
 def test_growth_precompose():

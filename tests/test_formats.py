@@ -366,6 +366,66 @@ def test_integer_fields_take_ascii_digits_only(parse, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_process, "depth: 1\n@ 1\nx2 1\n1 1\n", "line 3: not a situation: 'x2'"),
+        (parse_process, "# a note\ndepth: 0\n@ %s\n", "line 3: not a rational (want p/q or an integer): '%s'"),
+        (parse_process, "depth: -1\n", "line 1: negative depth '-1'"),
+        (parse_test, "levels: 1\ndepth: 2\nlevel 0 0x\n", "line 3: not a situation: '0x'"),
+        (parse_test, "levels: 1\ndepth: 2\ntail: nonsense\n",
+         "line 3: growth spec needs 'table ... ; affine a b c', got 'nonsense'"),
+        (parse_test, "levels: 1\ndepth: 2\ntail: table 2 1 ; affine 1 0 1\n", "line 3: growth prefix must be non-decreasing"),
+        (parse_test, "levels: 1\ndepth: -2\n", "line 2: negative depth '-2'"),
+        (parse_test, "levels: 1\ndepth: 2\nlevel -1 0\n", "line 3: negative level index '-1'"),
+        (parse_forecasting_system, "kind: table\ndefault: 1/2 1/2\nnode x2 1/2 1/2\n", "line 3: not a situation: 'x2'"),
+        (parse_forecasting_system, "kind: markov\norder: 0\nrow 2 1/2 1/2\n", "line 3: not a situation: '2'"),
+        (parse_forecasting_system, "kind: table\ndefault: 3/4 1/4\n", "line 2: invalid forecast interval [3/4, 1/4]"),
+        (parse_forecasting_system, "kind: markov\norder: -1\n", "line 2: negative order '-1'"),
+    ],
+    ids=["proc-situation", "proc-percent-value", "proc-negative-depth", "test-situation", "test-tail",
+         "test-tail-domain", "test-negative-depth", "test-negative-index", "table-node", "markov-row",
+         "inverted-interval", "markov-negative-order"],
+)
+def test_refusals_one_line_decides_name_the_line(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_forecasting_system, "kind: stationary\ninterval: 1/2 1/2\ninterval: 0 1\n",
+         "line 3: duplicate key 'interval'"),
+        (parse_forecasting_system, "kind: stationary\ninterval: 1/2 1/2\nbogus line here\n",
+         "line 3: expected 'key: value', got 'bogus line here'"),
+        (parse_forecasting_system, "kind: stationary\ninterval: 1/2 1/2\norder: 1\n",
+         "line 3: unexpected key 'order' in stationary config"),
+        (parse_forecasting_system, "kind: table\ndefault: 1/2 1/2\n# again\ndefault: 0 1\n",
+         "line 4: duplicate key 'default'"),
+        (parse_forecasting_system, "kind: table\ndefault: 1/2 1/2\nnode 0 0 1\nnode 0 1 1\n",
+         "line 4: duplicate node '0'"),
+        (parse_forecasting_system, "kind: markov\norder: 0\nrow @ 1/2 1/2\nrow @ 0 1\n", "line 4: duplicate row '@'"),
+        (parse_test, "levels: 1\nlevels: 2\ndepth: 2\n", "line 2: duplicate key 'levels'"),
+        (parse_test, "levels: 1\ndepth: 2\ndepth: 3\n", "line 3: duplicate key 'depth'"),
+        (parse_test, "levels: 1\ndepth: 2\ntail: table ; affine 1 0 1\ntail: table ; affine 1 0 1\n",
+         "line 4: duplicate key 'tail'"),
+    ],
+    ids=["stationary-twice", "stationary-stray", "stationary-other-key", "table-default", "table-node",
+         "markov-row", "test-levels", "test-depth", "test-tail"],
+)
+def test_repeated_keys_rows_and_stray_lines_are_refused(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_repeated_level_lines_are_read_as_one_member():
+    # a level is a set, so a member listed twice is still one member
+    assert parse_test("levels: 1\ndepth: 2\nlevel 0 01\nlevel 0 01\n").levels == (frozenset({"01"}),)
+
+
 def test_sequence_parsing():
     assert parse_sequence("01 10\n# all ones\n11\n") == "011011"
     with pytest.raises(ParseError):

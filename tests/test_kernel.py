@@ -28,7 +28,7 @@ from treebet import (
     martingale_to_test,
     schnorr_test_from_martingale,
 )
-from treebet.expectation import _checked_cut_upper_prob, _fold_sum, _sparse_cut_value
+from treebet.expectation import _cut_trie, _fold_sum, _pairs, _sparse_cut_value
 from treebet.local import upper_expectation
 from treebet.tree import bits, situations_up_to
 
@@ -125,7 +125,7 @@ def test_checked_cut_upper_prob_matches_the_recursion(seed, depth):
     fs = system(rng, depth)
     cut = odd_cut(rng, depth)
     recursion = _sparse_cut_value(fs, "", 1, list(cut), upper_expectation)
-    assert _checked_cut_upper_prob(fs, cut) == recursion == cut_value_map_by_nodes(fs, cut, depth)[""]
+    assert _cut_trie(_pairs(fs), cut)[0] == recursion == cut_value_map_by_nodes(fs, cut, depth)[""]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -135,7 +135,7 @@ def test_checked_cut_upper_prob_of_a_member_past_1000_bits(kind):
     for pool in (DEGENERATE_POOL, ENDPOINT_POOL):
         fs = rand_system(rng, depth=4, kind=kind, pool=pool)
         member = "".join(rng.choice("01") for _ in range(rng.randint(1001, 3000)))
-        assert _checked_cut_upper_prob(fs, frozenset({member})) == cylinder_bounds(fs, member)[0]
+        assert _cut_trie(_pairs(fs), frozenset({member}))[0] == cylinder_bounds(fs, member)[0]
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,7 @@ from treebet import (
     GrowthFunction,
     Process,
     RandomnessTest,
+    Stationary,
     affine,
     approx_level_prob,
     assemble_schnorr_supermartingale,
@@ -18,7 +19,9 @@ from treebet import (
     combine_universal,
     cut_status,
     cut_upper_prob,
+    cylinder_bounds,
     derive_tail_bound_precise,
+    interval,
     kelly_process,
     martingale_to_test,
     schnorr_test_from_martingale,
@@ -31,7 +34,7 @@ from treebet import (
     validate_schnorr_tail,
 )
 from treebet.errors import ContractError, DomainError
-from treebet.tree import CutStatus, minimal_antichain
+from treebet.tree import CutStatus, minimal_antichain, situations_up_to
 
 from gen import FAIR, decaying_system, ones_test, rand_supermartingale, rand_system, rand_valid_test
 from oracles import clip_by_cutoffs
@@ -368,3 +371,22 @@ def test_approx_level_prob_cases():
     assert approx_level_prob(FAIR, empty, 0, 5) == (0, 0)
     with pytest.raises(DomainError):
         approx_level_prob(FAIR, test, 9, 1)
+
+
+def test_level_probabilities_of_a_member_3000_bits_deep():
+    # every unconditional level probability walks the trie level by level, so no member depth
+    # reaches the recursion limit, and each answer is exact
+    fs = Stationary(interval("2/5"))
+    member = "10" * 1500
+    mass = cylinder_bounds(fs, member)[0]
+    test = RandomnessTest((frozenset({member}),), max_depth=3000, tail=affine(1, 3001))
+    assert derive_tail_bound_precise(fs, test) == GrowthFunction((0, 3001), 1, 2999, 1)
+    process = assemble_test_supermartingale(fs, test, 0, cutoff=5, depth=3)
+    assert process.values == {s: int(s == "") for s in situations_up_to(3)}
+    assert approx_level_prob(fs, test, 0, 0) == (mass, 0)
+    assert approx_level_prob(fs, RandomnessTest(test.levels, 3000, affine(1)), 0, 5) == (0, Fraction(1, 32))
+    # and a deep level over its budget is named with its exact probability
+    ones = Stationary(interval(1))
+    over = RandomnessTest((frozenset(), frozenset({"1" * 3000})), max_depth=3000)
+    with pytest.raises(ContractError, match=r"^level 1 over budget: 1 > 1/2$"):
+        assemble_test_supermartingale(ones, over, 1, cutoff=5, depth=3)

@@ -433,11 +433,11 @@ def test_convert_past_the_int_str_limit(tmp_path):
     written = dict(line.split() for line in lines[1:])
     assert [format_situation(s) for s in situations_up_to(3)] == list(written)
     assert [_decimal_fraction(v) for v in written.values()] == list(want.values.values())
-    # the file holds numerals past the input limit, so it is refused on reading
+    # the file holds numerals past the input limit, so it is refused on reading, at the first such line
     code, out, err = run(["convert", "to-test", "--fs", str(tmp_path / "a.fs"),
                           "--process", str(tmp_path / "a.proc"), "--out", str(tmp_path / "a.t")])
     assert (code, out) == (2, "")
-    assert err.startswith("treebet: numeral over 4300 digits in rational ")
+    assert err.startswith("treebet: line 4: numeral over 4300 digits in rational ")
 
     # level 1 {00} under [1/big, 1/2] twice: upper probability (1 - 1/big)**2
     (tmp_path / "b.fs").write_text(
