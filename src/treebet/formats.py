@@ -10,20 +10,24 @@ A process in dump_process's own layout is read in one pass straight into the
 integer levels a Process keeps, any other line by line; the writer itself decides
 which.  The writer makes one text per distinct value of a level and fills one
 '<name> %s' line template per depth with them, building no name per situation.
+A test in dump_test's layout is read with one match for its keys and one findall
+for its level lines, any other line by line.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
 from .growth import GrowthFunction
 from .martingale import Process
-from .numerals import format_rational, parse_integer, parse_rational
+from .numerals import format_rational, parse_integer, parse_rational, rational_pairs
 from .randtest import RandomnessTest
-from .tree import ROOT_LABEL, format_situation, parse_situation
+from .tree import ROOT_LABEL, format_situation, is_antichain, parse_situation
 
 MAX_LEVELS = 4096  # the most levels a .test file may declare
 MAX_BITS = 10**7  # the most bits sample may draw: one byte each, then the text; about 36 MB peak RSS
@@ -82,15 +86,16 @@ def parse_forecasting_system(text: str) -> ForecastingSystem:
         if kind not in _KEYS:
             raise ParseError(f"unknown kind {kind!r}")
         wanted, read, row, make = _KEYS[kind]
+        word = row.partition(" ")[0] + " " if row else None  # what starts a row line
         for number, line in lines[1:]:
-            if row and line.startswith(row.split()[0] + " "):
+            if word and line.startswith(word):
                 parts = line.split()
                 if len(parts) != 4:
                     raise ParseError(f"expected '{row} <lo> <hi>', got {line!r}")
                 s = parse_situation(parts[1])
                 if s in rows:
                     raise ParseError(f"duplicate {parts[0]} {parts[1]!r}")
-                rows[s] = _parse_interval(f"{parts[2]} {parts[3]}")
+                rows[s] = IntervalForecast(parse_rational(parts[2]), parse_rational(parts[3]))
                 continue
             key, value = _key_value(line)
             if key != wanted:
@@ -125,30 +130,29 @@ def _keyed_text(head: list[str], word: str, rows) -> str:
     return "\n".join(head) + "\n"
 
 
-def _dumped(text: str) -> tuple[int, list[str], dict[str, Fraction]] | None:
-    """(depth, the value texts in heap order, each distinct text's value) of a text in
-    dump_process's exact layout whose values all parse, read in one pass; else None."""
+def _dumped(text: str) -> tuple[int, list[str], dict[str, tuple[int, int]]] | None:
+    """(depth, the value texts in heap order, each distinct text's value as a lowest-terms integer
+    pair) of a text in dump_process's exact layout whose values all parse, read in one pass; else None."""
     tokens = text.split()  # 'depth:', D, then a name and a value per situation
     depth = len(tokens).bit_length() - 3  # the one depth with 4 << depth tokens, if any
-    literals = tokens[3::2]
+    literals, count = tokens[3::2], len(tokens)
+    del tokens  # the names go before the writer makes its copy of the text, which lowers the peak
     # the layout: the writer, given the same values, writes the very same text
-    if depth < 0 or len(tokens) != 4 << depth or _process_text(depth, literals) != text:
+    if depth < 0 or count != 4 << depth or _process_text(depth, literals) != text:
         return None
-    try:  # value texts repeat heavily, so each distinct one is parsed once
-        return depth, literals, {literal: parse_rational(literal) for literal in set(literals)}
-    except ParseError:  # read line by line, for the message's line number
-        return None
+    pairs = rational_pairs([*set(literals)])  # value texts repeat heavily: each distinct one is read once
+    return None if pairs is None else (depth, literals, pairs)  # else read line by line, for the line number
 
 
 def parse_process(text: str) -> Process:
     dumped = _dumped(text)
     if dumped is None:
         return _process_by_lines(text)
-    depth, literals, made = dumped  # straight into the Process's integer levels
-    nums = {literal: v.numerator for literal, v in made.items()}
-    dens = {literal: v.denominator for literal, v in made.items()}
-    levels = [literals[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)]  # level w, in heap order
-    return Process._from_levels(*([[*map(table.__getitem__, level)] for level in levels] for table in (nums, dens)))
+    depth, literals, pairs = dumped  # straight into the Process's integer levels
+    values = itemgetter(*literals, literals[0])  # one text more, so that a lone root's value is a tuple too
+    nums, dens = (values({text: pair[i] for text, pair in pairs.items()}) for i in (0, 1))
+    return Process._from_levels(*([[*heap[(1 << w) - 1:(2 << w) - 1]] for w in range(depth + 1)]
+                                  for heap in (nums, dens)))
 
 
 def _process_by_lines(text: str) -> Process:
@@ -200,12 +204,13 @@ def _level_texts(nums: list[int], dens: list[int]):
 
 def _process_text(depth: int, texts) -> str:
     """The .proc text of the value texts in heap order: one '<name> %s' line template, filled once
-    (a value text is an argument, never a directive); a level's names are the level above's, prefixed."""
+    (a value text is an argument, never a directive); a level's lines are the level above's, prefixed."""
     template = [f"depth: {depth}\n{ROOT_LABEL} %s\n"]
-    names = ""  # the root's name is empty
-    for _ in range(depth):
-        names = "0" + names.replace(" ", " 0") + " 1" + names.replace(" ", " 1")
-        template.append(names.replace(" ", " %s\n") + " %s\n")
+    lines = " %s\n"  # the root's line, its name empty
+    for w in range(depth):  # '0', then '1', before each of level w's 2**w lines
+        k = (1 << w) - 1
+        lines = "0" + lines.replace("\n", "\n0", k) + "1" + lines.replace("\n", "\n1", k)
+        template.append(lines)
     return "".join(template) % tuple(texts)
 
 
@@ -232,7 +237,39 @@ def dump_growth(g: GrowthFunction) -> str:
     return f"{head} affine {g.a} {g.b} {g.c}"
 
 
+# dump_test's layout: its head, then whole lines of one level member each, the root '@' read as ''
+_TEST_HEAD = re.compile(r"levels: (0|[1-9][0-9]{0,3})\ndepth: (0|[1-9][0-9]{0,17})\n(?:tail: ([-+ ;0-9a-z]*)\n)?")
+_LEVEL_LINE = re.compile(r"^level (0|[1-9][0-9]{0,3}) (?:@|([01]+))\n", re.MULTILINE)
+
+
 def parse_test(text: str) -> RandomnessTest:
+    return _dumped_test(text) or _test_by_lines(text)
+
+
+def _dumped_test(text: str) -> RandomnessTest | None:
+    """The test of a text in dump_test's layout, its head read with one match and its level lines
+    with one findall, each level checked once; None for any other text or any fault, which the
+    line reader then names."""
+    head = _TEST_HEAD.match(text)
+    if head is None or int(head[1]) > MAX_LEVELS:
+        return None
+    # each match is one whole line, so every line after the head matches when they are as many
+    members = _LEVEL_LINE.findall(text, head.end())
+    if len(members) != text.count("\n", head.end()) or not text.endswith("\n"):
+        return None
+    levels, depth = [set() for _ in range(int(head[1]))], int(head[2])
+    try:
+        for n, s in members:
+            levels[int(n)].add(s)
+        tail = None if head[3] is None else parse_growth(head[3])
+    except (IndexError, ParseError, DomainError):  # an index past 'levels:', a bad tail
+        return None
+    if all(is_antichain(cut) and max(map(len, cut), default=0) <= depth for cut in levels):
+        return RandomnessTest._from_antichains(tuple(map(frozenset, levels)), max_depth=depth, tail=tail)
+    return None
+
+
+def _test_by_lines(text: str) -> RandomnessTest:
     lines = _meaningful(text)
     if not lines:
         raise ParseError("empty test file")

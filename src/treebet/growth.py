@@ -23,7 +23,8 @@ class GrowthFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
-        if bad := [v for v in (*self.prefix, self.a, self.b, self.c) if not isinstance(v, Integral)]:
+        values = (*self.prefix, self.a, self.b, self.c)  # a bool among them would be written 'True'
+        if bad := [v for v in values if isinstance(v, bool) or not isinstance(v, Integral)]:
             raise DomainError(f"growth function values must be integers, got {bad[0]!r}")
         if self.a < 1 or self.b < 0 or self.c < 1:
             raise DomainError("affine tail needs a >= 1, b >= 0, c >= 1")

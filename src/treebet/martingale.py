@@ -58,7 +58,7 @@ class Process:
         except KeyError as exc:
             raise DomainError(f"process missing value at {exc.args[0] or '@'!r}") from None
         for s, v in zip(names, heap):
-            if not isinstance(v, Rational):  # a float would reach the checks and the writer
+            if isinstance(v, bool) or not isinstance(v, Rational):  # a float would reach the checks and the writer
                 raise DomainError(f"process value at {s or '@'!r} is not rational: {v!r}")
         self.depth, self._values = depth, None
         self.nums, self.dens = ([row[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)]
@@ -98,7 +98,7 @@ class Process:
 
     def with_root(self, value: Fraction) -> "Process":
         """The same process with ``value`` at the root."""
-        if not isinstance(value, Rational):
+        if isinstance(value, bool) or not isinstance(value, Rational):
             raise DomainError(f"process value at '@' is not rational: {value!r}")
         return Process._from_levels([[value.numerator], *self.nums[1:]], [[value.denominator], *self.dens[1:]])
 

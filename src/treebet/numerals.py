@@ -10,11 +10,14 @@ import decimal
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # fullmatched: ASCII digits, no final newline
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_PAIR = r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?"  # _RATIONAL with no zero denominator
+_PAIR_LINES = re.compile(f"{_PAIR}(?:\n{_PAIR})*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -29,6 +32,18 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"numeral over {limit} digits in rational {text[:20]!r}...") from None
+
+
+def rational_pairs(texts: list[str]) -> dict[str, tuple[int, int]] | None:
+    """Each text's value as parse_rational reads it, but as a lowest-terms (numerator, denominator)
+    pair; None when parse_rational would refuse any of them, so that the caller can say which."""
+    if not _PAIR_LINES.fullmatch("\n".join(texts)):
+        return None
+    try:  # int() refuses numerals past sys.get_int_max_str_digits()
+        pairs = [(int(p), int(q or 1)) for p, _, q in (text.partition("/") for text in texts)]
+    except ValueError:
+        return None
+    return {text: (p // g, q // g) for text, (p, q) in zip(texts, pairs) for g in (gcd(p, q),)}
 
 
 def parse_integer(text: str) -> int:

@@ -20,7 +20,8 @@ from treebet import (
     interval,
     kelly_gamble,
 )
-from treebet.tree import bits, format_situation, situations_up_to
+from treebet.formats import MAX_LEVELS
+from treebet.tree import bits, format_situation, minimal_antichain, situations_up_to
 
 ENDPOINT_POOL = [Fraction(0), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2),
                  Fraction(7, 10), Fraction(1)]
@@ -308,4 +309,73 @@ def mutated_dump(rng: random.Random, text: str, kind: str) -> str:
     elif kind == "percent value":  # %-formatting directives, which a value column must keep as data
         lines[at] = f"{lines[at].split()[0]} {rng.choice(['%s', '%%', '%(x)s', '%d'])}"
     out = "\n".join([head] + lines)
+    return out if kind == "no final newline" else out + "\n"
+
+
+def rand_test(rng: random.Random) -> RandomnessTest:
+    """A test of up to 5 levels, each a random antichain no deeper than a depth of up to 6, with
+    a random tail or none; no budget is checked."""
+    depth = rng.randint(0, 6)
+
+    def width() -> int:  # the root only now and then, since it is a level on its own
+        return rng.randint(1, depth) if depth and rng.random() < 0.9 else 0
+
+    levels = tuple(minimal_antichain(bits(rng.getrandbits(w), w) for w in (width() for _ in range(rng.randint(0, 5))))
+                   for _ in range(rng.randint(0, 5)))
+    tail = None
+    if rng.random() < 0.5:
+        prefix = sorted(rng.randint(0, 9) for _ in range(rng.randint(0, 3)))
+        tail = GrowthFunction(tuple(prefix), rng.randint(1, 3), 9, 1)  # the tail starts at 9 or more
+    return RandomnessTest(levels, max_depth=depth, tail=tail)
+
+
+TEST_MUTATIONS = ["none", "comment line", "blank line", "crlf", "no final newline", "repeated member", "level 007",
+                  "index past levels", "non-antichain", "too deep", "over MAX_LEVELS", "bad tail"]
+
+
+def mutated_test_dump(rng: random.Random, text: str, kind: str) -> str:
+    """A dump_test text with one kind of change from TEST_MUTATIONS ('none' keeps it); some
+    changes leave a test parse_test reads, some a text it refuses."""
+    lines = text.splitlines()
+    count, depth = (int(line.split()[1]) for line in lines[:2])
+    members = [at for at, line in enumerate(lines) if line.startswith("level ")]
+    n = rng.randrange(count) if count else 0  # a stored level, or the first one past 'levels: 0'
+    if kind == "comment line":
+        if rng.random() < 0.5:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["# note", "#", "  # indented"]))
+        else:
+            lines[rng.randrange(len(lines))] += rng.choice(["# note", "  # trailing"])
+    elif kind == "blank line":
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", " ", "\t"]))
+    elif kind == "crlf":
+        return text.replace("\n", "\r\n")
+    elif kind == "repeated member" and members:
+        lines.insert(rng.randint(2, len(lines)), lines[rng.choice(members)])
+    elif kind == "level 007":
+        if members:
+            at = rng.choice(members)
+            _, index, name = lines[at].split()
+            lines[at] = f"level {int(index):03d} {name}"
+        else:
+            lines.append(f"level {n:03d} 1")
+    elif kind == "index past levels":
+        lines.append(f"level {count + rng.randint(0, 2)} 1")
+    elif kind == "non-antichain":  # a member and, on its level, one of its prefixes or its child
+        if members:
+            _, index, name = lines[rng.choice(members)].split()
+            lines.append(f"level {index} {format_situation(name[:rng.randrange(len(name))]) if name != '@' else '0'}")
+        else:
+            lines += [f"level {n} 0", f"level {n} 01"]
+    elif kind == "too deep":
+        lines.append(f"level {n} {'1' * (depth + 1)}")
+    elif kind == "over MAX_LEVELS":
+        lines[0] = f"levels: {rng.choice([MAX_LEVELS + 1, 10**4, 10**6])}"
+    elif kind == "bad tail":
+        bad = rng.choice(["nonsense", "table 2 1 ; affine 1 0 1", "table ; affine 0 0 1", "table x ; affine 1 0 1",
+                          "table 007 ; affine 1 0 1", "table 9 ; affine 1 0 1"])
+        if len(lines) > 2 and lines[2].startswith("tail: "):
+            lines[2] = f"tail: {bad}"
+        else:
+            lines.insert(2, f"tail: {bad}")
+    out = "\n".join(lines)
     return out if kind == "no final newline" else out + "\n"

@@ -20,7 +20,7 @@ from treebet import (
 from treebet.errors import ContractError, DomainError, ParseError, ResourceError
 from treebet.expectation import _cut_leaves, _endpoints, _fold_levels
 from treebet.forecast import ForecastingSystem, is_precise
-from treebet.formats import MAX_LEVELS, dump_process, dump_test, parse_rational
+from treebet.formats import MAX_LEVELS, dump_process, dump_test, parse_growth, parse_rational
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
 from treebet.martingale import kelly_gamble
@@ -337,21 +337,29 @@ def _numbered_lines(text: str) -> list[tuple[int, str]]:
     return numbered
 
 
-def _process_head(line: str) -> int:
-    """The depth a .proc's first line declares, refused as that line alone decides."""
+def _key_and_value(line: str) -> tuple[str, str]:
     key, colon, value = line.partition(":")
     if not colon:
         raise ParseError(f"expected 'key: value', got {line!r}")
-    if key.strip() != "depth":
-        raise ParseError(f"process file must start with 'depth:', got {line!r}")
-    value = value.strip()
+    return key.strip(), value.strip()
+
+
+def _natural_field(value: str, what: str) -> int:
     try:
-        depth = parse_integer(value)
+        number = parse_integer(value)
     except ParseError:
-        raise ParseError(f"bad depth {value!r}") from None
-    if depth < 0:
-        raise ParseError(f"negative depth {value!r}")
-    return depth
+        raise ParseError(f"bad {what} {value!r}") from None
+    if number < 0:
+        raise ParseError(f"negative {what} {value!r}")
+    return number
+
+
+def _process_head(line: str) -> int:
+    """The depth a .proc's first line declares, refused as that line alone decides."""
+    key, value = _key_and_value(line)
+    if key != "depth":
+        raise ParseError(f"process file must start with 'depth:', got {line!r}")
+    return _natural_field(value, "depth")
 
 
 def parse_process_by_lines(text: str) -> Process:
@@ -381,6 +389,50 @@ def parse_process_by_lines(text: str) -> Process:
     try:
         return Process(depth, values)
     except Exception as exc:
+        raise ParseError(str(exc)) from None
+
+
+def parse_test_by_lines(text: str) -> RandomnessTest:
+    """parse_test line by line: keys in any order, level lines anywhere, each level index and
+    member read on its own line and every level checked again by RandomnessTest; a fault that
+    one line decides is refused naming its number."""
+    lines = _numbered_lines(text)
+    if not lines:
+        raise ParseError("empty test file")
+    keys, members = {}, {}
+    for number, line in lines:
+        try:
+            if line.startswith("level "):
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ParseError(f"expected 'level <n> <situation>', got {line!r}")
+                members.setdefault(_natural_field(parts[1], "level index"), set()).add(parse_situation(parts[2]))
+                continue
+            key, value = _key_and_value(line)
+            if key in keys:
+                raise ParseError(f"duplicate key {key!r}")
+            if key == "levels":
+                keys[key] = _natural_field(value, "level count")
+                if keys[key] > MAX_LEVELS:
+                    raise ResourceError(f"line {number}: test has {value} levels, over the limit of {MAX_LEVELS}")
+            elif key == "depth":
+                keys[key] = _natural_field(value, "depth")
+            elif key == "tail":
+                keys[key] = parse_growth(value)
+            else:
+                raise ParseError(f"unexpected key {key!r} in test file")
+        except (ParseError, DomainError) as exc:
+            raise ParseError(str(exc), number) from None
+    for key in ("levels", "depth"):
+        if key not in keys:
+            raise ParseError(f"test file missing '{key}:'")
+    count = keys["levels"]
+    if members and max(members) >= count:
+        raise ParseError(f"level index outside 0..{count - 1}")
+    try:
+        return RandomnessTest(tuple(frozenset(members.get(n, ())) for n in range(count)),
+                              max_depth=keys["depth"], tail=keys.get("tail"))
+    except DomainError as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -214,11 +214,13 @@ def test_growth_function_validation():
 @pytest.mark.parametrize(
     "args, bad",
     [(((2.7, "3"), 1.5), "2.7"), (((2, "3"),), "'3'"), (((), 1.5), "1.5"),
-     (((), 1, Fraction(1, 2)), "Fraction(1, 2)"), (((1,), 1, 0, 1.0), "1.0")],
-    ids=["prefix-float", "prefix-str", "a", "b", "c"],
+     (((), 1, Fraction(1, 2)), "Fraction(1, 2)"), (((1,), 1, 0, 1.0), "1.0"),
+     (((True, 2),), "True"), (((), 1, False), "False")],
+    ids=["prefix-float", "prefix-str", "a", "b", "c", "prefix-bool", "b-bool"],
 )
 def test_growth_function_refuses_non_integers(args, bad):
-    # nothing is truncated to an integer, as Process refuses float values
+    # nothing is truncated to an integer, as Process refuses float values; a bool would be
+    # written 'True', which the .test reader refuses
     with pytest.raises(DomainError) as info:
         GrowthFunction(*args)
     assert str(info.value) == f"growth function values must be integers, got {bad}"

@@ -13,6 +13,7 @@ from treebet.errors import ConfigError, ParseError, ResourceError, TreebetError
 from treebet.formats import (
     MAX_LEVELS,
     _dumped,
+    _dumped_test,
     _process_text,
     dump_forecasting_system,
     dump_growth,
@@ -29,9 +30,12 @@ from treebet.martingale import kelly_process
 from treebet.numerals import format_rational, parse_integer
 
 from gen import (
-    DUMP_MUTATIONS, mutated_dump, ones_test, rand_fraction, rand_proc_text, rand_supermartingale, rand_system,
+    DUMP_MUTATIONS, TEST_MUTATIONS, mutated_dump, mutated_test_dump, ones_test, rand_fraction, rand_proc_text,
+    rand_supermartingale, rand_system, rand_test,
 )
-from oracles import dumped_by_tokens, integer_levels, parse_process_by_lines, process_text_by_names
+from oracles import (
+    dumped_by_tokens, integer_levels, parse_process_by_lines, parse_test_by_lines, process_text_by_names,
+)
 
 
 def test_parse_rational():
@@ -205,7 +209,7 @@ def test_parse_process_matches_line_by_line_reference(seed):
     # the one-pass reader refuses a text or reads it as the line-by-line one does
     parsed = _dumped(text)
     assert parsed is None or (parsed[0], [parsed[2][t] for t in parsed[1]]) == (
-        expected[0], [v for _, v in expected[1]])
+        expected[0], [(v.numerator, v.denominator) for _, v in expected[1]])
     assert (parsed is not None) == dumped_by_tokens(text)
     # and its integer levels are the line-by-line values' numerators and denominators
     levels = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
@@ -237,7 +241,8 @@ def test_dumped_processes_are_read_in_one_pass(seed=127):
             parsed = _dumped(dump_process(process))
             assert parsed is not None
             read, literals, made = parsed
-            assert read == depth and [made[t] for t in literals] == list(process.values.values())
+            assert read == depth and [made[t] for t in literals] == [
+                (v.numerator, v.denominator) for v in process.values.values()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -260,6 +265,21 @@ def test_writer_layout_check_and_integer_reader_match_references(seed, kind):
     expected = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
     assert _levels_outcome(_read_levels, text) == expected
     assert _levels_outcome(lambda t: integer_levels(parse_process(t)), text) == expected
+
+
+@pytest.mark.parametrize("value", ["2/4", "+1", "-0", "007", "1/0", "%s", "%%", "7" * 4301 + "/3"])
+@pytest.mark.parametrize("depth", range(2, 7))
+def test_dumped_layout_with_odd_values_reads_as_line_by_line(depth, value):
+    # the writer's layout around values dump_process never writes: unreduced, signed, padded,
+    # refused, a format directive and a numerator past the digit limit
+    rng = random.Random(depth)
+    texts = [format_rational(rand_fraction(rng, 10**6)) for _ in range((2 << depth) - 1)]
+    for at in rng.sample(range(len(texts)), 3):
+        texts[at] = value
+    text = process_text_by_names(depth, texts)
+    assert (_dumped(text) is not None) == dumped_by_tokens(text) == (value in ("2/4", "+1", "-0", "007"))
+    expected = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
+    assert _levels_outcome(_read_levels, text) == expected
 
 
 def _texts(process):
@@ -419,6 +439,19 @@ def test_repeated_keys_rows_and_stray_lines_are_refused(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(TEST_MUTATIONS))
+def test_parse_test_matches_the_line_reader(seed, kind):
+    # dump_test's layout is read with one match per block, anything else line by line: the
+    # same test, or the same refusal, its type, message and line
+    rng = random.Random(seed)
+    text = mutated_test_dump(rng, dump_test(rand_test(rng)), kind)
+    expected = _levels_outcome(parse_test_by_lines, text)
+    assert _levels_outcome(parse_test, text) == expected
+    if kind == "none":
+        assert _dumped_test(text) == expected
 
 
 def test_repeated_level_lines_are_read_as_one_member():

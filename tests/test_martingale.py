@@ -70,14 +70,16 @@ def test_process_missing_value_named_in_heap_order():
         Process(1, {"1": Fraction(1), "": Fraction(1), "00": Fraction(1)})
 
 
-@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2", None])
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2", None, True])
 def test_values_that_are_not_rational_are_refused(value):
-    # a float used to be kept, then written as '0.5', which the reader refuses
+    # a float used to be kept, then written as '0.5', which the reader refuses; a bool is an
+    # int, but a flag, not a value
     with pytest.raises(DomainError) as info:
         Process(1, {"": Fraction(1), "0": value, "1": Fraction(3, 2)})
     assert str(info.value) == f"process value at '0' is not rational: {value!r}"
-    with pytest.raises(DomainError):
-        DOUBLER.with_root(1.0)
+    for root in (1.0, value):
+        with pytest.raises(DomainError):
+            DOUBLER.with_root(root)
 
 
 def test_from_function_converts_floats_exactly():
