@@ -7,14 +7,14 @@ lower probabilities of partial cuts and cylinder sets are special cases.
 A cut's probability is 1 at and below its members and 0 off their trie, which
 ``_cut_trie`` folds alone, without recursing: every unconditional level or cut probability
 in ``randtest`` and ``martingale`` uses it, and ``_fold_sum`` adds many cuts' tries into the
-integer levels a ``Process`` keeps (``cut_value_map`` and the ``assemble_*`` builders), while
+table and codes a ``Process`` keeps (``cut_value_map`` and the ``assemble_*`` builders), while
 ``cut_upper_prob``/``cut_lower_prob`` keep ``_sparse_cut_value``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -156,35 +156,42 @@ def _cut_trie(ends, members) -> tuple[Fraction, list[dict[int, int]]]:
 
 
 def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False, on_root=None):
-    """(nums, dens) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight,
-    cut) pairs, as a Process keeps them: the value at bits(j, w) is nums[w][j] / dens[w][j].  Each
-    cut adds its _cut_trie nodes to one running table and its weight to a count at each member; the
-    counts are pushed down onto the covered nodes at the end.  on_root(i, v), if given, gets the
-    i-th cut's root v once it is in."""
+    """(table, codes) of sum(weight * cut_value_map(fs, cut, depth, lower)) / divisor over (weight,
+    cut) pairs, as a Process keeps them.  Each cut adds its _cut_trie nodes to one sparse running
+    table per level and its weight to a count at each member; at the end the counts are pushed down
+    onto the covered nodes by slice doubling.  Level t's values share the denominator
+    divisor * L**(depth - t), so the nodes off every trie are coded by their count, and the tries'
+    nodes one by one.  on_root(i, v), if given, gets the i-th cut's root v once it is in."""
     ends = _pairs(fs, lower)
-    scale, total = ends[0], [[0] * (1 << t) for t in range(depth + 1)]
-    counts = [Counter() for _ in range(depth + 1)]
+    scale, (sums, counts) = ends[0], ([defaultdict(int) for _ in range(depth + 1)] for _ in (0, 1))
     for i, (weight, cut) in enumerate(weighted_cuts):
         if any(len(t) > depth for t in cut):
             raise DomainError("cut member deeper than the requested sweep depth")
         root, nodes = _cut_trie(ends, cut) if cut else (ZERO, [{}])
         lift = weight * scale ** (depth + 1 - len(nodes))
-        for row, level in zip(total, nodes):
+        for row, level in zip(sums, nodes):
             for j, v in level.items():
                 row[j] += lift * v
         for m in cut:
             counts[len(m)][_leaf_index(m)] += weight
         if on_root:
             on_root(i, root)
-    above: list[int] = []  # at depth t, the weight of the members strictly above each node
-    for t, here in enumerate(counts):
-        above = [c for c in above for _ in (0, 1)] or [0]
-        if any(above):
-            power = scale ** (depth - t)
-            total[t] = [v + c * power for v, c in zip(total[t], above)]
+    code, codes, above = {}, [], [0]  # each (numerator, denominator) pair's code, in order of first use
+    for t, (here, trie) in enumerate(zip(counts, sums)):  # above: the weight of the members over each node
+        if t:  # each child starts from its parent's
+            below = [0] * (2 * len(above))
+            below[::2] = below[1::2] = above
+            above = below
+        power, den, off = scale ** (depth - t), divisor * scale ** (depth - t), [*above]
+        for j in trie:  # off: each node's count, None on a trie
+            off[j] = None
+        made = {c: code.setdefault((c * power, den), len(code)) for c in set(off) - {None}}
+        codes.append([*map(made.get, off)])
+        for j, v in trie.items():
+            codes[t][j] = code.setdefault((above[j] * power + v, den), len(code))
         for j, c in here.items():
             above[j] += c
-    return total, [[divisor * scale ** (depth - t)] * (1 << t) for t in range(depth + 1)]
+    return [*code], codes
 
 
 def cond_upper(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:
@@ -244,7 +251,7 @@ def cut_value_map(
     One bottom-up sweep; requires ``depth`` at or below no cut member.
     """
     from .martingale import Process  # martingale imports this module
-    return dict(Process._from_levels(*_fold_sum(fs, [(1, require_antichain(cut))], depth, lower=lower)).values)
+    return dict(Process._from_codes(*_fold_sum(fs, [(1, require_antichain(cut))], depth, lower=lower)).values)
 
 
 def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:

@@ -6,10 +6,10 @@ the end of the line, and blank lines are ignored.  Rationals go through
 situations sorted, so a parse/serialise round trip of our own output is byte identical.
 Each reader runs its loop over the lines inside one try, so a ParseError or
 DomainError that one line decides is refused naming that line.
-A process in dump_process's own layout is read in one pass straight into the
-integer levels a Process keeps, any other line by line; the writer itself decides
-which.  The writer makes one text per distinct value of a level and fills one
-'<name> %s' line template per depth with them, building no name per situation.
+A process in dump_process's own layout is read in one pass over its bytes into the
+table of distinct pairs and the codes a Process keeps, any other line by line; the writer
+itself decides which.  The writer makes one text per table entry and fills one '<name> %s'
+bytes template per depth through the codes, building no name per situation.
 A test in dump_test's layout is read with one match for its keys and one findall
 for its level lines, any other line by line.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
@@ -130,29 +129,31 @@ def _keyed_text(head: list[str], word: str, rows) -> str:
     return "\n".join(head) + "\n"
 
 
-def _dumped(text: str) -> tuple[int, list[str], dict[str, tuple[int, int]]] | None:
-    """(depth, the value texts in heap order, each distinct text's value as a lowest-terms integer
-    pair) of a text in dump_process's exact layout whose values all parse, read in one pass; else None."""
-    tokens = text.split()  # 'depth:', D, then a name and a value per situation
+def _dumped(text: str) -> tuple[int, list[bytes], dict[bytes, tuple[int, int]]] | None:
+    """(depth, the value texts in heap order as ASCII bytes, each distinct text's value as a lowest-terms
+    integer pair) of a text in dump_process's exact layout whose values all parse, read in one pass; else None."""
+    data = text.encode()
+    tokens = data.split()  # 'depth:', D, then a name and a value per situation
     depth = len(tokens).bit_length() - 3  # the one depth with 4 << depth tokens, if any
     literals, count = tokens[3::2], len(tokens)
     del tokens  # the names go before the writer makes its copy of the text, which lowers the peak
     # the layout: the writer, given the same values, writes the very same text
-    if depth < 0 or count != 4 << depth or _process_text(depth, literals) != text:
+    if depth < 0 or count != 4 << depth or _process_bytes(depth, literals) != data:
         return None
-    pairs = rational_pairs([*set(literals)])  # value texts repeat heavily: each distinct one is read once
-    return None if pairs is None else (depth, literals, pairs)  # else read line by line, for the line number
+    distinct = [*set(literals)]  # value texts repeat heavily: each distinct one is decoded and read once
+    pairs = rational_pairs(b"\n".join(distinct).decode())
+    return None if pairs is None else (depth, literals, dict(zip(distinct, pairs)))  # else read line by line
 
 
 def parse_process(text: str) -> Process:
     dumped = _dumped(text)
     if dumped is None:
         return _process_by_lines(text)
-    depth, literals, pairs = dumped  # straight into the Process's integer levels
-    values = itemgetter(*literals, literals[0])  # one text more, so that a lone root's value is a tuple too
-    nums, dens = (values({text: pair[i] for text, pair in pairs.items()}) for i in (0, 1))
-    return Process._from_levels(*([[*heap[(1 << w) - 1:(2 << w) - 1]] for w in range(depth + 1)]
-                                  for heap in (nums, dens)))
+    depth, literals, pairs = dumped  # straight into the Process's codes, one per distinct pair
+    table = [*dict.fromkeys(pairs.values())]
+    code = {pair: i for i, pair in enumerate(table)}
+    heap = [*map({text: code[pair] for text, pair in pairs.items()}.__getitem__, literals)]
+    return Process._from_codes(table, [heap[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)])
 
 
 def _process_by_lines(text: str) -> Process:
@@ -189,29 +190,21 @@ def _process_by_lines(text: str) -> Process:
 
 
 def dump_process(process: Process) -> str:
-    return _process_text(process.depth, chain.from_iterable(map(_level_texts, process.nums, process.dens)))
+    texts = [format_rational(Fraction(*pair)).encode() for pair in process.table]  # one per distinct value
+    return _process_bytes(process.depth, map(texts.__getitem__, chain.from_iterable(process.codes))).decode()
 
 
-def _level_texts(nums: list[int], dens: list[int]):
-    """The texts of a level's values, one made per distinct value: keyed by the numerator when the
-    level shares one denominator (as the assembled sums' levels do), else by the pair."""
-    if dens.count(dens[0]) == len(dens):
-        made = {n: format_rational(Fraction(n, dens[0])) for n in set(nums)}
-        return map(made.__getitem__, nums)
-    made = {pair: format_rational(Fraction(*pair)) for pair in set(zip(nums, dens))}
-    return map(made.__getitem__, zip(nums, dens))
-
-
-def _process_text(depth: int, texts) -> str:
-    """The .proc text of the value texts in heap order: one '<name> %s' line template, filled once
-    (a value text is an argument, never a directive); a level's lines are the level above's, prefixed."""
-    template = [f"depth: {depth}\n{ROOT_LABEL} %s\n"]
-    lines = " %s\n"  # the root's line, its name empty
+def _process_bytes(depth: int, texts) -> bytes:
+    """The .proc text of the value texts in heap order, all as bytes: one '<name> %s' line template,
+    filled once (a value text is an argument, never a directive); a level's lines are the level above's,
+    prefixed."""
+    template = [b"depth: %d\n%s %%s\n" % (depth, ROOT_LABEL.encode())]
+    lines = b" %s\n"  # the root's line, its name empty
     for w in range(depth):  # '0', then '1', before each of level w's 2**w lines
         k = (1 << w) - 1
-        lines = "0" + lines.replace("\n", "\n0", k) + "1" + lines.replace("\n", "\n1", k)
+        lines = b"0" + lines.replace(b"\n", b"\n0", k) + b"1" + lines.replace(b"\n", b"\n1", k)
         template.append(lines)
-    return "".join(template) % tuple(texts)
+    return b"".join(template) % tuple(texts)
 
 
 def parse_growth(text: str) -> GrowthFunction:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from numbers import Rational
 from types import MappingProxyType
 from typing import Callable, Literal, Mapping
@@ -32,16 +32,16 @@ KellyDirection = Literal["on-one", "on-zero"]
 class Process:
     """A total rational-valued map on the tree truncated at ``depth``.
 
-    The values are kept as integers, level by level: the value at bits(j, w)
-    is ``nums[w][j] / dens[w][j]``, with every denominator positive but not
-    necessarily in lowest terms.  The supermartingale, test and first-passage
-    checks and ``dump_process`` read these lists; processes share them
-    (``with_root``, negation), so they are never changed in place.
-    ``values`` maps each situation to its Fraction in heap order, the order
-    ``situations_up_to`` yields; it is read-only and built on first use.
+    The value at bits(j, w) is ``table[codes[w][j]]``, an integer pair (numerator, positive
+    denominator) not necessarily in lowest terms.  Values repeat heavily, so the table holds each
+    pair once (and, after ``with_root``, maybe the old root's unused) and the checks, first passages
+    and ``dump_process`` work on the small-int codes, with one pair's arithmetic per table entry.
+    Processes share these lists (``with_root``, negation), so they are never changed in place.
+    ``nums``, ``dens`` and ``values`` (each situation's Fraction in heap order, the order
+    ``situations_up_to`` yields) are read-only and derived on access.
     """
 
-    __slots__ = ("depth", "nums", "dens", "_values")
+    __slots__ = ("depth", "table", "codes", "_values")
 
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
         if depth < 0:
@@ -54,35 +54,41 @@ class Process:
             raise DomainError(f"depth-{depth} process needs {expected} values, got {len(values)}")
         names = [*situations_up_to(depth)]
         try:
-            heap = [values[s] for s in names]
+            heap = [*map(values.__getitem__, names)]
         except KeyError as exc:
             raise DomainError(f"process missing value at {exc.args[0] or '@'!r}") from None
-        for s, v in zip(names, heap):
-            if isinstance(v, bool) or not isinstance(v, Rational):  # a float would reach the checks and the writer
-                raise DomainError(f"process value at {s or '@'!r} is not rational: {v!r}")
+        # a float would reach the checks and the writer: each type is checked once, the first bad value named
+        if bad := {t for t in set(map(type, heap)) if t is bool or not issubclass(t, Rational)}:
+            s, v = next((s, v) for s, v in zip(names, heap) if type(v) in bad)
+            raise DomainError(f"process value at {s or '@'!r} is not rational: {v!r}")
         self.depth, self._values = depth, None
-        self.nums, self.dens = ([row[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)]
-                                for row in ([v.numerator for v in heap], [v.denominator for v in heap]))
+        self.table, self.codes = _coded([(v.numerator, v.denominator) for v in heap], depth)
+
+    @classmethod
+    def _from_codes(cls, table: list[tuple[int, int]], codes: list[list[int]]) -> "Process":
+        """The process with these codes into this table, unchecked: one list per level w, 2**w long."""
+        process = cls.__new__(cls)
+        process.depth, process.table, process.codes, process._values = len(codes) - 1, table, codes, None
+        return process
 
     @classmethod
     def _from_levels(cls, nums: list[list[int]], dens: list[list[int]]) -> "Process":
         """The process with these levels, unchecked: one list per level w, 2**w long, positive dens."""
-        process = cls.__new__(cls)
-        process.depth, process.nums, process.dens, process._values = len(nums) - 1, nums, dens, None
-        return process
+        return cls._from_codes(*_coded(zip(chain.from_iterable(nums), chain.from_iterable(dens)), len(nums) - 1))
 
     @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "Process":
         return cls(depth, {s: Fraction(fn(s)) for s in situations_up_to(depth)})
 
+    nums = property(lambda self: [[self.table[c][0] for c in level] for level in self.codes])
+    dens = property(lambda self: [[self.table[c][1] for c in level] for level in self.codes])
+
     @property
     def values(self) -> Mapping[str, Fraction]:
-        """Each situation's value in heap order, one Fraction per distinct value of a level."""
+        """Each situation's value in heap order, one Fraction per table entry."""
         if self._values is None:
-            heap: list[Fraction] = []
-            for ns, ds in zip(self.nums, self.dens):
-                made = {pair: Fraction(*pair) for pair in set(zip(ns, ds))}
-                heap += map(made.__getitem__, zip(ns, ds))
+            made = [Fraction(*pair) for pair in self.table]
+            heap = map(made.__getitem__, chain.from_iterable(self.codes))
             self._values = MappingProxyType(dict(zip(situations_up_to(self.depth), heap)))
         return self._values
 
@@ -94,13 +100,15 @@ class Process:
 
     @property
     def root(self) -> Fraction:
-        return Fraction(self.nums[0][0], self.dens[0][0])
+        return Fraction(*self.table[self.codes[0][0]])
 
     def with_root(self, value: Fraction) -> "Process":
         """The same process with ``value`` at the root."""
         if isinstance(value, bool) or not isinstance(value, Rational):
             raise DomainError(f"process value at '@' is not rational: {value!r}")
-        return Process._from_levels([[value.numerator], *self.nums[1:]], [[value.denominator], *self.dens[1:]])
+        pair = (value.numerator, value.denominator)
+        table = self.table if pair in self.table else [*self.table, pair]
+        return Process._from_codes(table, [[table.index(pair)], *self.codes[1:]])
 
     def delta(self, s: str) -> LocalGamble:
         """The one-step difference gamble at an interior situation."""
@@ -114,7 +122,15 @@ class Process:
         return max(self.values.values())
 
     def __neg__(self) -> "Process":
-        return Process._from_levels([[-n for n in ns] for ns in self.nums], self.dens)
+        return Process._from_codes([(-n, d) for n, d in self.table], self.codes)
+
+
+def _coded(pairs, depth: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """(table, codes) of a process's (numerator, denominator) pairs in heap order: each distinct
+    pair once, coded in order of first use."""
+    code: dict[tuple[int, int], int] = {}
+    heap = [code.setdefault(pair, len(code)) for pair in pairs]
+    return [*code], [heap[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)]
 
 
 def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
@@ -122,20 +138,21 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
 
     An empty list certifies the supermartingale property on the truncated tree.
     """
-    nums, dens = process.nums, process.dens
+    table, codes = process.table, process.codes
     scale, rows = _endpoints(fs, ROOT, process.depth)
 
-    def fails(n, d, n0, d0, n1, d1, ends) -> bool:
+    def fails(c, c0, c1, ends) -> bool:
         # with L the scale, the gain's upper expectation is positive iff L*f0 + P*(f1 - f0) > L*v,
         # P the endpoint it takes (the pair's first when f1 >= f0): the fold step, cross-multiplied
+        (n, d), (n0, d0), (n1, d1) = table[c], table[c0], table[c1]
         r = n1 * d0 - (a := n0 * d1)
         return (scale * a + ends[r < 0] * r) * d > scale * n * d0 * d1
 
     violations = []
     for w, row in enumerate(rows):
-        columns = (nums[w], dens[w], nums[w + 1][::2], dens[w + 1][::2], nums[w + 1][1::2], dens[w + 1][1::2], row)
-        # rows (a value, its children's, the endpoint pair) repeat heavily: each distinct one is checked
-        # once, and the level is walked again only to name the nodes of failing ones, in heap order
+        columns = (codes[w], codes[w + 1][::2], codes[w + 1][1::2], row)
+        # rows (a value's code, its children's, the endpoint pair) repeat heavily: each distinct one is
+        # checked once, and the level is walked again only to name the nodes of failing ones, in heap order
         if bad := {t for t in set(zip(*columns)) if fails(*t)}:
             violations += [bits(j, w) for j in compress(count(), map(bad.__contains__, zip(*columns)))]
     return violations
@@ -144,10 +161,11 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
 def _test_failures(fs: ForecastingSystem, process: Process) -> list[str]:
     """Where the test-supermartingale check fails: the root unless it is 1, else every
     negative value in heap order (shortest, then leftmost), else every violation."""
-    if process.nums[0] != process.dens[0]:  # the root's denominator need not be 1
+    if process.root != 1:
         return [ROOT]
-    negative = [bits(j, w) for w, ps in enumerate(process.nums) if min(ps) < 0 for j, p in enumerate(ps) if p < 0]
-    return negative or check_supermartingale(fs, process)
+    negative = {c for c, (p, _) in enumerate(process.table) if p < 0}  # each distinct value tested once
+    return [bits(j, w) for w, level in enumerate(process.codes) if negative
+            for j in compress(count(), map(negative.__contains__, level))] or check_supermartingale(fs, process)
 
 
 def check_test_supermartingale(fs: ForecastingSystem, process: Process) -> bool:

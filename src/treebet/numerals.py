@@ -34,16 +34,16 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"numeral over {limit} digits in rational {text[:20]!r}...") from None
 
 
-def rational_pairs(texts: list[str]) -> dict[str, tuple[int, int]] | None:
-    """Each text's value as parse_rational reads it, but as a lowest-terms (numerator, denominator)
-    pair; None when parse_rational would refuse any of them, so that the caller can say which."""
-    if not _PAIR_LINES.fullmatch("\n".join(texts)):
+def rational_pairs(lines: str) -> list[tuple[int, int]] | None:
+    """Each line's value as parse_rational reads it, but as a lowest-terms (numerator, denominator)
+    pair; None when parse_rational would refuse any line, so that the caller can say which."""
+    if not _PAIR_LINES.fullmatch(lines):
         return None
     try:  # int() refuses numerals past sys.get_int_max_str_digits()
-        pairs = [(int(p), int(q or 1)) for p, _, q in (text.partition("/") for text in texts)]
+        pairs = [(int(p), int(q or 1)) for p, _, q in (text.partition("/") for text in lines.split("\n"))]
     except ValueError:
         return None
-    return {text: (p // g, q // g) for text, (p, q) in zip(texts, pairs) for g in (gcd(p, q),)}
+    return [(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)]
 
 
 def parse_integer(text: str) -> int:

@@ -135,11 +135,11 @@ def _require_stored(test: RandomnessTest, n_max: int) -> None:
 
 def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
     """Level n: each situation whose count exceeds n while no strict prefix's does,
-    crossed(w, ps, qs) giving the counts of the values p/q of the process's level w."""
+    crossed(w, codes) mapping each code of the process's level w to its value's count."""
     levels: list[list[str]] = []
     reached = [0]
-    for w, (ps, qs) in enumerate(zip(process.nums, process.dens)):
-        here = crossed(w, ps, qs)
+    for w, level in enumerate(process.codes):
+        here = [*map(crossed(w, level).__getitem__, level)]
         for j in [*compress(count(), map(gt, here, reached))]:  # the nodes that cross a new level
             levels.extend([] for _ in range(len(levels), here[j]))
             for n in range(reached[j], here[j]):
@@ -153,9 +153,9 @@ def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
 
 def _threshold_test(process: Process) -> RandomnessTest:
     """martingale_to_test's test, without its test-supermartingale check."""
-    # 2**n < p/q iff 2**n <= (p - 1) // q: the levels crossed are that quotient's bits
-    levels = _first_passages(process, lambda w, ps, qs: [
-        ((p - 1) // q).bit_length() if p > q else 0 for p, q in zip(ps, qs)])
+    # 2**n < p/q iff 2**n <= (p - 1) // q: the levels crossed are that quotient's bits, once per table entry
+    counts = [((p - 1) // q).bit_length() if p > q else 0 for p, q in process.table]
+    levels = _first_passages(process, lambda w, codes: counts)
     return RandomnessTest._from_antichains(levels, max_depth=process.depth)
 
 
@@ -200,7 +200,7 @@ def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool, on_root
     """Half the weighted sum of the cuts' upper-probability maps, as a Process."""
     if depth < 0:
         raise DomainError("process depth must be non-negative")
-    process = Process._from_levels(*_fold_sum(fs, weighted_cuts, depth, divisor=2, on_root=on_root))
+    process = Process._from_codes(*_fold_sum(fs, weighted_cuts, depth, divisor=2, on_root=on_root))
     if normalize_root:
         if process.root > 1:
             raise ContractError("assembled root exceeds 1; refusing to normalise")
@@ -246,9 +246,10 @@ def schnorr_test_from_martingale(
     """
     _require_test_supermartingale(fs, process)
     thresholds = [rho(n) for n in range(process.depth + 1)]
-    # rho(w) >= 2**n for the first rho(w).bit_length() levels n
-    levels = _first_passages(process, lambda w, ps, qs: [
-        t.bit_length() if p >= t * q else 0 for t in thresholds[w:w + 1] for p, q in zip(ps, qs)])
+    # rho(w) >= 2**n for the first rho(w).bit_length() levels n, once per distinct value of level w
+    levels = _first_passages(process, lambda w, codes: {c: t.bit_length() if p >= t * q else 0
+                                                        for t in [thresholds[w]] for c in set(codes)
+                                                        for p, q in [process.table[c]]})
     deepest = max((len(t) for cut in levels for t in cut), default=-1)
     prefix = []
     k = 0

@@ -28,6 +28,7 @@ ENDPOINT_POOL = [Fraction(0), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2),
 
 FAIR = Stationary(interval("1/2"))
 WIDE = Stationary(interval("2/5", "7/10"))
+NUDGE = Fraction(1, 97)
 
 
 def rand_fraction(rng: random.Random, span: int = 4, max_den: int = 12) -> Fraction:
@@ -123,6 +124,20 @@ def rand_supermartingale(
         values[s + "1"] = here * burn * (1 + stake * g.on1)
         values[s + "0"] = here * burn * (1 + stake * g.on0)
     return Process(depth, values)
+
+
+def count_process(rng: random.Random, forecast, depth: int, moved: bool) -> Process:
+    """A Kelly bettor's capital against ``forecast``: its value depends only on a situation's depth
+    and count of ones, so each level's rows (a value, its children's and the forecast) repeat
+    heavily. With ``moved``, one (depth, ones) class is moved by 1/97 either way, which puts one
+    row, failing or not, at every node above the class that shares a forecast."""
+    g = kelly_gamble(forecast, rng.choice(["on-one", "on-zero"]))
+    stake = rng.choice([Fraction(1, 2), Fraction(3, 4), Fraction(1)])
+    win, lose = 1 + stake * g.on1, 1 + stake * g.on0
+    n = rng.randint(1, depth)
+    cls, nudge = (n, rng.randint(0, n)), (rng.choice([NUDGE, -NUDGE]) if moved else 0)
+    return Process(depth, {s: win ** s.count("1") * lose ** s.count("0")
+                           + (nudge if (len(s), s.count("1")) == cls else 0) for s in situations_up_to(depth)})
 
 
 def ones_test(

@@ -14,7 +14,7 @@ from treebet.formats import (
     MAX_LEVELS,
     _dumped,
     _dumped_test,
-    _process_text,
+    _process_bytes,
     dump_forecasting_system,
     dump_growth,
     dump_process,
@@ -313,7 +313,7 @@ def test_dump_process_matches_the_writer_by_names_past_the_digit_limit():
     min_size=(2 << d) - 1, max_size=(2 << d) - 1))))
 def test_process_text_keeps_value_texts_as_data(case):
     depth, texts = case
-    assert _process_text(depth, texts) == process_text_by_names(depth, texts)
+    assert _process_bytes(depth, [t.encode() for t in texts]) == process_text_by_names(depth, texts).encode()
 
 
 def test_growth_spec_round_trip():

@@ -37,7 +37,6 @@ from treebet import (
     cut_upper_prob,
     derive_tail_bound_precise,
     interval,
-    kelly_gamble,
     martingale_to_test,
     schnorr_test_from_martingale,
     validate_ml_test,
@@ -50,7 +49,10 @@ from treebet.formats import dump_forecasting_system, dump_growth, dump_process, 
 from treebet.randtest import _threshold_test
 from treebet.tree import bits, situations_up_to
 
-from gen import ENDPOINT_POOL, FAIR, decaying_system, rand_fraction, rand_interval, rand_system, rand_valid_test
+from gen import (
+    ENDPOINT_POOL, FAIR, NUDGE, count_process, decaying_system, rand_fraction, rand_interval, rand_system,
+    rand_valid_test,
+)
 from oracles import (
     check_supermartingale_by_delta,
     check_supermartingale_by_nodes,
@@ -68,7 +70,6 @@ seeds = st.integers(min_value=0, max_value=2**32)
 KINDS = ["stationary", "table", "markov"]
 # {0}, {1} and [0, 1]: every row pins the next bit or leaves it free
 DEGENERATE_POOL = [Fraction(0), Fraction(1)]
-NUDGE = Fraction(1, 97)
 
 
 def system(rng: random.Random, depth: int, precise: bool | None = None):
@@ -199,20 +200,6 @@ def test_edge_processes_reach_the_edges():
         crossed |= {n for n, cut in enumerate(_threshold_levels(process)) if cut}
         at_rho += sum(v == rho(len(s)) > 1 for s, v in process.values.items())
     assert {0, 1, 2, 3} <= crossed and at_rho
-
-
-def count_process(rng: random.Random, forecast, depth: int, moved: bool) -> Process:
-    """A Kelly bettor's capital against ``forecast``: its value depends only on a situation's depth
-    and count of ones, so each level's rows (a value, its children's and the forecast) repeat
-    heavily. With ``moved``, one (depth, ones) class is moved by 1/97 either way, which puts one
-    row, failing or not, at every node above the class that shares a forecast."""
-    g = kelly_gamble(forecast, rng.choice(["on-one", "on-zero"]))
-    stake = rng.choice([Fraction(1, 2), Fraction(3, 4), Fraction(1)])
-    win, lose = 1 + stake * g.on1, 1 + stake * g.on0
-    n = rng.randint(1, depth)
-    cls, nudge = (n, rng.randint(0, n)), (rng.choice([NUDGE, -NUDGE]) if moved else 0)
-    return Process(depth, {s: win ** s.count("1") * lose ** s.count("0")
-                           + (nudge if (len(s), s.count("1")) == cls else 0) for s in situations_up_to(depth)})
 
 
 def _failing_row_repeats(fs, process: Process, violations: list[str]) -> bool:

@@ -112,9 +112,11 @@ def test_fold_sum_matches_dense_leaf_fold(seed, depth, lower, divisor):
     fs = system(rng, depth)
     cuts = [(rng.choice([1, 1 << rng.randint(0, 40)]), odd_cut(rng, depth)) for _ in range(rng.randint(0, 5))]
     roots, expected_roots = [], []
-    got = _fold_sum(fs, cuts, depth, divisor, lower, on_root=lambda i, v: roots.append((i, v)))
+    table, codes = _fold_sum(fs, cuts, depth, divisor, lower, on_root=lambda i, v: roots.append((i, v)))
     expected = fold_sum_by_leaves(fs, cuts, depth, divisor, lower, on_root=lambda i, v: expected_roots.append((i, v)))
-    assert got == expected
+    got = Process._from_codes(table, codes)
+    assert (got.nums, got.dens) == expected
+    assert len(set(table)) == len(table) == len({table[c] for level in codes for c in level})
     assert roots == expected_roots
 
 
@@ -256,8 +258,7 @@ def test_assembled_sum_with_all_values_distinct(lower):
     }
     fs = Table(IntervalForecast(Fraction(1, 2), Fraction(1, 2)), overrides)
     leaf_cuts = [(weight, frozenset({bits(j, depth)})) for j, weight in enumerate(weights)]
-    levels, dens = _fold_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)
-    values = Process._from_levels(levels, dens).values
+    values = Process._from_codes(*_fold_sum(fs, leaf_cuts, depth, divisor=2, lower=lower)).values
     maps = [cut_value_map_by_nodes(fs, cut, depth, lower) for _, cut in leaf_cuts]
     expected = [
         (s, sum(weight * m[s] for (weight, _), m in zip(leaf_cuts, maps)) / 2)
