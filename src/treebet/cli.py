@@ -291,11 +291,18 @@ def cmd_analyze(args) -> int:
             if p == 0:
                 num[i], den[i], cols[i] = 0, 1, "0"
                 continue
-            # (a/b) * (p/q) stays reduced: divide out gcd(a, q) and gcd(p, b)
+            # (a/b) * (p/q) stays reduced: divide out gcd(a, q) and gcd(p, b);
+            # a division or product by 1 would only copy every digit, so it is skipped
             g1, g2 = math.gcd(a, q), math.gcd(p, b)
-            a, b = a // g1 * (p // g2), b // g2 * (q // g1)
-            da = EXACT.multiply(EXACT.divide_int(dnum[i], g1), p // g2)
-            db = EXACT.multiply(EXACT.divide_int(dden[i], g2), q // g1)
+            da, db = dnum[i], dden[i]
+            if g1 != 1:
+                a, q, da = a // g1, q // g1, EXACT.divide_int(da, g1)
+            if g2 != 1:
+                b, p, db = b // g2, p // g2, EXACT.divide_int(db, g2)
+            if p != 1:
+                a, da = a * p, EXACT.multiply(da, p)
+            if q != 1:
+                b, db = b * q, EXACT.multiply(db, q)
             num[i], den[i], dnum[i], dden[i] = a, b, da, db
             cols[i] = ratio_text(da, db)
             if a * best[1] > best[0] * b:

@@ -255,18 +255,18 @@ def cut_value_map(
 
 
 def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:
-    """Closed-form (upper, lower) probability of the cylinder set of ``s``."""
+    """Closed-form (upper, lower) probability of the cylinder set of ``s``: integer products
+    of _pairs' scaled endpoints along ``s`` (hi and lo at a 1, L - lo and L - hi at a 0), over
+    L**len(s)."""
     require_situation(s)
-    upper = Fraction(1)
-    lower = Fraction(1)
-    p = 1
+    scale, pairs, _ = _pairs(fs)
+    upper = lower = p = 1
     for bit in s:
-        forecast = fs.intervals[fs._slot(p)]
-        p = fs._follow(p, bit)
+        hi, lo = pairs[fs._slot(p)]
         if bit == "1":
-            upper *= forecast.hi
-            lower *= forecast.lo
+            upper, lower = upper * hi, lower * lo
         else:
-            upper *= 1 - forecast.lo
-            lower *= 1 - forecast.hi
-    return upper, lower
+            upper, lower = upper * (scale - lo), lower * (scale - hi)
+        p = fs._follow(p, bit)
+    den = scale ** len(s)
+    return Fraction(upper, den), Fraction(lower, den)

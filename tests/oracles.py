@@ -60,6 +60,19 @@ def path_weight(fs: ForecastingSystem, leaf: str) -> Fraction:
     return weight
 
 
+def cylinder_bounds_by_bits(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:
+    """(upper, lower) probability of the cylinder of ``s``, one Fraction product per bit,
+    each interval looked up by the prefix's name."""
+    upper = lower = Fraction(1)
+    for k, bit in enumerate(s):
+        forecast = forecast_by_name(fs, s[:k])
+        if bit == "1":
+            upper, lower = upper * forecast.hi, lower * forecast.lo
+        else:
+            upper, lower = upper * (1 - forecast.lo), lower * (1 - forecast.hi)
+    return upper, lower
+
+
 def precise_expectation_by_paths(fs: ForecastingSystem, g: DepthGamble) -> Fraction:
     """Sum-product expectation of a finitely-determined gamble, leaf by leaf."""
     if not is_precise(fs):

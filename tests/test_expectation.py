@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebet import (
     DepthGamble,
@@ -19,9 +20,11 @@ from treebet import (
     interval,
 )
 from treebet.errors import DomainError
+from treebet.tree import bits
 
 from gen import FAIR, WIDE, rand_gamble, rand_system, rand_table_system
 from oracles import (
+    cylinder_bounds_by_bits,
     lower_by_endpoint_enumeration,
     precise_expectation_by_paths,
     upper_by_endpoint_enumeration,
@@ -114,6 +117,41 @@ def test_cylinder_bounds_match_singleton_cuts(seed=17):
         upper, lower = cylinder_bounds(fs, s)
         assert upper == cut_upper_prob(fs, {s})
         assert lower == cut_lower_prob(fs, {s})
+
+
+# the degenerate {0} and {1}, the vacuous [0, 1], precise and imprecise mixed denominators
+CYLINDER_INTERVALS = [
+    interval("0"), interval("1"), interval("0", "1"), interval("1/2"), interval("2/7"),
+    interval("2/5", "7/10"), interval("1/4", "3/5"), interval("5/9", "6/7"),
+]
+cylinder_forecasts = st.sampled_from(CYLINDER_INTERVALS)
+
+
+@st.composite
+def cylinder_cases(draw):
+    """A system and a path of up to about 200 bits; table overrides sit on the path and off it."""
+    s = draw(st.text("01", max_size=200))
+    kind = draw(st.sampled_from(["stationary", "table", "markov"]))
+    if kind == "stationary":
+        return Stationary(draw(cylinder_forecasts)), s
+    if kind == "table":
+        on_path = draw(st.lists(st.integers(0, len(s)), max_size=8))
+        off_path = draw(st.lists(st.integers(0, 6).flatmap(
+            lambda n: st.builds(bits, st.integers(0, (1 << n) - 1), st.just(n))), max_size=4))
+        keys = [s[:k] for k in on_path] + off_path
+        return Table(draw(cylinder_forecasts), {t: draw(cylinder_forecasts) for t in keys}), s
+    order = draw(st.integers(0, 3))
+    rows = {bits(j, n): draw(cylinder_forecasts) for n in range(order + 1) for j in range(1 << n)}
+    return Markov(order, rows), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(cylinder_cases())
+def test_cylinder_bounds_match_per_bit_fraction_products(case):
+    fs, s = case
+    upper, lower = cylinder_bounds(fs, s)
+    assert (upper, lower) == cylinder_bounds_by_bits(fs, s)
+    assert type(upper) is type(lower) is Fraction
 
 
 def test_global_properties_hold_exactly():

@@ -129,6 +129,36 @@ def test_analyze_hits_and_mixed_stakes_match():
     assert out == analyze_by_fractions(fs, sequence, [parsed(s) for s in specs], tests)
 
 
+def _long_case(kind: str):
+    """A system and 1,500-2,000 random bits. Every bettor below lives, and every capital stays
+    under the 4,300 digits that the oracle's str(Fraction) can print."""
+    rng = random.Random(kind)
+    sequence = "".join(rng.choice("01") for _ in range(rng.randint(1500, 2000)))
+    if kind == "wide":
+        return Stationary(INTERVALS[5]), sequence
+    if kind == "table":
+        # fair, 1/3 and [1/4, 3/5] overrides on a fifth of the path's prefixes
+        overrides = {sequence[:k]: rng.choice([INTERVALS[3], INTERVALS[4], INTERVALS[6]])
+                     for k in rng.sample(range(len(sequence)), len(sequence) // 5)}
+        return Table(INTERVALS[5], overrides), sequence
+    rows = {"": INTERVALS[5], "0": INTERVALS[4], "1": interval("1/4"), "00": INTERVALS[5],
+            "01": INTERVALS[3], "10": INTERVALS[4], "11": INTERVALS[6]}
+    return Markov(2, rows), sequence
+
+
+@pytest.mark.parametrize("kind", ["wide", "table", "markov"])
+def test_long_analyze_matches_fraction_rows(tmp_path, kind):
+    # the step's branches all fire: unit and non-unit gcds (wide's 4/3 then 1/2 or 17/14
+    # against a capital holding a 2), p == 1 (the factor 1/2) and q == 1 (1/2 on one
+    # against 1/3, factor 2/1; 2/3 on one against 1/4, factor 3/1)
+    fs, sequence = _long_case(kind)
+    specs = ["1/2,on-one", "1/2,on-zero", "2/3,on-one", "3/7,on-zero"]
+    tests = [RandomnessTest((frozenset({sequence[:900]}), frozenset({"1" * 40})), 900)]
+    code, out, err = run(analyze_argv(tmp_path, fs, sequence, specs, tests))
+    assert (code, err) == (0, "")
+    assert out == analyze_by_fractions(fs, sequence, [parsed(s) for s in specs], tests)
+
+
 seeds = st.one_of(
     st.integers(-(1 << 70), -1), st.just(0), st.integers(1, (1 << 64) - 1),
     st.integers(1 << 64, 1 << 70),
@@ -257,6 +287,10 @@ def test_sample_output_is_pinned(tmp_path, kind, selector):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[kind, selector]
 
 
+# sha256 of the default battery's whole output on the 7,200 bits below
+BATTERY_7200_DIGEST = "80f0aecbe23b904ab81d9aa03a3845e371c633bf96c877bb28db14a2e3dec0ce"
+
+
 def test_default_battery_past_the_int_str_limit(tmp_path):
     # the 1/2-stake capitals' denominators pass Python's 4300-digit
     # int-to-str limit near 6,000 bits on this system
@@ -269,6 +303,8 @@ def test_default_battery_past_the_int_str_limit(tmp_path):
     assert sys.get_int_max_str_digits() == limit
     assert (code, err) == (0, "")
     assert out.count("\n") == n + 3
+    # no Fraction oracle prints these rows, so the whole output is pinned
+    assert hashlib.sha256(out.encode()).hexdigest() == BATTERY_7200_DIGEST
     summary = out.rstrip("\n").rsplit("\n", 1)[-1]
     fields = dict(part.split("=", 1) for part in summary.split()[2:])
 
