@@ -23,6 +23,7 @@ from .expectation import cut_lower_prob, cut_upper_prob
 from .forecast import IntervalForecast
 from .formats import (
     MAX_BITS,
+    MAX_DEPTH,
     MAX_LEVELS,
     dump_process,
     dump_test,
@@ -48,7 +49,6 @@ from .randtest import (
 from .sampling import SELECTORS, sample_path
 from .tree import parse_situation, require_antichain
 
-DEFAULT_DEPTH_CAP = 22
 DEFAULT_BATTERY = ("1,on-one", "1,on-zero", "1/2,on-one", "1/2,on-zero")
 
 
@@ -75,7 +75,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cut", required=True, help="comma-separated situations")
     p.add_argument("--cond", default="@", help="conditioning situation (default @)")
     p.add_argument("--lower", action="store_true")
-    p.add_argument("--depth-cap", type=_integer, default=DEFAULT_DEPTH_CAP)
 
     p = sub.add_parser("convert", help="conversions between processes and tests")
     p.add_argument("direction", choices=["to-test", "to-martingale", "schnorr-from-martingale", "universal"])
@@ -86,7 +85,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_integer)
     p.add_argument("--rho", help="growth spec 'table v0 v1 ... ; affine a b c'")
     p.add_argument("--out", required=True)
-    p.add_argument("--depth-cap", type=_integer, default=DEFAULT_DEPTH_CAP)
 
     p = sub.add_parser("sample", help="sample bits from a compatible precise system")
     p.add_argument("--fs", required=True)
@@ -114,8 +112,6 @@ def cmd_local(args) -> int:
 def cmd_cutprob(args) -> int:
     fs = load(args.fs, parse_forecasting_system)
     cut = require_antichain(parse_situation(part) for part in args.cut.split(","))
-    if cut and max(len(t) for t in cut) > args.depth_cap:
-        raise ResourceError(f"cut deeper than --depth-cap {args.depth_cap}")
     cond = parse_situation(args.cond)
     try:  # the public cut probabilities recurse once per member bit
         prob = cut_lower_prob(fs, cut, cond) if args.lower else cut_upper_prob(fs, cut, cond)
@@ -144,8 +140,8 @@ def cmd_convert(args) -> int:
         if not args.test or args.levels is None:
             raise ParseError("to-martingale needs --test and --levels")
         test = load(args.test, parse_test)
-        if test.max_depth > args.depth_cap:
-            raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
+        if test.max_depth > MAX_DEPTH:  # the fold builds every situation down to the test's depth
+            raise ResourceError(f"test depth {test.max_depth} over the limit of {MAX_DEPTH}")
         process = assemble_test_supermartingale(fs, test, args.levels, normalize_root=False)
         print(f"root {format_rational(process.root)} normalized 1")  # below 1 once the budgets pass
         print(f"remainder bound {format_rational(Fraction(1, 1 << args.levels))}")
@@ -163,8 +159,6 @@ def cmd_convert(args) -> int:
         if not args.process:
             raise ParseError("to-test needs --process")
         process = load(args.process, parse_process)
-        if process.depth > args.depth_cap:
-            raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
         try:
             test = martingale_to_test(process, fs)
         except ContractError as exc:
@@ -175,8 +169,6 @@ def cmd_convert(args) -> int:
         if not args.process or not args.rho:
             raise ParseError("schnorr-from-martingale needs --process and --rho")
         process = load(args.process, parse_process)
-        if process.depth > args.depth_cap:
-            raise ResourceError(f"process deeper than --depth-cap {args.depth_cap}")
         rho = parse_growth(args.rho)
         test = schnorr_test_from_martingale(process, rho, fs)
         passed = _report_budgets(fs, test)
@@ -188,8 +180,6 @@ def cmd_convert(args) -> int:
         passed = passed and all(r.passed for r in tail_reports)
     else:  # universal
         tests = [load(path, parse_test) for path in args.inputs]
-        if any(t.max_depth > args.depth_cap for t in tests):
-            raise ResourceError(f"test deeper than --depth-cap {args.depth_cap}")
         test = combine_universal(fs, tests)
         passed = _report_budgets(fs, test)
     if not passed:

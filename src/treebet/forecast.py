@@ -174,10 +174,8 @@ def integer_log_bound(x) -> int:
     x = Fraction(x)
     if x < 1:
         raise DomainError(f"integer_log_bound needs x >= 1, got {format_rational(x)}")
-    level = 1
-    while (1 << level) < x:
-        level += 1
-    return level
+    # 2**L >= x exactly when 2**L >= ceil(x), and (c - 1).bit_length() is the least such L for c >= 1
+    return max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
 
 
 class ForecastCursor:

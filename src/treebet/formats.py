@@ -30,6 +30,7 @@ from .tree import ROOT_LABEL, format_situation, is_antichain, parse_situation
 
 MAX_LEVELS = 4096  # the most levels a .test file may declare
 MAX_BITS = 10**7  # the most bits sample may draw: one byte each, then the text; about 36 MB peak RSS
+MAX_DEPTH = 22  # the deepest .test convert to-martingale folds: 2**(depth + 1) - 1 situations per level
 
 
 def _meaningful(text: str) -> list[tuple[int, str]]:

@@ -233,6 +233,11 @@ def assemble_test_supermartingale(
     return _summed_process(fs, cuts, depth, normalize_root)
 
 
+def _tail_from_prefix(prefix: list[int]) -> GrowthFunction:
+    """The growth function with table ``prefix`` and tail n + slack: the least slack >= 0 not below the table."""
+    return GrowthFunction(tuple(prefix), 1, max(0, prefix[-1] - len(prefix)), 1)
+
+
 def schnorr_test_from_martingale(
     process: Process,
     rho: GrowthFunction,
@@ -252,16 +257,11 @@ def schnorr_test_from_martingale(
                                                         for p, q in [process.table[c]]})
     deepest = max((len(t) for cut in levels for t in cut), default=-1)
     prefix = []
-    k = 0
-    while True:
-        value = rho.first_at_least(1 << k)
-        prefix.append(value)
-        if value > deepest:
+    for k in count():
+        prefix.append(rho.first_at_least(1 << k))
+        if prefix[-1] > deepest:
             break
-        k += 1
-    slack = max(0, prefix[-1] - len(prefix))
-    tail = GrowthFunction(tuple(prefix), 1, slack, 1)
-    return RandomnessTest._from_antichains(levels, max_depth=process.depth, tail=tail)
+    return RandomnessTest._from_antichains(levels, max_depth=process.depth, tail=_tail_from_prefix(prefix))
 
 
 def sigma_from_tailbound(tail: GrowthFunction) -> GrowthFunction:
@@ -361,8 +361,7 @@ def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> Gr
         prefix.append(max((first(n, lambda mass: mass < threshold) for n in range(big_n + 1)), default=0))
     exhausted = max((first(n, lambda mass: mass == 0) for n in range(test.num_levels)), default=0)
     prefix.append(max(exhausted, prefix[-1] if prefix else 0))
-    slack = max(0, prefix[-1] - len(prefix))
-    return GrowthFunction(tuple(prefix), 1, slack, 1)
+    return _tail_from_prefix(prefix)
 
 
 def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTest:

@@ -51,6 +51,17 @@ def forecast_by_name(fs: ForecastingSystem, s: str) -> IntervalForecast:
     raise TypeError(f"not a forecasting system: {fs!r}")
 
 
+def integer_log_bound_by_doubling(x) -> int:
+    """integer_log_bound by doubling 2**L from L = 1 until it reaches x."""
+    x = Fraction(x)
+    if x < 1:
+        raise DomainError(f"integer_log_bound needs x >= 1, got {format_rational(x)}")
+    level = 1
+    while (1 << level) < x:
+        level += 1
+    return level
+
+
 def path_weight(fs: ForecastingSystem, leaf: str) -> Fraction:
     """Probability of one leaf under a precise system, by explicit product."""
     weight = Fraction(1)

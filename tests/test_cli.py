@@ -1,10 +1,12 @@
 """Golden tests for the command-line interface."""
 
+import time
+
 import pytest
 
 from treebet import RandomnessTest, cli, validate_schnorr_tail
 from treebet.cli import main
-from treebet.formats import MAX_BITS, dump_process, dump_test, parse_process, parse_test
+from treebet.formats import MAX_BITS, MAX_DEPTH, dump_process, dump_test, parse_process, parse_test
 from treebet.martingale import kelly_process
 
 from gen import FAIR
@@ -61,16 +63,17 @@ def test_cutprob_rejects_nested_cut(workdir, capsys):
     assert "antichain" in capsys.readouterr().err
 
 
-def test_cutprob_depth_cap(workdir, capsys):
-    deep = "1" * 30
-    assert main(["cutprob", "--fs", "fair.fs", "--cut", deep, "--depth-cap", "8"]) == 4
-    assert "depth-cap" in capsys.readouterr().err
+@pytest.mark.parametrize("bits", [40, 200])
+def test_cutprob_answers_a_deep_member_exactly(workdir, capsys, bits):
+    # no depth limit: the answer is linear in the member, and 200 bits stays well under the recursion limit
+    assert main(["cutprob", "--fs", "fair.fs", "--cut", "1" * bits]) == 0
+    assert capsys.readouterr() == (f"1/{1 << bits}\n", "")
 
 
 @pytest.mark.parametrize("lower", [[], ["--lower"]])
 def test_cutprob_past_the_recursion_limit_names_the_depth(workdir, capsys, lower):
     # the cut probabilities recurse once per member bit: 3,000 bits is past the default limit
-    argv = ["cutprob", "--fs", "fair.fs", "--cut", "1" * 3000, "--depth-cap", "5000"]
+    argv = ["cutprob", "--fs", "fair.fs", "--cut", "1" * 3000]
     assert main(argv + lower) == 4
     assert capsys.readouterr() == ("", "treebet: cut member 3000 bits deep is past the recursion limit\n")
 
@@ -157,11 +160,54 @@ def test_convert_universal_with_a_member_3000_bits_deep(workdir, capsys):
     # clipping and validating walk the member's 3,000 prefixes without recursing
     member = frozenset({"1" * 3000})
     (workdir / "deep.test").write_text(dump_test(RandomnessTest((member, member), max_depth=3000)))
-    code = main(["convert", "universal", "deep.test", "--fs", "fair.fs", "--depth-cap", "5000",
-                 "--out", "u.test"])
+    code = main(["convert", "universal", "deep.test", "--fs", "fair.fs", "--out", "u.test"])
     assert code == 0
     assert capsys.readouterr().out == f"level 0: actual 1/{1 << 3000} budget 1 pass\nall budgets pass\n"
     assert parse_test((workdir / "u.test").read_text()).levels == (member,)
+
+
+@pytest.mark.parametrize("depth", [23, 10**18])
+def test_to_martingale_refuses_a_test_deeper_than_the_limit_before_any_fold(workdir, capsys, depth):
+    # the fold would build 2**(depth + 1) - 1 situations: the declared depth alone is refused
+    (workdir / "deep.test").write_text(f"levels: 1\ndepth: {depth}\nlevel 0 1\n")
+    start = time.perf_counter()
+    code = main(["convert", "to-martingale", "--test", "deep.test", "--fs", "fair.fs", "--levels", "0",
+                 "--out", "w.proc"])
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert capsys.readouterr() == ("", f"treebet: test depth {depth} over the limit of {MAX_DEPTH}\n")
+    assert not (workdir / "w.proc").exists()
+
+
+def test_to_martingale_takes_a_test_at_the_depth_limit(workdir, capsys):
+    # depth 22 passes the limit; the unstored levels are refused before anything is folded
+    assert MAX_DEPTH == 22
+    (workdir / "edge.test").write_text("levels: 1\ndepth: 22\nlevel 0 1\n")
+    code = main(["convert", "to-martingale", "--test", "edge.test", "--fs", "fair.fs", "--levels", "3",
+                 "--out", "w.proc"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "treebet: levels 0..3 not all stored\n")
+    assert not (workdir / "w.proc").exists()
+
+
+def test_convert_universal_takes_a_declared_depth_past_the_limit(workdir, capsys):
+    # the declared depth is only copied into the output
+    (workdir / "deep.test").write_text("levels: 2\ndepth: 30\nlevel 0 1\nlevel 1 11\n")
+    assert main(["convert", "universal", "deep.test", "--fs", "fair.fs", "--out", "u.test"]) == 0
+    assert capsys.readouterr() == ("level 0: actual 1/4 budget 1 pass\nall budgets pass\n", "")
+    assert (workdir / "u.test").read_text() == "levels: 1\ndepth: 30\nlevel 0 11\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cutprob", "--fs", "fair.fs", "--cut", "1"],
+    ["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs", "--out", "a.test"],
+])
+def test_depth_cap_is_not_an_option(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--depth-cap", "5"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --depth-cap 5\n")
+    assert not (workdir / "a.test").exists()
 
 
 def test_convert_schnorr_from_martingale(workdir, capsys):
@@ -208,11 +254,11 @@ def test_convert_refuses_integer_fields_int_would_read(workdir, capsys):
         (["sample", "--fs", "fair.fs", "--n", "4", "--seed", "1_0"], "--seed", "1_0"),
         (["convert", "to-martingale", "--test", "a.test", "--fs", "fair.fs", "--levels", " 1", "--out", "w.proc"],
          "--levels", " 1"),
-        (["cutprob", "--fs", "fair.fs", "--cut", "1", "--depth-cap", "\u00b2"], "--depth-cap", "\u00b2"),
-        (["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs", "--depth-cap", "9.0",
-          "--out", "a.test"], "--depth-cap", "9.0"),
+        (["sample", "--fs", "fair.fs", "--n", "4", "--seed", "\u00b2"], "--seed", "\u00b2"),
+        (["convert", "to-martingale", "--test", "a.test", "--fs", "fair.fs", "--levels", "9.0", "--out", "w.proc"],
+         "--levels", "9.0"),
     ],
-    ids=["n-arabic-indic", "seed-underscore", "levels-space", "cutprob-cap-superscript", "convert-cap-float"],
+    ids=["n-arabic-indic", "seed-underscore", "levels-space", "seed-superscript", "levels-float"],
 )
 def test_integer_options_take_ascii_digits_only(workdir, capsys, argv, option, text):
     with pytest.raises(SystemExit) as info:

@@ -25,7 +25,7 @@ from treebet.forecast import ForecastCursor, local_scale
 from treebet.tree import bits, situations_up_to
 
 from gen import FAIR, WIDE, rand_system
-from oracles import forecast_by_name
+from oracles import forecast_by_name, integer_log_bound_by_doubling
 
 
 def test_interval_validation():
@@ -189,6 +189,27 @@ def test_integer_log_bound_minimal(seed=3):
 def test_integer_log_bound_domain():
     with pytest.raises(DomainError):
         integer_log_bound(Fraction(1, 2))
+
+
+# powers of two and their neighbours (an integer one off, or a fraction just off), and 3,000-bit values
+near_powers = st.builds(lambda k, d, den: Fraction((1 << k) * den + d, den),
+                        st.integers(0, 3000), st.integers(-1, 1), st.sampled_from([1, 2, 7, 1 << 40]))
+wide_values = st.builds(Fraction, st.integers(1, 1 << 3000), st.integers(1, 1 << 3000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_powers, wide_values).filter(lambda x: x >= 1))
+def test_integer_log_bound_matches_doubling(x):
+    assert integer_log_bound(x) == integer_log_bound_by_doubling(x)
+
+
+@given(st.fractions(max_value=Fraction(1), max_denominator=1 << 20).filter(lambda x: x < 1))
+def test_integer_log_bound_refuses_below_one_as_doubling_does(x):
+    with pytest.raises(DomainError) as fast:
+        integer_log_bound(x)
+    with pytest.raises(DomainError) as slow:
+        integer_log_bound_by_doubling(x)
+    assert str(fast.value) == str(slow.value)
 
 
 def test_is_precise():
