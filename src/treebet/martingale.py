@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain, compress, count, takewhile
 from numbers import Rational
+from operator import gt, itemgetter
 from types import MappingProxyType
 from typing import Callable, Literal, Mapping
 
@@ -20,7 +21,7 @@ from .expectation import _cut_trie, _endpoints, _pairs
 from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
 from .numerals import format_rational
-from .tree import ROOT, bits, minimal_antichain, require_situation, situations_up_to
+from .tree import ROOT, bits, require_situation, situations_up_to
 
 # Query interface standing in for a computable process: q(s, N) must be
 # within 2**-N of the target value at s.
@@ -34,11 +35,11 @@ class Process:
 
     The value at bits(j, w) is ``table[codes[w][j]]``, an integer pair (numerator, positive
     denominator) not necessarily in lowest terms.  Values repeat heavily, so the table holds each
-    pair once (and, after ``with_root``, maybe the old root's unused) and the checks, first passages
-    and ``dump_process`` work on the small-int codes, with one pair's arithmetic per table entry.
+    pair once (and, after ``with_root``, maybe the old root's unused), and every reader in this
+    package works on the small-int codes, with one pair's arithmetic per table entry or node read.
     Processes share these lists (``with_root``, negation), so they are never changed in place.
-    ``nums``, ``dens`` and ``values`` (each situation's Fraction in heap order, the order
-    ``situations_up_to`` yields) are read-only and derived on access.
+    ``values`` (each situation's Fraction in heap order, the order ``situations_up_to`` yields) is
+    the one Fraction view: read-only, built on first access and cached.
     """
 
     __slots__ = ("depth", "table", "codes", "_values")
@@ -72,16 +73,8 @@ class Process:
         return process
 
     @classmethod
-    def _from_levels(cls, nums: list[list[int]], dens: list[list[int]]) -> "Process":
-        """The process with these levels, unchecked: one list per level w, 2**w long, positive dens."""
-        return cls._from_codes(*_coded(zip(chain.from_iterable(nums), chain.from_iterable(dens)), len(nums) - 1))
-
-    @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "Process":
         return cls(depth, {s: Fraction(fn(s)) for s in situations_up_to(depth)})
-
-    nums = property(lambda self: [[self.table[c][0] for c in level] for level in self.codes])
-    dens = property(lambda self: [[self.table[c][1] for c in level] for level in self.codes])
 
     @property
     def values(self) -> Mapping[str, Fraction]:
@@ -96,7 +89,7 @@ class Process:
         require_situation(s)
         if len(s) > self.depth:
             raise DomainError(f"situation {s!r} deeper than process depth {self.depth}")
-        return self.values[s]
+        return Fraction(*self.table[self.codes[len(s)][int(s or "0", 2)]])
 
     @property
     def root(self) -> Fraction:
@@ -112,14 +105,15 @@ class Process:
 
     def delta(self, s: str) -> LocalGamble:
         """The one-step difference gamble at an interior situation."""
+        require_situation(s)
         if len(s) >= self.depth:
             raise DomainError(f"no children below {s!r} at depth {self.depth}")
-        values = self.values
-        here = values[s]
-        return LocalGamble(on1=values[s + "1"] - here, on0=values[s + "0"] - here)
+        here = self.at(s)
+        return LocalGamble(on1=self.at(s + "1") - here, on0=self.at(s + "0") - here)
 
     def max_value(self) -> Fraction:
-        return max(self.values.values())
+        # over the codes in use: after with_root the old root's pair may be in the table, unused
+        return max(Fraction(*self.table[c]) for c in set(chain.from_iterable(self.codes)))
 
     def __neg__(self) -> "Process":
         return Process._from_codes([(-n, d) for n, d in self.table], self.codes)
@@ -178,7 +172,25 @@ def capital_along(process: Process, w: str) -> list[Fraction]:
     require_situation(w)
     if len(w) > process.depth:
         raise DomainError(f"path {w!r} longer than process depth {process.depth}")
-    return [process.values[w[:n]] for n in range(len(w) + 1)]
+    return [process.at(w[:n]) for n in range(len(w) + 1)]
+
+
+def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
+    """Level n: each situation whose count exceeds n while no strict prefix's does,
+    crossed(w, codes) mapping each code of the process's level w to its value's count."""
+    levels: list[list[str]] = []
+    reached = [0]
+    for w, level in enumerate(process.codes):
+        here = [*map(crossed(w, level).__getitem__, level)]
+        for j in [*compress(count(), map(gt, here, reached))]:  # the nodes that cross a new level
+            levels.extend([] for _ in range(len(levels), here[j]))
+            for n in range(reached[j], here[j]):
+                levels[n].append(bits(j, w))
+            reached[j] = here[j]
+        below = [0] * (2 * len(reached))  # each child starts from its parent's
+        below[::2] = below[1::2] = reached
+        reached = below
+    return tuple(frozenset(level) for level in levels)
 
 
 @dataclass(frozen=True)
@@ -198,7 +210,10 @@ def ville_threshold(fs: ForecastingSystem, process: Process, threshold) -> Ville
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise DomainError("threshold must be positive")
-    cut = minimal_antichain([s for s, v in process.values.items() if v >= threshold])
+    t, u = threshold.numerator, threshold.denominator
+    crossed = [int(p * u >= t * q) for p, q in process.table]  # p/q >= t/u, once per table entry
+    levels = _first_passages(process, lambda w, codes: crossed)
+    cut = levels[0] if levels else frozenset()
     bound = process.root / threshold
     actual = _cut_trie(_pairs(fs), cut)[0]
     return VilleThreshold(cut=cut, bound=bound, actual=actual)
@@ -206,20 +221,20 @@ def ville_threshold(fs: ForecastingSystem, process: Process, threshold) -> Ville
 
 def bound_check(fs: ForecastingSystem, process: Process) -> bool:
     """Verify value(s) <= root * cumulative_bound(s) at every situation."""
-    root = process.root
-    scales = [local_scale(i) for i in fs.intervals]
-    ceilings: list[Fraction] = []
-    for i, (s, v) in enumerate(process.values.items()):
-        ceiling = Fraction(1)
-        if i:
-            # the i-th situation has position i + 1, its parent (i + 1) >> 1
-            scale = scales[fs._slot((i + 1) >> 1)]
-            if scale == 0:
-                raise DomainError(f"degenerate forecast at {s[:-1] or '@'!r}")
-            ceiling = ceilings[(i - 1) >> 1] / scale
-        ceilings.append(ceiling)
-        if v > root * ceiling:
+    r, s = process.table[process.codes[0][0]]
+    # a node's ceiling is b/a, a and b the products of the scale numerators and denominators along its
+    # path, so its value p/q is over root * ceiling iff p*s*a > r*q*b: each table entry's two sides once
+    sides = [(p * s, r * q) for p, q in process.table]
+    scales = [(k.numerator, k.denominator) for k in map(local_scale, fs.intervals)]
+    ceilings = [(1, 1)]
+    for w, level in enumerate(process.codes):
+        if w:  # each child's ceiling from its parent's, up to the first parent whose scale is 0
+            steps = takewhile(itemgetter(0), map(scales.__getitem__, map(fs._slot, range(1 << (w - 1), 1 << w))))
+            ceilings = [(a * n, b * d) for (a, b), (n, d) in zip(ceilings, steps) for _ in "01"]
+        if any(sides[c][0] * a > sides[c][1] * b for c, (a, b) in zip(level, ceilings)):
             return False
+        if len(ceilings) < len(level):  # in heap order, no node over its ceiling comes before this one
+            raise DomainError(f"degenerate forecast at {bits(len(ceilings) >> 1, w - 1) or '@'!r}")
     return True
 
 

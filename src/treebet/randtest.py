@@ -16,17 +16,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import compress, count
-from operator import gt
+from itertools import count
 from typing import Sequence
 
 from .errors import ContractError, DomainError
 from .expectation import _cut_trie, _fold_sum, _pairs, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
-from .martingale import Process, _test_failures
+from .martingale import Process, _first_passages, _test_failures
 from .numerals import format_rational
-from .tree import ROOT, bits, minimal_antichain, require_antichain
+from .tree import ROOT, minimal_antichain, require_antichain
 
 
 @dataclass(frozen=True)
@@ -131,24 +130,6 @@ def _require_budgets(fs, test, up_to: int) -> None:
 def _require_stored(test: RandomnessTest, n_max: int) -> None:
     if not 0 <= n_max < test.num_levels:
         raise DomainError(f"levels 0..{n_max} not all stored")
-
-
-def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
-    """Level n: each situation whose count exceeds n while no strict prefix's does,
-    crossed(w, codes) mapping each code of the process's level w to its value's count."""
-    levels: list[list[str]] = []
-    reached = [0]
-    for w, level in enumerate(process.codes):
-        here = [*map(crossed(w, level).__getitem__, level)]
-        for j in [*compress(count(), map(gt, here, reached))]:  # the nodes that cross a new level
-            levels.extend([] for _ in range(len(levels), here[j]))
-            for n in range(reached[j], here[j]):
-                levels[n].append(bits(j, w))
-            reached[j] = here[j]
-        below = [0] * (2 * len(reached))  # each child starts from its parent's
-        below[::2] = below[1::2] = reached
-        reached = below
-    return tuple(frozenset(level) for level in levels)
 
 
 def _threshold_test(process: Process) -> RandomnessTest:

@@ -18,12 +18,12 @@ from treebet import (
     assemble_test_supermartingale, cut_upper_prob, interval, validate_ml_test,
 )
 from treebet.errors import ContractError, DomainError, ParseError, ResourceError
-from treebet.expectation import _cut_leaves, _endpoints, _fold_levels
-from treebet.forecast import ForecastingSystem, is_precise
+from treebet.expectation import _cut_leaves, _cut_trie, _endpoints, _fold_levels, _pairs
+from treebet.forecast import ForecastingSystem, is_precise, local_scale
 from treebet.formats import MAX_LEVELS, dump_process, dump_test, parse_growth, parse_rational
 from treebet.growth import GrowthFunction
 from treebet.local import lower_expectation, precise_expectation, upper_expectation
-from treebet.martingale import kelly_gamble
+from treebet.martingale import VilleThreshold, _coded, kelly_gamble
 from treebet.numerals import format_rational, parse_integer
 from treebet.randtest import RandomnessTest
 from treebet.sampling import SELECTORS, _constants
@@ -212,9 +212,20 @@ def fold_sum_by_leaves(fs: ForecastingSystem, weighted_cuts, depth: int, divisor
     return total[::-1], [[divisor * scale ** h] * (1 << (depth - h)) for h in range(depth, -1, -1)]
 
 
+def stored_levels(process: Process) -> tuple[list[list[int]], list[list[int]]]:
+    """Each level's numerators and denominators as the process stores them, not necessarily in
+    lowest terms: level w at index w, each in heap order."""
+    return tuple([[process.table[c][k] for c in level] for level in process.codes] for k in (0, 1))
+
+
+def process_from_levels(nums: list[list[int]], dens: list[list[int]]) -> Process:
+    """The process storing these levels, unchecked: one list per level w, 2**w long, positive dens."""
+    return Process._from_codes(*_coded(zip(chain.from_iterable(nums), chain.from_iterable(dens)), len(nums) - 1))
+
+
 def integer_levels(process: Process) -> tuple[list[list[int]], list[list[int]]]:
-    """Process.nums and Process.dens as a process read from text keeps them: its values'
-    numerators and denominators in lowest terms, level w at index w, each in heap order."""
+    """stored_levels as a process read from text keeps them: its values' numerators and
+    denominators in lowest terms, level w at index w, each in heap order."""
     values = process.values.values()
     nums, dens = [v.numerator for v in values], [v.denominator for v in values]
     return tuple([heap[(1 << w) - 1:(2 << w) - 1] for w in range(process.depth + 1)] for heap in (nums, dens))
@@ -248,6 +259,36 @@ def check_supermartingale_by_nodes(fs: ForecastingSystem, process: Process) -> l
             if lhs > scale * v.numerator * d0 * d1:
                 violations.append(bits(j, w))
     return violations
+
+
+def ville_threshold_by_nodes(fs: ForecastingSystem, process: Process, threshold) -> VilleThreshold:
+    """ville_threshold comparing each node's Fraction with the threshold: the cut is the
+    prefix-minimal nodes at or above it."""
+    threshold = Fraction(threshold)
+    if threshold <= 0:
+        raise DomainError("threshold must be positive")
+    cut = minimal_antichain([s for s, v in process.values.items() if v >= threshold])
+    return VilleThreshold(cut=cut, bound=process.root / threshold, actual=_cut_trie(_pairs(fs), cut)[0])
+
+
+def bound_check_by_nodes(fs: ForecastingSystem, process: Process) -> bool:
+    """bound_check with one Fraction ceiling per node, in heap order: the first node either below
+    a degenerate forecast (a DomainError) or over root times its ceiling (False) decides."""
+    root = process.root
+    scales = [local_scale(i) for i in fs.intervals]
+    ceilings: list[Fraction] = []
+    for i, (s, v) in enumerate(process.values.items()):
+        ceiling = Fraction(1)
+        if i:
+            # the i-th situation has position i + 1, its parent (i + 1) >> 1
+            scale = scales[fs._slot((i + 1) >> 1)]
+            if scale == 0:
+                raise DomainError(f"degenerate forecast at {s[:-1] or '@'!r}")
+            ceiling = ceilings[(i - 1) >> 1] / scale
+        ceilings.append(ceiling)
+        if v > root * ceiling:
+            return False
+    return True
 
 
 def first_passages_by_nodes(process: Process, crossed) -> tuple[frozenset[str], ...]:

@@ -34,7 +34,8 @@ from gen import (
     rand_supermartingale, rand_system, rand_test,
 )
 from oracles import (
-    dumped_by_tokens, integer_levels, parse_process_by_lines, parse_test_by_lines, process_text_by_names,
+    dumped_by_tokens, integer_levels, parse_process_by_lines, parse_test_by_lines, process_from_levels,
+    process_text_by_names, stored_levels,
 )
 
 
@@ -189,8 +190,7 @@ def _outcome(parse, text):
 
 
 def _read_levels(text):
-    process = parse_process(text)
-    return process.nums, process.dens
+    return stored_levels(parse_process(text))
 
 
 def _levels_outcome(read, text):
@@ -302,7 +302,7 @@ def test_dump_process_matches_the_writer_by_names_at_depth_16():
 def test_dump_process_matches_the_writer_by_names_past_the_digit_limit():
     # numerals past 4,300 digits, on a level over one unreduced denominator and on one over pairs
     big = 10**4400 + 1
-    process = Process._from_levels([[big], [2 * big, 3], [4, -big, 6 * big, 8]], [[3], [6, 6], [1, 7, big + 2, 9]])
+    process = process_from_levels([[big], [2 * big, 3], [4, -big, 6 * big, 8]], [[3], [6, 6], [1, 7, big + 2, 9]])
     texts = [*_texts(process)]
     assert sum(len(t) > 4300 for t in texts) == 4
     assert dump_process(process) == process_text_by_names(2, texts)

@@ -1,7 +1,8 @@
 """The integer process passes against the per-node references in ``oracles``.
 
 ``check_supermartingale``, ``check_test_supermartingale``, the first-passage
-levels of ``martingale_to_test``/``schnorr_test_from_martingale``, the
+levels of ``martingale_to_test``/``schnorr_test_from_martingale``,
+``ville_threshold``'s cut and ``bound_check``'s integer ceilings, the
 ``convert to-test`` and ``convert to-martingale`` commands, and the
 bisections of ``clip_to_budget`` and ``derive_tail_bound_precise``.  Systems
 are of all three kinds, with {0}, {1} and [0, 1] rows among them; processes
@@ -29,7 +30,9 @@ from treebet import (
     Process,
     RandomnessTest,
     Stationary,
+    Table,
     assemble_test_supermartingale,
+    bound_check,
     check_supermartingale,
     check_test_supermartingale,
     clip_to_budget,
@@ -41,10 +44,12 @@ from treebet import (
     schnorr_test_from_martingale,
     validate_ml_test,
     validate_schnorr_tail,
+    ville_threshold,
 )
 from treebet import expectation, randtest
 from treebet.cli import main
 from treebet.errors import ContractError, DomainError, TreebetError
+from treebet.forecast import local_scale
 from treebet.formats import dump_forecasting_system, dump_growth, dump_process, dump_test
 from treebet.randtest import _threshold_test
 from treebet.tree import bits, situations_up_to
@@ -54,16 +59,19 @@ from gen import (
     rand_valid_test,
 )
 from oracles import (
+    bound_check_by_nodes,
     check_supermartingale_by_delta,
     check_supermartingale_by_nodes,
     clip_by_cutoffs,
     convert_to_martingale_by_process,
     convert_to_test_by_nodes,
+    process_from_levels,
     schnorr_levels_by_nodes,
     schnorr_levels_by_scans,
     tail_bound_by_cutoffs,
     threshold_levels_by_nodes,
     threshold_levels_by_scans,
+    ville_threshold_by_nodes,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32)
@@ -138,6 +146,27 @@ def nudged(rng: random.Random, process: Process) -> Process:
     return Process(depth, values)
 
 
+def ceiling_process(rng: random.Random, fs, depth: int) -> Process:
+    """A root times each node's cumulative ceiling, some nodes halved and a few moved over it by
+    1/97; below a degenerate forecast, where no ceiling exists, the values go on from another one."""
+    over = rng.choice([0, 1 / (2 << depth), 0.05])
+    ceilings = {"": Fraction(1)}
+    for s in situations_up_to(depth - 1) if depth else []:
+        scale = local_scale(fs.at(s))
+        ceilings[s + "0"] = ceilings[s + "1"] = ceilings[s] / scale if scale else Fraction(rng.randint(1, 4))
+    root = rng.choice([Fraction(1), Fraction(3, 2), rand_fraction(rng)])
+    return Process(depth, {s: root * c * (1 + NUDGE if rng.random() < over else rng.choice([1, 1, 1, Fraction(1, 2)]))
+                           for s, c in ceilings.items()})
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the DomainError it raises."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
 def _threshold_levels(process):
     return _threshold_test(process).levels
 
@@ -186,6 +215,45 @@ def test_integer_check_and_scans_match_per_node_references(seed, depth, nudge):
             martingale_to_test(process, fs)
         with pytest.raises(ContractError, match="not a test supermartingale"):
             schnorr_test_from_martingale(process, rho, fs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.sampled_from(KINDS), st.integers(min_value=0, max_value=8))
+def test_ville_threshold_and_bound_check_match_per_node_references(seed, kind, depth):
+    # capitals at and just over the ceilings, below degenerate forecasts too, and thresholds at
+    # node values (a cut at >=), between them, past the maximum and not positive
+    rng = random.Random(seed)
+    pool = DEGENERATE_POOL if rng.random() < 0.4 else ENDPOINT_POOL
+    fs = rand_system(rng, depth=depth, kind=kind, pool=pool, precise=rng.random() < 0.3)
+    process = rng.choice([
+        lambda: ceiling_process(rng, fs, depth),
+        lambda: edge_process(rng, fs, depth, rand_rho(rng)),
+        lambda: nudged(rng, edge_process(rng, fs, depth, rand_rho(rng))),
+    ])()
+    process = rng.choice([process, -process, process.with_root(rand_fraction(rng))])
+    assert _outcome(bound_check, fs, process) == _outcome(bound_check_by_nodes, fs, process)
+    values = [*process.values.values()]
+    for threshold in (rng.choice(values), rng.choice(values), 1, 2, Fraction(1 << rng.randint(0, 8)),
+                      rand_fraction(rng), max(values) + NUDGE, 0, -1, 0.75):
+        assert _outcome(ville_threshold, fs, process, threshold) == _outcome(ville_threshold_by_nodes, fs, process,
+                                                                             threshold)
+
+
+@pytest.mark.parametrize(
+    "over, outcome",
+    [(None, "1"), ("", "1"), ("1", False), ("01", False), ("10", "1"), ("11", "1"), ("000", "1")],
+)
+def test_bound_check_takes_the_first_of_a_node_over_its_ceiling_and_a_degenerate_forecast(over, outcome):
+    # {0} at '1' leaves its children '10' and '11' without a ceiling: a node over its ceiling before
+    # '10' in heap order returns False, one after it meets the DomainError first
+    fs = Table(interval("1/2"), {"1": interval(0)})
+    values = {s: Fraction(1 << len(s)) for s in situations_up_to(3)}  # the fair ceilings 2**|s|
+    if over is not None:
+        values[over] += NUDGE
+    process = Process(3, values)
+    expected = outcome if outcome is False else (DomainError, f"degenerate forecast at {outcome!r}")
+    assert _outcome(bound_check, fs, process) == _outcome(bound_check_by_nodes, fs, process) == expected
+    assert _outcome(bound_check, Stationary(interval(1)), process) == (DomainError, "degenerate forecast at '@'")
 
 
 def test_edge_processes_reach_the_edges():
@@ -467,11 +535,11 @@ def test_assembled_processes_are_test_supermartingales_that_convert_back(seed, k
 
 def test_an_unreduced_root_of_1_is_a_root_of_1():
     # 4/4 at the root, 2/4 and 6/4 below: the fair system's martingale 1, 1/2, 3/2
-    process = Process._from_levels([[4], [2, 6]], [[4], [4, 4]])
+    process = process_from_levels([[4], [2, 6]], [[4], [4, 4]])
     assert process.root == 1 and process.values == {"": 1, "0": Fraction(1, 2), "1": Fraction(3, 2)}
     assert check_test_supermartingale(FAIR, process)
     assert martingale_to_test(process, FAIR).levels == (frozenset({"1"}),)
-    assert not check_test_supermartingale(FAIR, Process._from_levels([[4], [2, 6]], [[2], [4, 4]]))
+    assert not check_test_supermartingale(FAIR, process_from_levels([[4], [2, 6]], [[2], [4, 4]]))
 
 
 @pytest.mark.parametrize(

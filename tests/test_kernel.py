@@ -47,6 +47,7 @@ from oracles import (
     cut_value_map_by_nodes,
     fold_by_nodes,
     fold_sum_by_leaves,
+    stored_levels,
     schnorr_levels_by_scans,
     threshold_levels_by_scans,
 )
@@ -115,7 +116,7 @@ def test_fold_sum_matches_dense_leaf_fold(seed, depth, lower, divisor):
     table, codes = _fold_sum(fs, cuts, depth, divisor, lower, on_root=lambda i, v: roots.append((i, v)))
     expected = fold_sum_by_leaves(fs, cuts, depth, divisor, lower, on_root=lambda i, v: expected_roots.append((i, v)))
     got = Process._from_codes(table, codes)
-    assert (got.nums, got.dens) == expected
+    assert stored_levels(got) == expected
     assert len(set(table)) == len(table) == len({table[c] for level in codes for c in level})
     assert roots == expected_roots
 

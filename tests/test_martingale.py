@@ -27,6 +27,7 @@ from treebet.formats import dump_process
 from treebet.tree import situations_up_to
 
 from gen import FAIR, WIDE, rand_fraction, rand_supermartingale, rand_system
+from oracles import stored_levels
 
 DOUBLER = kelly_process(FAIR, 1, "on-one", 4)
 
@@ -106,10 +107,25 @@ def test_values_are_read_only():
 def test_process_levels_hold_integers_in_heap_order():
     # read off each value's Fraction, so in lowest terms
     process = Process(2, {s: Fraction(int(s or "0", 2) + len(s), 3) for s in situations_up_to(2)})
-    assert process.nums == [[0], [1, 2], [2, 1, 4, 5]]
-    assert process.dens == [[1], [3, 3], [3, 1, 3, 3]]
-    assert (-process).nums == [[0], [-1, -2], [-2, -1, -4, -5]] and (-process).dens == process.dens
+    nums, dens = stored_levels(process)
+    assert nums == [[0], [1, 2], [2, 1, 4, 5]]
+    assert dens == [[1], [3, 3], [3, 1, 3, 3]]
+    assert stored_levels(-process) == ([[0], [-1, -2], [-2, -1, -4, -5]], dens)
     assert (-process).values == {s: -v for s, v in process.values.items()}
+
+
+@pytest.mark.parametrize("s", ["2", "0a", "0a0a0"])
+def test_delta_refuses_a_non_situation(s):
+    with pytest.raises(DomainError) as info:
+        DOUBLER.delta(s)
+    assert str(info.value) == f"not a situation: {s!r}"
+
+
+def test_max_value_skips_the_old_root_left_in_the_table():
+    # with_root keeps the old root's pair, 5, in the table unused; the second process is negated first
+    for process in (Process(1, {"": 5, "0": 1, "1": 1}).with_root(1),
+                    (-Process(1, {"": -5, "0": -1, "1": -1})).with_root(1)):
+        assert (5, 1) in process.table and process.max_value() == 1
 
 
 def test_doubler_is_test_supermartingale():

@@ -1,10 +1,12 @@
 """A Process keeps its values as small-int codes into one table of distinct integer pairs.
 
-Every way a process is made (the constructor, ``_from_levels``, ``parse_process`` in the writer's
-layout and line by line, ``with_root``, negation and the ``assemble_*`` builders) must leave a table
-that holds each pair once, codes that index it, and ``nums``, ``dens`` and ``values`` views equal to
-the per-node references in ``oracles``.  Kelly capitals with one class moved put one failing row at
-many nodes of a level, so the checks that read the codes are compared with the per-node ones too.
+Every way a process is made (the constructor, ``oracles.process_from_levels``, ``parse_process`` in
+the writer's layout and line by line, ``with_root``, negation and the ``assemble_*`` builders) must
+leave a table that holds each pair once, codes that index it, and stored levels
+(``oracles.stored_levels``), a ``values`` view and node reads (``at``, ``delta``, ``max_value``)
+equal to the per-node references in ``oracles``.  Kelly capitals with one class moved put one
+failing row at many nodes of a level, so the checks that read the codes are compared with the
+per-node ones too.
 """
 
 import random
@@ -15,6 +17,7 @@ from math import lcm
 from hypothesis import given, note, settings, strategies as st
 
 from treebet import (
+    LocalGamble,
     Process,
     RandomnessTest,
     affine,
@@ -35,8 +38,8 @@ from gen import (
     rand_valid_test,
 )
 from oracles import (
-    check_supermartingale_by_delta, integer_levels, parse_process_by_lines, process_text_by_names,
-    schnorr_levels_by_nodes, threshold_levels_by_nodes,
+    check_supermartingale_by_delta, integer_levels, parse_process_by_lines, process_from_levels,
+    process_text_by_names, schnorr_levels_by_nodes, stored_levels, threshold_levels_by_nodes,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32)
@@ -54,10 +57,15 @@ def assert_coded(process: Process, reduced: bool, spare: int = 0) -> None:
     assert len(set(table)) == len(table) and all(d > 0 for _, d in table)
     assert [len(level) for level in codes] == [1 << w for w in range(process.depth + 1)]
     assert all(0 <= c < len(table) for level in codes for c in level) and unused(process) == spare
-    nums, dens = process.nums, process.dens
+    nums, dens = stored_levels(process)
     assert [[table[c] for c in level] for level in codes] == [[*zip(ns, ds)] for ns, ds in zip(nums, dens)]
     assert [*process.values] == [*situations_up_to(process.depth)]
     assert [*process.values.values()] == [Fraction(n, d) for n, d in zip(chain(*nums), chain(*dens))]
+    # the node reads index the codes, over the nodes' pairs only
+    assert all(process.at(s) == v for s, v in process.values.items())
+    assert all(process.delta(s) == LocalGamble(on1=process.values[s + "1"] - v, on0=process.values[s + "0"] - v)
+               for s, v in process.values.items() if len(s) < process.depth)
+    assert process.max_value() == max(process.values.values())
     if reduced:  # in lowest terms, as a process read from text keeps them
         assert (nums, dens) == integer_levels(process)
     assert parse_process_by_lines(dump_process(process)).values == process.values
@@ -88,7 +96,7 @@ def made_processes(rng: random.Random, fs, depth: int):
         lambda: Process.from_function(depth, lambda s: rand_fraction(rng, rng.choice([1, 10**6]))),
     ])()
     yield "constructor", base, True, 0
-    yield "from levels", Process._from_levels(*unreduced_levels(rng, base)), False, 0
+    yield "from levels", process_from_levels(*unreduced_levels(rng, base)), False, 0
     text = dump_process(base)
     assert _dumped(text) is not None
     yield "parse dumped", parse_process(text), True, 0
