@@ -17,6 +17,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
@@ -49,6 +50,10 @@ class DepthGamble:
             raise DomainError(
                 f"depth-{self.depth} gamble needs {1 << self.depth} values, got {len(self.values)}"
             )
+        # a float would reach the folds: each type is checked once, the first bad value named
+        if bad := {t for t in set(map(type, self.values)) if t is bool or not issubclass(t, Rational)}:
+            j, v = next((j, v) for j, v in enumerate(self.values) if type(v) in bad)
+            raise DomainError(f"gamble value at {bits(j, self.depth) or '@'!r} is not rational: {v!r}")
 
     @classmethod
     def constant(cls, depth: int, value) -> "DepthGamble":

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping, Union
 
 from .errors import ConfigError, DomainError
-from .numerals import format_rational
+from .numerals import finite_fraction, format_rational
 from .tree import require_situation, situations_up_to
 
 ZERO = Fraction(0)
@@ -29,6 +30,8 @@ class IntervalForecast:
     hi: Fraction
 
     def __post_init__(self):
+        if bad := [v for v in (self.lo, self.hi) if isinstance(v, bool) or not isinstance(v, Rational)]:
+            raise DomainError(f"forecast bound is not rational: {bad[0]!r}")
         if not (ZERO <= self.lo <= self.hi <= ONE):
             lo, hi = format_rational(self.lo), format_rational(self.hi)
             raise DomainError(f"invalid forecast interval [{lo}, {hi}]")
@@ -171,7 +174,7 @@ def cumulative_bound(fs: ForecastingSystem, s: str) -> Fraction:
 
 def integer_log_bound(x) -> int:
     """The smallest L >= 1 with 2**L >= x, for rational x >= 1."""
-    x = Fraction(x)
+    x = finite_fraction(x, "integer_log_bound's x")
     if x < 1:
         raise DomainError(f"integer_log_bound needs x >= 1, got {format_rational(x)}")
     # 2**L >= x exactly when 2**L >= ceil(x), and (c - 1).bit_length() is the least such L for c >= 1

@@ -10,13 +10,11 @@ A process in dump_process's own layout is read in one pass over its bytes into t
 table of distinct pairs and the codes a Process keeps, any other line by line; the writer
 itself decides which.  The writer makes one text per table entry and fills one '<name> %s'
 bytes template per depth through the codes, building no name per situation.
-A test in dump_test's layout is read with one match for its keys and one findall
-for its level lines, any other line by line.
+A test is read line by line in any layout, keys in any order, and each level is checked once.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import chain
 
@@ -231,39 +229,7 @@ def dump_growth(g: GrowthFunction) -> str:
     return f"{head} affine {g.a} {g.b} {g.c}"
 
 
-# dump_test's layout: its head, then whole lines of one level member each, the root '@' read as ''
-_TEST_HEAD = re.compile(r"levels: (0|[1-9][0-9]{0,3})\ndepth: (0|[1-9][0-9]{0,17})\n(?:tail: ([-+ ;0-9a-z]*)\n)?")
-_LEVEL_LINE = re.compile(r"^level (0|[1-9][0-9]{0,3}) (?:@|([01]+))\n", re.MULTILINE)
-
-
 def parse_test(text: str) -> RandomnessTest:
-    return _dumped_test(text) or _test_by_lines(text)
-
-
-def _dumped_test(text: str) -> RandomnessTest | None:
-    """The test of a text in dump_test's layout, its head read with one match and its level lines
-    with one findall, each level checked once; None for any other text or any fault, which the
-    line reader then names."""
-    head = _TEST_HEAD.match(text)
-    if head is None or int(head[1]) > MAX_LEVELS:
-        return None
-    # each match is one whole line, so every line after the head matches when they are as many
-    members = _LEVEL_LINE.findall(text, head.end())
-    if len(members) != text.count("\n", head.end()) or not text.endswith("\n"):
-        return None
-    levels, depth = [set() for _ in range(int(head[1]))], int(head[2])
-    try:
-        for n, s in members:
-            levels[int(n)].add(s)
-        tail = None if head[3] is None else parse_growth(head[3])
-    except (IndexError, ParseError, DomainError):  # an index past 'levels:', a bad tail
-        return None
-    if all(is_antichain(cut) and max(map(len, cut), default=0) <= depth for cut in levels):
-        return RandomnessTest._from_antichains(tuple(map(frozenset, levels)), max_depth=depth, tail=tail)
-    return None
-
-
-def _test_by_lines(text: str) -> RandomnessTest:
     lines = _meaningful(text)
     if not lines:
         raise ParseError("empty test file")
@@ -303,7 +269,10 @@ def _test_by_lines(text: str) -> RandomnessTest:
         raise ParseError("test file missing 'depth:'")
     if members and max(members) >= num_levels:
         raise ParseError(f"level index outside 0..{num_levels - 1}")
-    levels = tuple(frozenset(members.get(n, set())) for n in range(num_levels))
+    levels = tuple(frozenset(members.get(n, ())) for n in range(num_levels))
+    # each level checked once; the checked constructor runs only to name the first fault
+    if all(is_antichain(cut) and max(map(len, cut), default=0) <= depth for cut in levels):
+        return RandomnessTest._from_antichains(levels, max_depth=depth, tail=tail)
     try:
         return RandomnessTest(levels, max_depth=depth, tail=tail)
     except DomainError as exc:

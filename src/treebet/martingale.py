@@ -20,7 +20,7 @@ from .errors import ContractError, DomainError
 from .expectation import _cut_trie, _endpoints, _pairs
 from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
-from .numerals import format_rational
+from .numerals import finite_fraction, format_rational
 from .tree import ROOT, bits, require_situation, situations_up_to
 
 # Query interface standing in for a computable process: q(s, N) must be
@@ -207,7 +207,7 @@ def ville_threshold(fs: ForecastingSystem, process: Process, threshold) -> Ville
     reaching the threshold is at most root / threshold; ``actual`` is the
     exact upper probability of the cut, so actual <= bound.
     """
-    threshold = Fraction(threshold)
+    threshold = finite_fraction(threshold, "threshold")
     if threshold <= 0:
         raise DomainError("threshold must be positive")
     t, u = threshold.numerator, threshold.denominator
@@ -273,7 +273,7 @@ def kelly_process(
     fs: ForecastingSystem, stake, direction: KellyDirection, depth: int
 ) -> Process:
     """Multiplicative capital process betting a fixed fraction each step."""
-    stake = Fraction(stake)
+    stake = finite_fraction(stake, "stake")
     if not (0 <= stake <= 1):
         raise DomainError("stake must lie in [0, 1]")
     # heap order: the children of the i-th situation (position i + 1) follow it

@@ -10,9 +10,9 @@ import decimal
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # fullmatched: ASCII digits, no final newline
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -32,6 +32,14 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"numeral over {limit} digits in rational {text[:20]!r}...") from None
+
+
+def finite_fraction(x, what: str) -> Fraction:
+    """Fraction(x), but a NaN or infinite float, on which Fraction raises ValueError or
+    OverflowError, is a DomainError naming it."""
+    if isinstance(x, float) and not isfinite(x):
+        raise DomainError(f"{what} is not finite: {x!r}")
+    return Fraction(x)
 
 
 def rational_pairs(lines: str) -> list[tuple[int, int]] | None:

@@ -345,7 +345,8 @@ def rand_test(rng: random.Random) -> RandomnessTest:
 
 
 TEST_MUTATIONS = ["none", "comment line", "blank line", "crlf", "no final newline", "repeated member", "level 007",
-                  "index past levels", "non-antichain", "too deep", "over MAX_LEVELS", "bad tail"]
+                  "index past levels", "non-antichain", "too deep", "over MAX_LEVELS", "bad tail", "key order",
+                  "key spacing", "level spacing", "signed index"]
 
 
 def mutated_test_dump(rng: random.Random, text: str, kind: str) -> str:
@@ -354,6 +355,7 @@ def mutated_test_dump(rng: random.Random, text: str, kind: str) -> str:
     lines = text.splitlines()
     count, depth = (int(line.split()[1]) for line in lines[:2])
     members = [at for at, line in enumerate(lines) if line.startswith("level ")]
+    has_tail = len(lines) > 2 and lines[2].startswith("tail: ")
     n = rng.randrange(count) if count else 0  # a stored level, or the first one past 'levels: 0'
     if kind == "comment line":
         if rng.random() < 0.5:
@@ -366,6 +368,25 @@ def mutated_test_dump(rng: random.Random, text: str, kind: str) -> str:
         return text.replace("\n", "\r\n")
     elif kind == "repeated member" and members:
         lines.insert(rng.randint(2, len(lines)), lines[rng.choice(members)])
+    elif kind == "key order":  # 'depth:' or 'tail:' first
+        lines.insert(0, lines.pop(rng.randrange(1, 2 + has_tail)))
+    elif kind == "key spacing":  # 'levels:2', 'depth:  5'
+        at = rng.randrange(2 + has_tail)
+        lines[at] = lines[at].replace(": ", rng.choice([":", ":  ", ":\t", " : "]), 1)
+    elif kind == "level spacing":
+        gap = rng.choice(["  ", "   ", "\t", " \t "])
+        if members:
+            at = rng.choice(members)
+            lines[at] = lines[at].replace(" ", gap)
+        else:
+            lines.append(f"level{gap}{n}{gap}1")
+    elif kind == "signed index":  # 'level +2 01' or 'level 02 01' beside 'level 2 01'
+        _, index, name = lines[rng.choice(members)].split() if members else ("level", str(n), "1")
+        if rng.random() < 0.5:  # another member, maybe a prefix of one already there
+            w = rng.randint(0, depth)
+            name = format_situation(bits(rng.getrandbits(w), w))
+        sign = rng.choice(["+", "0", "+0"] + (["-"] if index == "0" else []))
+        lines.insert(rng.randint(2, len(lines)), f"level {sign}{index} {name}")
     elif kind == "level 007":
         if members:
             at = rng.choice(members)
@@ -388,7 +409,7 @@ def mutated_test_dump(rng: random.Random, text: str, kind: str) -> str:
     elif kind == "bad tail":
         bad = rng.choice(["nonsense", "table 2 1 ; affine 1 0 1", "table ; affine 0 0 1", "table x ; affine 1 0 1",
                           "table 007 ; affine 1 0 1", "table 9 ; affine 1 0 1"])
-        if len(lines) > 2 and lines[2].startswith("tail: "):
+        if has_tail:
             lines[2] = f"tail: {bad}"
         else:
             lines.insert(2, f"tail: {bad}")

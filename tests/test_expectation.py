@@ -1,6 +1,7 @@
 """Global expectations by backward recursion, against brute-force oracles."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,19 @@ from suites import run_global_property_suite
 
 VACUOUS = Stationary(interval(0, 1))
 IND_11 = DepthGamble.indicator({"11"}, 2)
+
+
+@pytest.mark.parametrize("values", [(0.5, Fraction(1)), (Fraction(0), True), (1, Decimal("0.5")), (0, "1/2")])
+def test_depth_gamble_refuses_a_value_that_is_not_rational(values):
+    # cond_upper and the other exact folds fail on a float value
+    leaf, bad = next((bits(j, 1), v) for j, v in enumerate(values) if type(v) not in (int, Fraction))
+    with pytest.raises(DomainError) as info:
+        DepthGamble(1, values)
+    assert str(info.value) == f"gamble value at {leaf!r} is not rational: {bad!r}"
+    # constant and from_function convert through Fraction first
+    assert DepthGamble.constant(1, 0.5).values == (Fraction(1, 2),) * 2
+    half = DepthGamble.from_function(1, {"0": 0.5, "1": 1}.__getitem__)
+    assert half.values == (Fraction(1, 2), 1) and cond_upper(FAIR, half) == Fraction(3, 4)
 
 
 def test_cond_upper_fair_indicator():

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from treebet import (
 )
 from treebet.errors import ConfigError, DomainError
 from treebet.expectation import _endpoints
-from treebet.forecast import ForecastCursor, local_scale
+from treebet.forecast import ForecastCursor, IntervalForecast, local_scale
 from treebet.tree import bits, situations_up_to
 
 from gen import FAIR, WIDE, rand_system
@@ -36,6 +37,20 @@ def test_interval_validation():
     with pytest.raises(DomainError):  # its message is past the int-string limit
         interval(Fraction(10**5000), 2)
     assert interval("1/3").precise
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.75), (Fraction(1, 2), 0.75), (True, True), (Decimal("0.5"), 1), ("1/2", 1)])
+def test_interval_forecast_refuses_a_bound_that_is_not_rational(lo, hi):
+    # a float bound would make cumulative_bound return a float, and the exact folds fail on it
+    bad = next(v for v in (lo, hi) if not isinstance(v, (int, Fraction)) or isinstance(v, bool))
+    with pytest.raises(DomainError) as info:
+        IntervalForecast(lo, hi)
+    assert str(info.value) == f"forecast bound is not rational: {bad!r}"
+    # interval() converts through Fraction first, so every answer over it stays exact
+    made = interval(0.5, 0.75)
+    assert made == IntervalForecast(Fraction(1, 2), Fraction(3, 4))
+    bound = cumulative_bound(Stationary(made), "11")
+    assert type(bound) is Fraction and bound == 4
 
 
 def test_forecast_lookup_stationary():
@@ -189,6 +204,14 @@ def test_integer_log_bound_minimal(seed=3):
 def test_integer_log_bound_domain():
     with pytest.raises(DomainError):
         integer_log_bound(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_integer_log_bound_refuses_a_non_finite_float(x):
+    # Fraction(x) raises ValueError or OverflowError on these, before any domain check
+    with pytest.raises(DomainError) as info:
+        integer_log_bound(x)
+    assert str(info.value) == f"integer_log_bound's x is not finite: {x!r}"
 
 
 # powers of two and their neighbours (an integer one off, or a fraction just off), and 3,000-bit values

@@ -13,7 +13,6 @@ from treebet.errors import ConfigError, ParseError, ResourceError, TreebetError
 from treebet.formats import (
     MAX_LEVELS,
     _dumped,
-    _dumped_test,
     _process_bytes,
     dump_forecasting_system,
     dump_growth,
@@ -444,14 +443,10 @@ def test_repeated_keys_rows_and_stray_lines_are_refused(parse, text, message):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(TEST_MUTATIONS))
 def test_parse_test_matches_the_line_reader(seed, kind):
-    # dump_test's layout is read with one match per block, anything else line by line: the
-    # same test, or the same refusal, its type, message and line
+    # every layout gives the line-by-line reference's test, or its refusal: type, message and line
     rng = random.Random(seed)
     text = mutated_test_dump(rng, dump_test(rand_test(rng)), kind)
-    expected = _levels_outcome(parse_test_by_lines, text)
-    assert _levels_outcome(parse_test, text) == expected
-    if kind == "none":
-        assert _dumped_test(text) == expected
+    assert _levels_outcome(parse_test, text) == _levels_outcome(parse_test_by_lines, text)
 
 
 def test_repeated_level_lines_are_read_as_one_member():

@@ -180,6 +180,17 @@ def test_ville_threshold_domain():
         ville_threshold(FAIR, DOUBLER, 0)
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_threshold_and_stake_refuse_a_non_finite_float(x):
+    # Fraction(x) raises ValueError or OverflowError on these, before any domain check
+    with pytest.raises(DomainError) as info:
+        ville_threshold(FAIR, DOUBLER, x)
+    assert str(info.value) == f"threshold is not finite: {x!r}"
+    with pytest.raises(DomainError) as info:
+        kelly_process(FAIR, x, "on-one", 2)
+    assert str(info.value) == f"stake is not finite: {x!r}"
+
+
 def test_ville_inequality_random(seed=59):
     rng = random.Random(seed)
     for _ in range(40):
