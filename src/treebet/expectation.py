@@ -4,11 +4,14 @@ A gamble that only depends on the first n bits is evaluated by exact
 backward recursion: leaf values are folded towards the root, applying the
 one-step upper (or lower) expectation at every interior node.  Upper and
 lower probabilities of partial cuts and cylinder sets are special cases.
-A cut's probability is 1 at and below its members and 0 off their trie, which
-``_cut_trie`` folds alone, without recursing: every unconditional level or cut probability
-in ``randtest`` and ``martingale`` uses it, and ``_fold_sum`` adds many cuts' tries into the
-table and codes a ``Process`` keeps (``cut_value_map`` and the ``assemble_*`` builders), while
-``cut_upper_prob``/``cut_lower_prob`` keep ``_sparse_cut_value``.
+One integer fold kernel, ``_cut_trie``, folds a cut's trie (a cut's probability is 1 at and
+below its members, 0 off their trie) or a gamble's leaves below a situation, without recursing:
+``cond_upper``/``cond_lower``, ``cylinder_bounds`` and every unconditional level or cut
+probability in ``randtest`` and ``martingale`` use it, and ``_fold_sum`` adds many cuts' tries
+into the table and codes a ``Process`` keeps (``cut_value_map`` and the ``assemble_*``
+builders).  ``_endpoints`` serves only ``check_supermartingale``; ``cut_upper_prob`` and
+``cut_lower_prob`` keep ``_sparse_cut_value`` until the sparse kernel can replace it
+(ROADMAP items 1 and 2).
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import DomainError
 from .forecast import ONE, ZERO, ForecastingSystem, IntervalForecast
 from .local import LocalGamble, lower_expectation, upper_expectation
+from .numerals import finite_fraction
 from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation
 
 _LocalRule = Callable[[IntervalForecast, LocalGamble], Fraction]
@@ -47,9 +51,7 @@ class DepthGamble:
         if self.depth < 0:
             raise DomainError("gamble depth must be non-negative")
         if len(self.values) != 1 << self.depth:
-            raise DomainError(
-                f"depth-{self.depth} gamble needs {1 << self.depth} values, got {len(self.values)}"
-            )
+            raise DomainError(f"depth-{self.depth} gamble needs {1 << self.depth} values, got {len(self.values)}")
         # a float would reach the folds: each type is checked once, the first bad value named
         if bad := {t for t in set(map(type, self.values)) if t is bool or not issubclass(t, Rational)}:
             j, v = next((j, v) for j, v in enumerate(self.values) if type(v) in bad)
@@ -57,11 +59,12 @@ class DepthGamble:
 
     @classmethod
     def constant(cls, depth: int, value) -> "DepthGamble":
-        return cls(depth, (Fraction(value),) * (1 << depth))
+        return cls(depth, (finite_fraction(value, "gamble value"),) * (1 << depth))
 
     @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "DepthGamble":
-        return cls(depth, tuple(Fraction(fn(bits(j, depth))) for j in range(1 << depth)))
+        leaves = [bits(j, depth) for j in range(1 << depth)]
+        return cls(depth, tuple(finite_fraction(fn(s), f"gamble value at {s or '@'!r}") for s in leaves))
 
     @classmethod
     def indicator(cls, cut: Iterable[str], depth: int) -> "DepthGamble":
@@ -90,12 +93,10 @@ def _cut_leaves(members: Iterable[str], depth: int) -> list[int]:
     return leaves
 
 
-# The integer fold kernel.  Situations below a root s are taken level by
-# level in heap order (lexicographic within a level), as situations_up_to
-# yields them.  Every endpoint is scaled by L, the lcm of the system's
-# endpoint denominators, so with leaf denominator D the values h levels
-# above the leaves share the denominator D * L**h and each one-step
-# expectation is integer arithmetic with an integer endpoint comparison.
+# The integer fold kernel.  Every endpoint is scaled by L, the lcm of the
+# system's endpoint denominators, so with leaf denominator D the values h levels
+# above the leaves share the denominator D * L**h and each one-step expectation
+# is integer arithmetic with an integer endpoint comparison.
 
 def _pairs(fs: ForecastingSystem, lower: bool = False):
     """(L, pairs, slot): pairs[k] is fs.intervals[k] as (L times the endpoint the upper expectation
@@ -107,48 +108,40 @@ def _pairs(fs: ForecastingSystem, lower: bool = False):
     return scale, pairs, fs._slot if len(set(pairs)) > 1 else None
 
 
-def _endpoints(fs: ForecastingSystem, s: str, height: int, lower: bool = False):
-    """(L, rows): rows[w][j] is _pairs' scaled endpoint pair at s + bits(j, w), w < height;
-    level w below s spans the positions [first << w, (first + 1) << w)."""
-    scale, pairs, slot = _pairs(fs, lower)
+def _endpoints(fs: ForecastingSystem, height: int):
+    """(L, rows): rows[w][j] is _pairs' scaled upper endpoint pair at bits(j, w), w < height;
+    level w spans the positions [1 << w, 2 << w)."""
+    scale, pairs, slot = _pairs(fs)
     if slot is None:
         return scale, [[pairs[0]] * (1 << w) for w in range(height)]
-    first = int("1" + s, 2)
-    return scale, [[pairs[slot(p)] for p in range(first << w, (first + 1) << w)]
-                   for w in range(height)]
-
-
-def _fold_levels(scale: int, rows: list, leaves: list[int]) -> Iterator[list[int]]:
-    """The numerators of every level, leaves first: level h has denominator D * scale**h."""
-    level = leaves
-    yield level
-    for row in reversed(rows):
-        level = [scale * a + (p if b >= a else q) * (b - a)
-                 for a, b, (p, q) in zip(level[::2], level[1::2], row)]
-        yield level
+    return scale, [[pairs[slot(p)] for p in range(1 << w, 2 << w)] for w in range(height)]
 
 
 def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fraction:
+    require_situation(s)
     m = g.depth - len(s)
     if m < 0:
         raise DomainError(f"situation {s!r} deeper than gamble depth {g.depth}")
     base = _leaf_index(s) << m
     leaves = g.values[base:base + (1 << m)]
     den = math.lcm(*(v.denominator for v in leaves))
-    scale, rows = _endpoints(fs, s, m, lower)
-    *_, root = _fold_levels(scale, rows, [v.numerator * (den // v.denominator) for v in leaves])
-    return Fraction(root[0], den * scale ** m)
+    level = {base + i: v.numerator * (den // v.denominator) for i, v in enumerate(leaves)}
+    ends = _pairs(fs, lower)
+    return Fraction(_cut_trie(ends, (), (g.depth, level))[1][len(s)][_leaf_index(s)], den * ends[0] ** m)
 
 
-def _cut_trie(ends, members) -> tuple[Fraction, list[dict[int, int]]]:
+def _cut_trie(ends, members, leaves=None) -> tuple[Fraction | None, list[dict[int, int]]]:
     """(root, nodes) for _pairs' ends and a checked antichain, deepest member at D = len(nodes) - 1:
     the cut probability at ROOT, and nodes[t] mapping j to the numerator, over L**(D-t), of the one at
     bits(j, t) for each depth-t member and strict member prefix.  A member is worth L**(D-t), a node
-    L*x + P*(y-x) (the _fold_levels step) from its children x (0) and y (1), one off the trie 0."""
+    L*x + P*(y-x) from its children x (0) and y (1), one off the trie 0.  leaves, if given in place
+    of members, is (D, {j: numerator}): a gamble's depth-D leaves over a common denominator, whose
+    ancestors nodes holds over that denominator times L**(D-t); root is then None."""
     scale, pairs, slot = ends
     members = sorted(members, key=len)
-    nodes, level, one = [{}] * (len(members[-1]) + 1 if members else 1), {}, 1
-    for t in range(len(nodes) - 1, -1, -1):
+    depth, level = leaves or (len(members[-1]) if members else 0, {})
+    nodes, one = [{}] * (depth + 1), 1
+    for t in range(depth, -1, -1):
         while members and len(members[-1]) == t:
             level[_leaf_index(members.pop())] = one
         nodes[t], up, row, get = level, {}, 1 << t >> 1, level.get
@@ -157,7 +150,7 @@ def _cut_trie(ends, members) -> tuple[Fraction, list[dict[int, int]]]:
             p, q = pairs[slot(row | k) if slot else 0]
             up[k] = scale * x + (p if y >= x else q) * (y - x)
         level, one = up, one * scale
-    return Fraction(nodes[0].get(0, 0), one // scale), nodes
+    return (None if leaves else Fraction(nodes[0].get(0, 0), one // scale)), nodes
 
 
 def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = False, on_root=None):
@@ -201,12 +194,10 @@ def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = Fal
 
 def cond_upper(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:
     """Conditional upper expectation of ``g`` at ``s``, by backward recursion."""
-    require_situation(s)
     return _fold(fs, g, s, lower=False)
 
 
 def cond_lower(fs: ForecastingSystem, g: DepthGamble, s: str = ROOT) -> Fraction:
-    require_situation(s)
     return _fold(fs, g, s, lower=True)
 
 
@@ -260,18 +251,6 @@ def cut_value_map(
 
 
 def cylinder_bounds(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:
-    """Closed-form (upper, lower) probability of the cylinder set of ``s``: integer products
-    of _pairs' scaled endpoints along ``s`` (hi and lo at a 1, L - lo and L - hi at a 0), over
-    L**len(s)."""
+    """(upper, lower) probability of the cylinder set of ``s``: the cut {s} folded on its trie."""
     require_situation(s)
-    scale, pairs, _ = _pairs(fs)
-    upper = lower = p = 1
-    for bit in s:
-        hi, lo = pairs[fs._slot(p)]
-        if bit == "1":
-            upper, lower = upper * hi, lower * lo
-        else:
-            upper, lower = upper * (scale - lo), lower * (scale - hi)
-        p = fs._follow(p, bit)
-    den = scale ** len(s)
-    return Fraction(upper, den), Fraction(lower, den)
+    return _cut_trie(_pairs(fs), (s,))[0], _cut_trie(_pairs(fs, lower=True), (s,))[0]

@@ -49,7 +49,7 @@ def interval(lo, hi=None) -> IntervalForecast:
     """Convenience constructor accepting anything Fraction accepts."""
     if hi is None:
         hi = lo
-    return IntervalForecast(Fraction(lo), Fraction(hi))
+    return IntervalForecast(finite_fraction(lo, "forecast bound"), finite_fraction(hi, "forecast bound"))
 
 
 # Every kind answers by one positional rule.  Situation s sits at position

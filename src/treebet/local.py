@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import DomainError
 from .forecast import IntervalForecast
-from .numerals import format_rational
+from .numerals import finite_fraction, format_rational
 
 
 @dataclass(frozen=True)
@@ -23,12 +24,18 @@ class LocalGamble:
     on1: Fraction
     on0: Fraction
 
+    def __post_init__(self):
+        # a float would reach the one-step arithmetic; the common all-Fraction case costs one type test each
+        if type(self.on1) is not Fraction or type(self.on0) is not Fraction:
+            if bad := [v for v in (self.on1, self.on0) if isinstance(v, bool) or not isinstance(v, Rational)]:
+                raise DomainError(f"gamble value is not rational: {bad[0]!r}")
+
     def __neg__(self) -> "LocalGamble":
         return LocalGamble(-self.on1, -self.on0)
 
 
 def gamble(on1, on0) -> LocalGamble:
-    return LocalGamble(Fraction(on1), Fraction(on0))
+    return LocalGamble(finite_fraction(on1, "gamble value"), finite_fraction(on0, "gamble value"))
 
 
 def precise_expectation(p: Fraction, f: LocalGamble) -> Fraction:
@@ -36,6 +43,8 @@ def precise_expectation(p: Fraction, f: LocalGamble) -> Fraction:
 
     Computed as f(0) + p*(f(1) - f(0)) over integers, reducing once.
     """
+    if type(p) is not Fraction and (isinstance(p, bool) or not isinstance(p, Rational)):
+        raise DomainError(f"precise forecast is not rational: {p!r}")
     pn, pd = p.numerator, p.denominator
     if not 0 <= pn <= pd:
         raise DomainError(f"precise forecast {format_rational(p)} outside [0, 1]")

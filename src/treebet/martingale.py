@@ -74,7 +74,8 @@ class Process:
 
     @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "Process":
-        return cls(depth, {s: Fraction(fn(s)) for s in situations_up_to(depth)})
+        return cls(depth, {s: finite_fraction(fn(s), f"process value at {s or '@'!r}")
+                           for s in situations_up_to(depth)})
 
     @property
     def values(self) -> Mapping[str, Fraction]:
@@ -133,7 +134,7 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
     An empty list certifies the supermartingale property on the truncated tree.
     """
     table, codes = process.table, process.codes
-    scale, rows = _endpoints(fs, ROOT, process.depth)
+    scale, rows = _endpoints(fs, process.depth)
 
     def fails(c, c0, c1, ends) -> bool:
         # with L the scale, the gain's upper expectation is positive iff L*f0 + P*(f1 - f0) > L*v,

@@ -35,9 +35,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def finite_fraction(x, what: str) -> Fraction:
-    """Fraction(x), but a NaN or infinite float, on which Fraction raises ValueError or
+    """Fraction(x), but a NaN or infinite float or Decimal, on which Fraction raises ValueError or
     OverflowError, is a DomainError naming it."""
-    if isinstance(x, float) and not isfinite(x):
+    if isinstance(x, float) and not isfinite(x) or isinstance(x, decimal.Decimal) and not x.is_finite():
         raise DomainError(f"{what} is not finite: {x!r}")
     return Fraction(x)
 

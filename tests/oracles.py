@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, cycle, islice, product, repeat
-from typing import Callable
+from typing import Callable, Iterator
 
 from treebet import (
     DepthGamble, IntervalForecast, LocalGamble, Markov, Process, Stationary, Table,
     assemble_test_supermartingale, cut_upper_prob, interval, validate_ml_test,
 )
 from treebet.errors import ContractError, DomainError, ParseError, ResourceError
-from treebet.expectation import _cut_leaves, _cut_trie, _endpoints, _fold_levels, _pairs
+from treebet.expectation import _cut_leaves, _cut_trie, _pairs
 from treebet.forecast import ForecastingSystem, is_precise, local_scale
 from treebet.formats import MAX_LEVELS, dump_process, dump_test, parse_growth, parse_rational
 from treebet.growth import GrowthFunction
@@ -160,6 +160,58 @@ def grid_candidates(forecast: IntervalForecast, steps: int = 100) -> set[Fractio
 # Per-node references for the integer tree kernel: one one-step Fraction
 # evaluation per interior situation, one scan of the tree per level.
 
+def endpoint_rows(fs: ForecastingSystem, s: str, height: int, lower: bool = False):
+    """(L, rows): L the lcm of the system's endpoint denominators, and rows[w][j] the interval at
+    s + bits(j, w), w < height, looked up by name, as L times (the endpoint the upper expectation
+    takes when f(1) >= f(0), the other one); ``lower`` swaps the pair."""
+    scale = math.lcm(*(x.denominator for i in fs.intervals for x in (i.lo, i.hi)))
+    rows = []
+    for w in range(height):
+        forecasts = [forecast_by_name(fs, s + bits(j, w)) for j in range(1 << w)]
+        ends = [(int(i.lo * scale), int(i.hi * scale)) for i in forecasts]
+        rows.append([(lo, hi) if lower else (hi, lo) for lo, hi in ends])
+    return scale, rows
+
+
+def fold_levels(scale: int, rows: list, leaves: list[int]) -> Iterator[list[int]]:
+    """The dense list fold: the numerators of every level, leaves first, level h over
+    D * scale**h when the leaves are over D."""
+    level = leaves
+    yield level
+    for row in reversed(rows):
+        level = [scale * a + (p if b >= a else q) * (b - a)
+                 for a, b, (p, q) in zip(level[::2], level[1::2], row)]
+        yield level
+
+
+def fold_by_levels(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool = False) -> Fraction:
+    """cond_upper (cond_lower) by the dense list fold of the leaves below ``s``, every level a list."""
+    m = g.depth - len(s)
+    base = (int(s, 2) if s else 0) << m
+    leaves = g.values[base:base + (1 << m)]
+    den = math.lcm(*(v.denominator for v in leaves))
+    scale, rows = endpoint_rows(fs, s, m, lower)
+    *_, root = fold_levels(scale, rows, [v.numerator * (den // v.denominator) for v in leaves])
+    return Fraction(root[0], den * scale ** m)
+
+
+def cylinder_bounds_by_products(fs: ForecastingSystem, s: str) -> tuple[Fraction, Fraction]:
+    """cylinder_bounds in closed form: with L the lcm of the system's endpoint denominators, the
+    integer products along ``s`` of L*hi and L*lo at a 1 and L - L*lo and L - L*hi at a 0, each
+    interval looked up by the prefix's name, over L**len(s)."""
+    scale = math.lcm(*(x.denominator for i in fs.intervals for x in (i.lo, i.hi)))
+    upper = lower = 1
+    for k, bit in enumerate(s):
+        forecast = forecast_by_name(fs, s[:k])
+        hi, lo = int(forecast.hi * scale), int(forecast.lo * scale)
+        if bit == "1":
+            upper, lower = upper * hi, lower * lo
+        else:
+            upper, lower = upper * (scale - lo), lower * (scale - hi)
+    den = scale ** len(s)
+    return Fraction(upper, den), Fraction(lower, den)
+
+
 def fold_by_nodes(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool = False) -> Fraction:
     """cond_upper (cond_lower) by a backward fold of one-step expectations."""
     rule = lower_expectation if lower else upper_expectation
@@ -198,14 +250,14 @@ def fold_sum_by_leaves(fs: ForecastingSystem, weighted_cuts, depth: int, divisor
                        lower: bool = False, on_root=None):
     """expectation._fold_sum with every cut folded over all 2**depth leaves of its indicator,
     0s and 1s included, into one running table of integer numerators."""
-    scale, rows = _endpoints(fs, "", depth, lower)
+    scale, rows = endpoint_rows(fs, "", depth, lower)
     total = [[0] * (1 << (depth - h)) for h in range(depth + 1)]
     for i, (weight, cut) in enumerate(weighted_cuts):
         if any(len(t) > depth for t in cut):
             raise DomainError("cut member deeper than the requested sweep depth")
         level = [0]
         if cut:
-            for h, level in enumerate(_fold_levels(scale, rows, _cut_leaves(cut, depth))):
+            for h, level in enumerate(fold_levels(scale, rows, _cut_leaves(cut, depth))):
                 total[h] = [v + weight * u for v, u in zip(total[h], level)]
         if on_root:
             on_root(i, Fraction(level[0], scale ** depth))
@@ -246,7 +298,7 @@ def check_supermartingale_by_delta(fs: ForecastingSystem, process: Process) -> l
 def check_supermartingale_by_nodes(fs: ForecastingSystem, process: Process) -> list[str]:
     """check_supermartingale with one cross-multiplied fold step per interior
     situation, reading each value's numerator and denominator off its Fraction."""
-    scale, rows = _endpoints(fs, "", process.depth)
+    scale, rows = endpoint_rows(fs, "", process.depth)
     heap = list(process.values.values())
     violations = []
     for w, row in enumerate(rows):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from treebet import (
     DepthGamble,
     Markov,
+    Process,
     Stationary,
     Table,
     cond_lower,
@@ -18,6 +19,7 @@ from treebet import (
     cut_upper_prob,
     cut_value_map,
     cylinder_bounds,
+    gamble,
     interval,
 )
 from treebet.errors import DomainError
@@ -47,6 +49,28 @@ def test_depth_gamble_refuses_a_value_that_is_not_rational(values):
     assert DepthGamble.constant(1, 0.5).values == (Fraction(1, 2),) * 2
     half = DepthGamble.from_function(1, {"0": 0.5, "1": 1}.__getitem__)
     assert half.values == (Fraction(1, 2), 1) and cond_upper(FAIR, half) == Fraction(3, 4)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf"),
+              Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity")]
+CONVERTERS = {
+    "interval": (lambda x: interval(0, x), "forecast bound"),
+    "gamble": (lambda x: gamble(1, x), "gamble value"),
+    "DepthGamble.constant": (lambda x: DepthGamble.constant(2, x), "gamble value"),
+    "DepthGamble.from_function": (lambda x: DepthGamble.from_function(2, lambda s: x if s == "01" else 0),
+                                  "gamble value at '01'"),
+    "Process.from_function": (lambda x: Process.from_function(1, lambda s: x if s else 1), "process value at '0'"),
+}
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+@pytest.mark.parametrize("name", sorted(CONVERTERS))
+def test_convenience_constructors_refuse_a_non_finite_value(name, x):
+    # Fraction(x) raises ValueError or OverflowError on these; each constructor names what it converts
+    make, what = CONVERTERS[name]
+    with pytest.raises(DomainError) as info:
+        make(x)
+    assert str(info.value) == f"{what} is not finite: {x!r}"
 
 
 def test_cond_upper_fair_indicator():

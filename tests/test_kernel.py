@@ -45,6 +45,8 @@ from gen import (
 from oracles import (
     check_supermartingale_by_delta,
     cut_value_map_by_nodes,
+    cylinder_bounds_by_products,
+    fold_by_levels,
     fold_by_nodes,
     fold_sum_by_leaves,
     stored_levels,
@@ -89,6 +91,34 @@ def test_cond_matches_node_fold(seed, depth):
     s = bits(rng.randrange(1 << n), n)
     assert cond_upper(fs, g, s) == fold_by_nodes(fs, g, s)
     assert cond_lower(fs, g, s) == fold_by_nodes(fs, g, s, lower=True)
+
+
+POOLS = {"endpoints": ENDPOINT_POOL, "degenerate": DEGENERATE_POOL}
+kinds, pools = st.sampled_from(KINDS), st.sampled_from(sorted(POOLS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, kinds, pools, st.booleans(), st.integers(0, 10))
+def test_cond_matches_the_list_fold_at_every_depth(seed, kind, pool, precise, depth):
+    # the trie kernel against the dense list fold, conditioned at one situation of each depth
+    rng = random.Random(seed)
+    fs = rand_system(rng, depth=depth, kind=kind, pool=POOLS[pool], precise=precise)
+    g = rand_gamble(rng, depth)
+    for n in range(depth + 1):
+        s = bits(rng.randrange(1 << n), n)
+        assert cond_upper(fs, g, s) == fold_by_levels(fs, g, s)
+        assert cond_lower(fs, g, s) == fold_by_levels(fs, g, s, lower=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, kinds, pools, st.booleans(), st.integers(0, 64))
+def test_cylinder_bounds_match_the_closed_form(seed, kind, pool, precise, length):
+    # the trie kernel on {s} against the closed-form path product, at every prefix of s
+    rng = random.Random(seed)
+    fs = rand_system(rng, depth=min(length, 8), kind=kind, pool=POOLS[pool], precise=precise)
+    s = "".join(rng.choice("01") for _ in range(length))
+    for n in range(length + 1):
+        assert cylinder_bounds(fs, s[:n]) == cylinder_bounds_by_products(fs, s[:n])
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,7 +168,7 @@ def test_checked_cut_upper_prob_of_a_member_past_1000_bits(kind):
     for pool in (DEGENERATE_POOL, ENDPOINT_POOL):
         fs = rand_system(rng, depth=4, kind=kind, pool=pool)
         member = "".join(rng.choice("01") for _ in range(rng.randint(1001, 3000)))
-        assert _cut_trie(_pairs(fs), frozenset({member}))[0] == cylinder_bounds(fs, member)[0]
+        assert _cut_trie(_pairs(fs), frozenset({member}))[0] == cylinder_bounds_by_products(fs, member)[0]
 
 
 @settings(max_examples=150, deadline=None)

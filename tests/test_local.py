@@ -1,10 +1,11 @@
 """One-step expectation functionals."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from treebet import gamble, interval, lower_expectation, precise_expectation, upper_expectation
+from treebet import LocalGamble, gamble, interval, lower_expectation, precise_expectation, upper_expectation
 from treebet.errors import DomainError
 
 from suites import run_coherence_suite
@@ -29,6 +30,25 @@ def test_precise_expectation_domain():
         precise_expectation(Fraction(-1, 5), gamble(1, 0))
     with pytest.raises(DomainError):  # its message is past the int-string limit
         precise_expectation(Fraction(10**5000), gamble(1, 0))
+
+
+@pytest.mark.parametrize("values", [(0.5, Fraction(1, 4)), (Fraction(1), 0.25), (True, 0), (0, False),
+                                    (Decimal("0.5"), 0), (1, "1/2"), (Fraction(1), None)])
+def test_local_gamble_refuses_a_value_that_is_not_rational(values):
+    # a float reached precise_expectation's .numerator, and True passed as 1
+    bad = next(v for v in values if type(v) not in (int, Fraction))
+    with pytest.raises(DomainError) as info:
+        LocalGamble(*values)
+    assert str(info.value) == f"gamble value is not rational: {bad!r}"
+    assert LocalGamble(1, Fraction(1, 2)) == gamble(1, "1/2")
+
+
+@pytest.mark.parametrize("p", [0.5, True, False, Decimal("0.5"), "1/2", None])
+def test_precise_expectation_refuses_a_forecast_that_is_not_rational(p):
+    with pytest.raises(DomainError) as info:
+        precise_expectation(p, gamble(1, 0))
+    assert str(info.value) == f"precise forecast is not rational: {p!r}"
+    assert precise_expectation(1, gamble(1, 0)) == 1
 
 
 @pytest.mark.parametrize(

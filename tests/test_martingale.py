@@ -180,7 +180,8 @@ def test_ville_threshold_domain():
         ville_threshold(FAIR, DOUBLER, 0)
 
 
-@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"),
+                               Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity")])
 def test_threshold_and_stake_refuse_a_non_finite_float(x):
     # Fraction(x) raises ValueError or OverflowError on these, before any domain check
     with pytest.raises(DomainError) as info:
