@@ -39,12 +39,13 @@ from .local import LocalGamble, lower_expectation, upper_expectation
 from .martingale import check_supermartingale, kelly_gamble
 from .numerals import EXACT, format_rational, parse_integer, parse_rational, ratio_text
 from .randtest import (
+    _combine,
+    _level_reports,
+    _tail_reports,
+    _upper_mass,
     assemble_test_supermartingale,
-    combine_universal,
     martingale_to_test,
     schnorr_test_from_martingale,
-    validate_ml_test,
-    validate_schnorr_tail,
 )
 from .sampling import SELECTORS, sample_path
 from .tree import parse_situation, require_antichain
@@ -121,11 +122,11 @@ def cmd_cutprob(args) -> int:
     return 0
 
 
-def _report_budgets(fs, test) -> bool:
+def _report_budgets(mass, test) -> bool:
     """Print validate_ml_test's reports on a test to be written, which the .test reader must take back."""
     if test.num_levels > MAX_LEVELS:
         raise ResourceError(f"test has {test.num_levels} levels, over the limit of {MAX_LEVELS}")
-    reports = validate_ml_test(fs, test)
+    reports = _level_reports(mass, test)
     for r in reports:
         verdict = "pass" if r.passed else "FAIL"
         actual, budget = format_rational(r.actual), format_rational(r.budget)
@@ -154,7 +155,8 @@ def cmd_convert(args) -> int:
         save(args.out, dump_process(process))
         return 0
 
-    # the other directions write a test
+    # the other directions write a test; their folds share one memo, so each distinct cut is folded once
+    mass = _upper_mass(fs)
     if args.direction == "to-test":
         if not args.process:
             raise ParseError("to-test needs --process")
@@ -164,15 +166,15 @@ def cmd_convert(args) -> int:
         except ContractError as exc:
             print(f"not a test supermartingale: {exc.reason}", file=sys.stderr)
             return 3
-        passed = _report_budgets(fs, test)
+        passed = _report_budgets(mass, test)
     elif args.direction == "schnorr-from-martingale":
         if not args.process or not args.rho:
             raise ParseError("schnorr-from-martingale needs --process and --rho")
         process = load(args.process, parse_process)
         rho = parse_growth(args.rho)
         test = schnorr_test_from_martingale(process, rho, fs)
-        passed = _report_budgets(fs, test)
-        tail_reports = validate_schnorr_tail(fs, test, k_max=max(4, test.num_levels))
+        passed = _report_budgets(mass, test)
+        tail_reports = _tail_reports(mass, test, max(4, test.num_levels))
         for r in tail_reports:
             verdict = "pass" if r.passed else "FAIL"
             worst, budget = format_rational(r.worst_actual), format_rational(r.budget)
@@ -180,8 +182,8 @@ def cmd_convert(args) -> int:
         passed = passed and all(r.passed for r in tail_reports)
     else:  # universal
         tests = [load(path, parse_test) for path in args.inputs]
-        test = combine_universal(fs, tests)
-        passed = _report_budgets(fs, test)
+        test = _combine(mass, tests)
+        passed = _report_budgets(mass, test)
     if not passed:
         return 3
     print("all budgets pass")

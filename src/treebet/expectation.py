@@ -9,9 +9,9 @@ below its members, 0 off their trie) or a gamble's leaves below a situation, wit
 ``cond_upper``/``cond_lower``, ``cylinder_bounds`` and every unconditional level or cut
 probability in ``randtest`` and ``martingale`` use it, and ``_fold_sum`` adds many cuts' tries
 into the table and codes a ``Process`` keeps (``cut_value_map`` and the ``assemble_*``
-builders).  ``_endpoints`` serves only ``check_supermartingale``; ``cut_upper_prob`` and
-``cut_lower_prob`` keep ``_sparse_cut_value`` until the sparse kernel can replace it
-(ROADMAP items 1 and 2).
+builders).  ``check_supermartingale`` reads the scaled endpoint pairs of ``_pairs`` through each
+level's slot row, ``fs._level(w)``; ``cut_upper_prob`` and ``cut_lower_prob`` keep
+``_sparse_cut_value`` until the sparse kernel can replace it (ROADMAP items 1 and 2).
 """
 
 from __future__ import annotations
@@ -108,15 +108,6 @@ def _pairs(fs: ForecastingSystem, lower: bool = False):
     return scale, pairs, fs._slot if len(set(pairs)) > 1 else None
 
 
-def _endpoints(fs: ForecastingSystem, height: int):
-    """(L, rows): rows[w][j] is _pairs' scaled upper endpoint pair at bits(j, w), w < height;
-    level w spans the positions [1 << w, 2 << w)."""
-    scale, pairs, slot = _pairs(fs)
-    if slot is None:
-        return scale, [[pairs[0]] * (1 << w) for w in range(height)]
-    return scale, [[pairs[slot(p)] for p in range(1 << w, 2 << w)] for w in range(height)]
-
-
 def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fraction:
     require_situation(s)
     m = g.depth - len(s)
@@ -127,25 +118,25 @@ def _fold(fs: ForecastingSystem, g: DepthGamble, s: str, lower: bool) -> Fractio
     den = math.lcm(*(v.denominator for v in leaves))
     level = {base + i: v.numerator * (den // v.denominator) for i, v in enumerate(leaves)}
     ends = _pairs(fs, lower)
-    return Fraction(_cut_trie(ends, (), (g.depth, level))[1][len(s)][_leaf_index(s)], den * ends[0] ** m)
+    return Fraction(_cut_trie(ends, (), (g.depth, level), len(s))[1][len(s)][_leaf_index(s)], den * ends[0] ** m)
 
 
-def _cut_trie(ends, members, leaves=None) -> tuple[Fraction | None, list[dict[int, int]]]:
+def _cut_trie(ends, members, leaves=None, top: int = 0) -> tuple[Fraction | None, list[dict[int, int]]]:
     """(root, nodes) for _pairs' ends and a checked antichain, deepest member at D = len(nodes) - 1:
     the cut probability at ROOT, and nodes[t] mapping j to the numerator, over L**(D-t), of the one at
     bits(j, t) for each depth-t member and strict member prefix.  A member is worth L**(D-t), a node
-    L*x + P*(y-x) from its children x (0) and y (1), one off the trie 0.  leaves, if given in place
-    of members, is (D, {j: numerator}): a gamble's depth-D leaves over a common denominator, whose
-    ancestors nodes holds over that denominator times L**(D-t); root is then None."""
+    L*x + P*(y-x) from its children x (0) and y (1), one off the trie 0.  leaves, in place of members,
+    is (D, {j: numerator}): a gamble's depth-D leaves over a common denominator, whose ancestors down
+    from depth top nodes holds over that denominator times L**(D-t) (root is then None)."""
     scale, pairs, slot = ends
     members = sorted(members, key=len)
     depth, level = leaves or (len(members[-1]) if members else 0, {})
     nodes, one = [{}] * (depth + 1), 1
-    for t in range(depth, -1, -1):
+    for t in range(depth, top - 1, -1):
         while members and len(members[-1]) == t:
             level[_leaf_index(members.pop())] = one
         nodes[t], up, row, get = level, {}, 1 << t >> 1, level.get
-        for k in {j >> 1 for j in level} if t else ():
+        for k in {j >> 1 for j in level} if t > top else ():
             x, y = get(2 * k, 0), get(2 * k + 1, 0)
             p, q = pairs[slot(row | k) if slot else 0]
             up[k] = scale * x + (p if y >= x else q) * (y - x)

@@ -54,8 +54,8 @@ def interval(lo, hi=None) -> IntervalForecast:
 
 # Every kind answers by one positional rule.  Situation s sits at position
 # int("1" + s, 2) (root 1, children 2p and 2p + 1; p - 1 indexes Process.values);
-# ``_slot(p)`` indexes ``intervals`` and ``_follow(p, bit)`` is the child's
-# position, bounded along any path.  Overrides and rows are read once, at construction.
+# ``_slot(p)`` indexes ``intervals``, ``_follow(p, bit)`` is the child's position, bounded along any
+# path, and ``_level(w)`` lists level w's slots, by list repetition.  Overrides and rows are read once.
 
 def _at(fs: ForecastingSystem, s: str) -> IntervalForecast:
     return fs.intervals[fs._slot(int("1" + s, 2))]
@@ -75,6 +75,9 @@ class Stationary:
     def _slot(self, p: int) -> int:
         return 0
 
+    def _level(self, w: int) -> list[int]:
+        return [0] * (1 << w)
+
     def _follow(self, p: int, bit: str) -> int:
         return 1
 
@@ -89,14 +92,24 @@ class Table:
     def __post_init__(self):
         # slot 0 is the default, which every position past the deepest override reads
         slots = {int("1" + require_situation(s), 2): k for k, s in enumerate(self.overrides, 1)}
+        patches: dict[int, list[tuple[int, int]]] = {}  # level w: (index in the level, slot) per override
+        for p, k in slots.items():
+            patches.setdefault(w := p.bit_length() - 1, []).append((p ^ (1 << w), k))
         object.__setattr__(self, "intervals", (self.default, *self.overrides.values()))
         object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_patches", patches)
         object.__setattr__(self, "_cap", 1 << (max(map(len, self.overrides), default=-1) + 1))
 
     at = _at
 
     def _slot(self, p: int) -> int:
         return self._slots.get(p, 0)
+
+    def _level(self, w: int) -> list[int]:
+        row = [0] * (1 << w)
+        for j, k in self._patches.get(w, ()):
+            row[j] = k
+        return row
 
     def _follow(self, p: int, bit: str) -> int:
         q = (p << 1) | (bit == "1")
@@ -132,6 +145,10 @@ class Markov:
     def _slot(self, p: int) -> int:
         top = self._top
         return (p if p < top else top | (p & (top - 1))) - 1
+
+    def _level(self, w: int) -> list[int]:  # each position its own slot, then the contexts' repeated
+        span = min(w, self.order)
+        return [*range((1 << span) - 1, (2 << span) - 1)] * (1 << (w - span))
 
     def _follow(self, p: int, bit: str) -> int:
         q, top = (p << 1) | (bit == "1"), self._top

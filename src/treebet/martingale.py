@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, takewhile
 from numbers import Rational
-from operator import gt, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Literal, Mapping
 
 from .errors import ContractError, DomainError
-from .expectation import _cut_trie, _endpoints, _pairs
+from .expectation import _cut_trie, _pairs
 from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
 from .numerals import finite_fraction, format_rational
@@ -134,20 +134,20 @@ def check_supermartingale(fs: ForecastingSystem, process: Process) -> list[str]:
     An empty list certifies the supermartingale property on the truncated tree.
     """
     table, codes = process.table, process.codes
-    scale, rows = _endpoints(fs, process.depth)
+    scale, pairs, _ = _pairs(fs)
 
-    def fails(c, c0, c1, ends) -> bool:
+    def fails(c, c0, c1, k) -> bool:
         # with L the scale, the gain's upper expectation is positive iff L*f0 + P*(f1 - f0) > L*v,
-        # P the endpoint it takes (the pair's first when f1 >= f0): the fold step, cross-multiplied
+        # P the endpoint it takes (slot k's pair's first when f1 >= f0): the fold step, cross-multiplied
         (n, d), (n0, d0), (n1, d1) = table[c], table[c0], table[c1]
         r = n1 * d0 - (a := n0 * d1)
-        return (scale * a + ends[r < 0] * r) * d > scale * n * d0 * d1
+        return (scale * a + pairs[k][r < 0] * r) * d > scale * n * d0 * d1
 
     violations = []
-    for w, row in enumerate(rows):
-        columns = (codes[w], codes[w + 1][::2], codes[w + 1][1::2], row)
-        # rows (a value's code, its children's, the endpoint pair) repeat heavily: each distinct one is
-        # checked once, and the level is walked again only to name the nodes of failing ones, in heap order
+    for w in range(process.depth):
+        columns = (codes[w], codes[w + 1][::2], codes[w + 1][1::2], fs._level(w))
+        # rows (a value's code, its children's, the slot) repeat heavily: each distinct one is checked
+        # once, and the level is walked again only to name the nodes of failing ones, in heap order
         if bad := {t for t in set(zip(*columns)) if fails(*t)}:
             violations += [bits(j, w) for j in compress(count(), map(bad.__contains__, zip(*columns)))]
     return violations
@@ -180,17 +180,19 @@ def _first_passages(process: Process, crossed) -> tuple[frozenset[str], ...]:
     """Level n: each situation whose count exceeds n while no strict prefix's does,
     crossed(w, codes) mapping each code of the process's level w to its value's count."""
     levels: list[list[str]] = []
-    reached = [0]
+    reached = [0]  # per node: the count of its path above it
     for w, level in enumerate(process.codes):
-        here = [*map(crossed(w, level).__getitem__, level)]
-        for j in [*compress(count(), map(gt, here, reached))]:  # the nodes that cross a new level
-            levels.extend([] for _ in range(len(levels), here[j]))
-            for n in range(reached[j], here[j]):
-                levels[n].append(bits(j, w))
-            reached[j] = here[j]
-        below = [0] * (2 * len(reached))  # each child starts from its parent's
-        below[::2] = below[1::2] = reached
-        reached = below
+        if w:  # each child starts from its parent's
+            below = [0] * (2 * len(reached))
+            below[::2] = below[1::2] = reached
+            reached = below
+        counts = crossed(w, level)
+        for j in compress(count(), map(counts.__getitem__, level)):  # a node whose count is 0 crosses nothing
+            if (here := counts[level[j]]) > reached[j]:
+                levels.extend([] for _ in range(len(levels), here))
+                for n in range(reached[j], here):
+                    levels[n].append(bits(j, w))
+                reached[j] = here
     return tuple(frozenset(level) for level in levels)
 
 
@@ -230,7 +232,7 @@ def bound_check(fs: ForecastingSystem, process: Process) -> bool:
     ceilings = [(1, 1)]
     for w, level in enumerate(process.codes):
         if w:  # each child's ceiling from its parent's, up to the first parent whose scale is 0
-            steps = takewhile(itemgetter(0), map(scales.__getitem__, map(fs._slot, range(1 << (w - 1), 1 << w))))
+            steps = takewhile(itemgetter(0), map(scales.__getitem__, fs._level(w - 1)))
             ceilings = [(a * n, b * d) for (a, b), (n, d) in zip(ceilings, steps) for _ in "01"]
         if any(sides[c][0] * a > sides[c][1] * b for c, (a, b) in zip(level, ceilings)):
             return False
@@ -262,11 +264,11 @@ def kelly_gamble(forecast: IntervalForecast, direction: KellyDirection) -> Local
     if direction == "on-one":
         if forecast.hi == 0:
             raise DomainError("betting on 1 against a {0} forecast")
-        return LocalGamble(on1=(1 - forecast.hi) / forecast.hi, on0=Fraction(-1))
+        return LocalGamble(on1=Fraction(1 - forecast.hi, forecast.hi), on0=Fraction(-1))
     if direction == "on-zero":
         if forecast.lo == 1:
             raise DomainError("betting on 0 against a {1} forecast")
-        return LocalGamble(on1=Fraction(-1), on0=forecast.lo / (1 - forecast.lo))
+        return LocalGamble(on1=Fraction(-1), on0=Fraction(forecast.lo, 1 - forecast.lo))
     raise DomainError(f"unknown direction {direction!r}")
 
 
@@ -277,10 +279,11 @@ def kelly_process(
     stake = finite_fraction(stake, "stake")
     if not (0 <= stake <= 1):
         raise DomainError("stake must lie in [0, 1]")
-    # heap order: the children of the i-th situation (position i + 1) follow it
-    intervals, capital = fs.intervals, [Fraction(1)]
-    for i in range((1 << depth) - 1):
-        g = kelly_gamble(intervals[fs._slot(i + 1)], direction)
-        here = capital[i]
-        capital += (here * (1 + stake * g.on0), here * (1 + stake * g.on1))
+    rows = [fs._level(w) for w in range(depth)]  # then the factors after a 0 and a 1 of each slot read
+    factors = {k: (1 + stake * g.on0, 1 + stake * g.on1) for k in dict.fromkeys(chain.from_iterable(rows))
+               for g in [kelly_gamble(fs.intervals[k], direction)]}
+    capital, level = [Fraction(1)], [Fraction(1)]
+    for row in rows:  # heap order: each node's children follow it, 0 first
+        level = [here * f for here, k in zip(level, row) for f in factors[k]]
+        capital += level
     return Process(depth, dict(zip(situations_up_to(depth), capital)))

@@ -91,27 +91,34 @@ class TailReport:
     passed: bool
 
 
+def _upper_mass(fs: ForecastingSystem):
+    """A stored or built cut's upper probability, each distinct cut folded once per function made."""
+    ends = _pairs(fs)
+    return cache(lambda cut: _cut_trie(ends, cut)[0])
+
+
 def validate_ml_test(fs: ForecastingSystem, test: RandomnessTest) -> list[LevelReport]:
     """Check every stored level against its 2**-n upper-probability budget."""
-    reports, ends = [], _pairs(fs)
-    for n, cut in enumerate(test.levels):
-        budget, actual = Fraction(1, 1 << n), _cut_trie(ends, cut)[0]
-        reports.append(LevelReport(n, budget, actual, actual <= budget))
-    return reports
+    return _level_reports(_upper_mass(fs), test)
 
 
-def validate_schnorr_tail(
-    fs: ForecastingSystem, test: RandomnessTest, k_max: int
-) -> list[TailReport]:
+def _level_reports(mass, test: RandomnessTest) -> list[LevelReport]:
+    return [LevelReport(n, budget, actual, actual <= budget)
+            for n, actual in enumerate(map(mass, test.levels)) for budget in [Fraction(1, 1 << n)]]
+
+
+def validate_schnorr_tail(fs: ForecastingSystem, test: RandomnessTest, k_max: int) -> list[TailReport]:
     """Check the tail bound: mass at depth e(K) or beyond stays within 2**-K."""
+    return _tail_reports(_upper_mass(fs), test, k_max)
+
+
+def _tail_reports(mass, test: RandomnessTest, k_max: int) -> list[TailReport]:
     if test.tail is None:
         raise DomainError("test carries no tail bound")
-    reports, ends = [], _pairs(fs)
+    reports = []
     for k in range(k_max + 1):
-        cutoff = test.tail(k)
-        budget = Fraction(1, 1 << k)
-        worst = max((_cut_trie(ends, test.level_at_least(n, cutoff))[0] for n in range(test.num_levels)),
-                    default=Fraction(0))
+        cutoff, budget = test.tail(k), Fraction(1, 1 << k)
+        worst = max((mass(test.level_at_least(n, cutoff)) for n in range(test.num_levels)), default=Fraction(0))
         reports.append(TailReport(k, cutoff, budget, worst, worst <= budget))
     return reports
 
@@ -122,9 +129,8 @@ def _require_budget(n: int, actual: Fraction) -> None:
 
 
 def _require_budgets(fs, test, up_to: int) -> None:
-    ends = _pairs(fs)
-    for n, cut in enumerate(test.levels[: up_to + 1]):
-        _require_budget(n, _cut_trie(ends, cut)[0])
+    for n, actual in enumerate(map(_upper_mass(fs), test.levels[: up_to + 1])):
+        _require_budget(n, actual)
 
 
 def _require_stored(test: RandomnessTest, n_max: int) -> None:
@@ -324,8 +330,7 @@ def derive_tail_bound_precise(fs: ForecastingSystem, test: RandomnessTest) -> Gr
     """
     if not is_precise(fs):
         raise DomainError("tail-bound derivation needs a precise forecasting system")
-    ends = _pairs(fs)
-    mass = cache(lambda cut: _cut_trie(ends, cut)[0])  # distinct cutoffs and levels often cut the same members
+    mass = _upper_mass(fs)  # distinct cutoffs and levels often cut the same members
     for n, cut in enumerate(test.levels):
         _require_budget(n, mass(cut))
 
@@ -352,29 +357,35 @@ def clip_to_budget(fs: ForecastingSystem, test: RandomnessTest) -> RandomnessTes
     probability stays within 3 * 2**-(n+2); the result always validates,
     and inputs already meeting their budgets at every stage are unchanged.
     """
-    clipped, ends = [], _pairs(fs)
+    return _clip(_upper_mass(fs), test)
+
+
+def _clip(mass, test: RandomnessTest) -> RandomnessTest:
+    clipped = []
     for n, cut in enumerate(test.levels):
         threshold = Fraction(3, 1 << (n + 2))
         # the running mass changes only where a member length is passed, and
         # never falls as the length grows: bisect for the first length over
-        if _cut_trie(ends, cut)[0] > threshold:
+        if mass(cut) > threshold:
             lengths = sorted({len(t) for t in cut})
-            over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: _cut_trie(
-                ends, frozenset(t for t in cut if len(t) <= length))[0] > threshold)
+            over = bisect_left(lengths, True, hi=len(lengths) - 1, key=lambda length: mass(
+                frozenset(t for t in cut if len(t) <= length)) > threshold)
             cut = frozenset(t for t in cut if len(t) < lengths[over])
         clipped.append(cut)
     return RandomnessTest._from_antichains(tuple(clipped), max_depth=test.max_depth)
 
 
-def combine_universal(
-    fs: ForecastingSystem, tests: Sequence[RandomnessTest]
-) -> RandomnessTest:
+def combine_universal(fs: ForecastingSystem, tests: Sequence[RandomnessTest]) -> RandomnessTest:
     """Index-shifted union of budget-clipped tests: level n merges member levels n+m+1.
 
     The shift makes the budgets sum geometrically, so every combined level
     stays within 2**-n while covering each member's shifted level.
     """
-    clipped = [clip_to_budget(fs, t) for t in tests]
+    return _combine(_upper_mass(fs), tests)
+
+
+def _combine(mass, tests: Sequence[RandomnessTest]) -> RandomnessTest:
+    clipped = [_clip(mass, t) for t in tests]
     out_levels = max((t.num_levels - m - 1 for m, t in enumerate(clipped)), default=0)
     levels = []
     for n in range(max(out_levels, 0)):

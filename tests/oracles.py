@@ -343,6 +343,17 @@ def bound_check_by_nodes(fs: ForecastingSystem, process: Process) -> bool:
     return True
 
 
+def kelly_process_by_nodes(fs: ForecastingSystem, stake, direction: str, depth: int) -> Process:
+    """kelly_process with one kelly_gamble per interior node, each forecast looked up by name, in
+    heap order, so the first node under a degenerate forecast raises."""
+    capital = {"": Fraction(1)}
+    for s in situations_up_to(depth - 1):
+        g = kelly_gamble(forecast_by_name(fs, s), direction)
+        capital[s + "0"] = capital[s] * (1 + stake * g.on0)
+        capital[s + "1"] = capital[s] * (1 + stake * g.on1)
+    return Process(depth, capital)
+
+
 def first_passages_by_nodes(process: Process, crossed) -> tuple[frozenset[str], ...]:
     """Level n: each situation s with crossed(p, q, |s|) > n, p/q its value in
     lowest terms, that has no strict prefix with the same property; one pass

@@ -1,15 +1,25 @@
 """Golden tests for the command-line interface."""
 
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from treebet import RandomnessTest, cli, validate_schnorr_tail
+from treebet import (
+    RandomnessTest, Table, cli, combine_universal, interval, randtest, schnorr_test_from_martingale,
+    validate_ml_test, validate_schnorr_tail,
+)
 from treebet.cli import main
-from treebet.formats import MAX_BITS, MAX_DEPTH, dump_process, dump_test, parse_process, parse_test
+from treebet.expectation import _cut_trie
+from treebet.formats import (
+    MAX_BITS, MAX_DEPTH, dump_forecasting_system, dump_process, dump_test, parse_growth, parse_process, parse_test,
+)
 from treebet.martingale import kelly_process
+from treebet.numerals import format_rational
 
 from gen import FAIR
+from oracles import _budget_lines
 
 FAIR_FS = "kind: stationary\ninterval: 1/2 1/2\n"
 WIDE_FS = "kind: stationary\ninterval: 2/5 7/10\n"
@@ -464,3 +474,48 @@ def test_leftover_arguments_exit_2(workdir, capsys, argv, stray):
     assert info.value.code == 2
     assert capsys.readouterr().err.endswith(f"treebet: error: unrecognized arguments: {stray}\n")
     assert not (workdir / "u.test").exists() and not (workdir / "a.test").exists()
+
+
+def test_convert_folds_each_cut_once_per_command(workdir, capsys, monkeypatch):
+    # a stake-1/2 bettor against a table system: schnorr-from-martingale's tails and universal's
+    # combined levels meet cuts its budget report or clipping folds, which each command folds once
+    fs = Table(interval("2/5", "3/5"), {"": interval("1/3", "1/2"), "0": interval("1/2", "2/3"),
+                                         "01": interval("1/4", "1/2"), "110": interval("3/8", "5/8")})
+    (workdir / "t.fs").write_text(dump_forecasting_system(fs))
+    (workdir / "t.proc").write_text(dump_process(kelly_process(fs, Fraction(1, 2), "on-one", 9)))
+    assert main(["convert", "to-test", "--process", "t.proc", "--fs", "t.fs", "--out", "t.test"]) == 0
+    levels = parse_test((workdir / "t.test").read_text()).num_levels
+    assert main(["convert", "to-martingale", "--test", "t.test", "--fs", "t.fs", "--levels", str(levels - 1),
+                 "--out", "w.proc"]) == 0
+    capsys.readouterr()
+    rho = "table 0 1 1 2 2 3 ; affine 1 0 1"
+    schnorr = schnorr_test_from_martingale(parse_process((workdir / "w.proc").read_text()), parse_growth(rho), fs)
+    universal = combine_universal(fs, [parse_test((workdir / "t.test").read_text()), schnorr])
+    # each command's output, from the public functions, each of which folds its own cuts
+    tails = [f"tail K={r.k}: cutoff {r.cutoff} worst {format_rational(r.worst_actual)} budget "
+             f"{format_rational(r.budget)} {'pass' if r.passed else 'FAIL'}"
+             for r in validate_schnorr_tail(fs, schnorr, k_max=max(4, schnorr.num_levels))]
+    want = {
+        "s.test": (_budget_lines(validate_ml_test(fs, schnorr)) + tails, dump_test(schnorr)),
+        "u.test": (_budget_lines(validate_ml_test(fs, universal)), dump_test(universal)),
+    }
+    folded = Counter()
+
+    def counted(ends, members, *rest):
+        folded[frozenset(members)] += 1
+        return _cut_trie(ends, members, *rest)
+
+    monkeypatch.setattr(randtest, "_cut_trie", counted)
+    for out, argv in [("s.test", ["schnorr-from-martingale", "--process", "w.proc", "--rho", rho]),
+                      ("u.test", ["universal", "t.test", "s.test"])]:
+        folded.clear()
+        assert main(["convert", *argv, "--fs", "t.fs", "--out", out]) == 0
+        assert max(folded.values()) == 1
+        lines, text = want[out]
+        assert capsys.readouterr().out == "\n".join(lines + ["all budgets pass"]) + "\n"
+        assert (workdir / out).read_text() == text
+    # without the shared folds the same work repeats cuts
+    folded.clear()
+    combine_universal(fs, [parse_test((workdir / "t.test").read_text()), schnorr])
+    validate_ml_test(fs, universal)
+    assert max(folded.values()) > 1

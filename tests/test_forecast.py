@@ -21,7 +21,6 @@ from treebet import (
     is_precise,
 )
 from treebet.errors import ConfigError, DomainError
-from treebet.expectation import _endpoints
 from treebet.forecast import ForecastCursor, IntervalForecast, local_scale
 from treebet.tree import bits, situations_up_to
 
@@ -148,13 +147,46 @@ def test_positional_rule_matches_name_lookup(fs, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(systems(), st.integers(0, 10))
-def test_endpoint_rows_match_name_lookup(fs, height):
-    # the only rows _endpoints makes, check_supermartingale's: upper endpoint pairs from the root
-    scale, rows = _endpoints(fs, height)
-    assert len(rows) == height
-    for w, row in enumerate(rows):
-        want = [(i.hi, i.lo) for i in (forecast_by_name(fs, bits(j, w)) for j in range(1 << w))]
-        assert [(Fraction(a, scale), Fraction(b, scale)) for a, b in row] == want
+def test_level_rows_match_name_lookup(fs, w):
+    # the slot row of level w, as check_supermartingale, bound_check and kelly_process read it
+    row = fs._level(w)
+    assert len(row) == 1 << w
+    assert all(fs.intervals[k] is forecast_by_name(fs, bits(j, w)) for j, k in enumerate(row))
+
+
+@st.composite
+def level_cases(draw):
+    """A system of any kind and a level w in 0-12: Markov orders 0-4, and tables whose overrides sit
+    on, above and below the level, or all above it."""
+    w = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["stationary", "table", "markov"]))
+    if kind == "stationary":
+        return Stationary(draw(forecasts)), w
+    if kind == "table":
+        past = draw(st.booleans())  # the level past the deepest override, or overrides anywhere
+        depths = st.integers(0, w - 1) if past and w else st.integers(0, 14)
+        names = depths.flatmap(lambda n: st.builds(bits, st.integers(0, (1 << n) - 1), st.just(n)))
+        overrides = draw(st.dictionaries(names, forecasts, max_size=10))
+        if not past:  # and one on the level itself
+            overrides[bits(draw(st.integers(0, (1 << w) - 1)), w)] = draw(forecasts)
+        return Table(draw(forecasts), overrides), w
+    order = draw(st.integers(0, 4))
+    return Markov(order, {s: draw(forecasts) for s in situations_up_to(order)}), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_cases())
+def test_level_row_matches_slot_per_position(case):
+    fs, w = case
+    assert fs._level(w) == [fs._slot(p) for p in range(1 << w, 2 << w)]
+
+
+def test_level_row_patches_table_overrides_on_their_level():
+    fs = Table(interval("1/2"), {"": interval(0), "10": interval(1), "011": interval("1/3"), "01": interval(0, 1)})
+    assert [fs._level(w) for w in range(4)] == [[1], [0, 0], [0, 4, 2, 0], [0, 0, 0, 3, 0, 0, 0, 0]]
+    assert fs._level(12) == [0] * (1 << 12)
+    markov = Markov(2, {s: interval("1/2") for s in situations_up_to(2)})
+    assert [markov._level(w) for w in range(5)] == [[0], [1, 2], [3, 4, 5, 6], [3, 4, 5, 6] * 2, [3, 4, 5, 6] * 4]
 
 
 def test_cumulative_bound_fair_coin():

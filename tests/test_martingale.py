@@ -9,12 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 import treebet.martingale
 from treebet import (
+    IntervalForecast,
+    LocalGamble,
+    Markov,
     Process,
+    Stationary,
+    Table,
     bound_check,
     capital_along,
     check_supermartingale,
     check_test_supermartingale,
     cumulative_bound,
+    interval,
     kelly_gamble,
     kelly_process,
     martingale_to_test,
@@ -27,7 +33,7 @@ from treebet.formats import dump_process
 from treebet.tree import situations_up_to
 
 from gen import FAIR, WIDE, rand_fraction, rand_supermartingale, rand_system
-from oracles import stored_levels
+from oracles import kelly_process_by_nodes, stored_levels
 
 DOUBLER = kelly_process(FAIR, 1, "on-one", 4)
 
@@ -301,7 +307,10 @@ def test_kelly_process_cases():
     assert check_test_supermartingale(WIDE, half)
 
 
-def test_kelly_process_one_gamble_per_interior_node(monkeypatch):
+MARKOV2 = Markov(2, {s: interval(Fraction(1, 3) + Fraction(j, 10)) for j, s in enumerate(situations_up_to(2))})
+
+
+def test_kelly_process_one_gamble_per_read_slot(monkeypatch):
     calls = []
 
     def counted(forecast, direction):
@@ -310,8 +319,65 @@ def test_kelly_process_one_gamble_per_interior_node(monkeypatch):
 
     monkeypatch.setattr(treebet.martingale, "kelly_gamble", counted)
     process = kelly_process(WIDE, Fraction(1, 2), "on-zero", 4)
-    assert len(calls) == (1 << 4) - 1
+    assert calls == [WIDE.interval]
     assert list(process.values) == list(situations_up_to(4))
+    # the interior nodes of a depth-4 order-2 process read all 7 context slots, in order; those of a
+    # depth-2 process read the table's default and its override at "1", not the one at the leaf "01"
+    table = Table(WIDE.interval, {"01": interval(0), "1": FAIR.interval})
+    for fs, depth, read in [(MARKOV2, 4, list(MARKOV2.intervals)), (table, 2, [WIDE.interval, FAIR.interval])]:
+        calls.clear()
+        kelly_process(fs, Fraction(1, 3), "on-one", depth)
+        assert calls == read
+
+
+def kelly_outcome(build, fs, stake, direction, depth):
+    try:
+        return dump_process(build(fs, stake, direction, depth))
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["stationary", "table", "markov"])
+def test_kelly_process_matches_per_node_reference(kind, seed=83):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(60):  # int bounds 0 and 1 too, which pin the next bit half the time they are drawn twice
+        fs = rand_system(rng, depth=5, kind=kind, pool=[0, Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), 1])
+        stake, direction = rng.choice([0, Fraction(1, 2), Fraction(2, 3), 1]), rng.choice(["on-one", "on-zero"])
+        depth = rng.randint(0, 6)
+        got = kelly_outcome(kelly_process, fs, stake, direction, depth)
+        assert got == kelly_outcome(kelly_process_by_nodes, fs, stake, direction, depth)
+        outcomes.add(got.startswith("betting"))
+    assert outcomes == {True, False}  # both processes and refusals were compared
+
+
+def test_kelly_process_degenerate_slot_raises_only_when_read():
+    # {0} at the depth-2 override: a leaf of the depth-2 process, an interior node of the depth-3 one
+    fs = Table(WIDE.interval, {"10": interval(0)})
+    unread = kelly_outcome(kelly_process, fs, Fraction(1, 2), "on-one", 2)
+    assert unread.startswith("depth: 2\n")
+    assert unread == kelly_outcome(kelly_process_by_nodes, fs, Fraction(1, 2), "on-one", 2)
+    for build in (kelly_process, kelly_process_by_nodes):
+        with pytest.raises(DomainError, match=r"betting on 1 against a \{0\} forecast"):
+            build(fs, Fraction(1, 2), "on-one", 3)
+    # a Markov row longer than the order is never read
+    rows = {"": FAIR.interval, "0": WIDE.interval, "1": FAIR.interval, "11": interval(1)}
+    assert kelly_process(Markov(1, rows), 1, "on-zero", 5).at("01111") == 0
+
+
+def test_kelly_gamble_exact_on_integer_bounds():
+    # IntervalForecast may hold int bounds; the gamble stays exact in both directions
+    on_one = kelly_gamble(IntervalForecast(Fraction(1, 2), 1), "on-one")
+    assert on_one == LocalGamble(on1=0, on0=-1) and type(on_one.on1) is Fraction
+    on_zero = kelly_gamble(IntervalForecast(0, Fraction(1, 2)), "on-zero")
+    assert on_zero == LocalGamble(on1=-1, on0=0) and type(on_zero.on0) is Fraction
+    assert kelly_gamble(IntervalForecast(0, 1), "on-one") == LocalGamble(on1=0, on0=-1)
+    up = kelly_process(Stationary(IntervalForecast(Fraction(1, 2), 1)), Fraction(1, 2), "on-one", 2)
+    assert [up.at(s) for s in situations_up_to(2)] == [1, Fraction(1, 2), 1, Fraction(1, 4), Fraction(1, 2),
+                                                        Fraction(1, 2), 1]
+    down = kelly_process(Stationary(IntervalForecast(0, Fraction(1, 2))), Fraction(1, 2), "on-zero", 2)
+    assert down.at("00") == 1 and down.at("11") == Fraction(1, 4)
+    assert check_test_supermartingale(Stationary(IntervalForecast(0, Fraction(1, 2))), down)
 
 
 def test_kelly_gamble_zero_upper_expectation(seed=79):
