@@ -36,6 +36,13 @@ def _leaf_index(leaf: str) -> int:
     return int(leaf, 2) if leaf else 0
 
 
+def _leaf_count(depth: int) -> int:
+    """2**depth, the leaves of a depth-``depth`` gamble, with a negative depth refused before the shift."""
+    if depth < 0:
+        raise DomainError("gamble depth must be non-negative")
+    return 1 << depth
+
+
 @dataclass(frozen=True)
 class DepthGamble:
     """A reward determined by the first ``depth`` bits.
@@ -48,10 +55,8 @@ class DepthGamble:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise DomainError("gamble depth must be non-negative")
-        if len(self.values) != 1 << self.depth:
-            raise DomainError(f"depth-{self.depth} gamble needs {1 << self.depth} values, got {len(self.values)}")
+        if len(self.values) != (leaves := _leaf_count(self.depth)):
+            raise DomainError(f"depth-{self.depth} gamble needs {leaves} values, got {len(self.values)}")
         # a float would reach the folds: each type is checked once, the first bad value named
         if bad := {t for t in set(map(type, self.values)) if t is bool or not issubclass(t, Rational)}:
             j, v = next((j, v) for j, v in enumerate(self.values) if type(v) in bad)
@@ -59,11 +64,11 @@ class DepthGamble:
 
     @classmethod
     def constant(cls, depth: int, value) -> "DepthGamble":
-        return cls(depth, (finite_fraction(value, "gamble value"),) * (1 << depth))
+        return cls(depth, (finite_fraction(value, "gamble value"),) * _leaf_count(depth))
 
     @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "DepthGamble":
-        leaves = [bits(j, depth) for j in range(1 << depth)]
+        leaves = [bits(j, depth) for j in range(_leaf_count(depth))]
         return cls(depth, tuple(finite_fraction(fn(s), f"gamble value at {s or '@'!r}") for s in leaves))
 
     @classmethod
@@ -83,7 +88,7 @@ class DepthGamble:
 
 def _cut_leaves(members: Iterable[str], depth: int) -> list[int]:
     """1 on the depth-``depth`` leaves inside the cylinder union of an antichain, else 0."""
-    leaves = [0] * (1 << depth)
+    leaves = [0] * _leaf_count(depth)
     for t in members:
         if len(t) > depth:
             raise DomainError(f"cut member {t!r} deeper than gamble depth {depth}")
@@ -151,6 +156,8 @@ def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = Fal
     onto the covered nodes by slice doubling.  Level t's values share the denominator
     divisor * L**(depth - t), so the nodes off every trie are coded by their count, and the tries'
     nodes one by one.  on_root(i, v), if given, gets the i-th cut's root v once it is in."""
+    if depth < 0:
+        raise DomainError("process depth must be non-negative")
     ends = _pairs(fs, lower)
     scale, (sums, counts) = ends[0], ([defaultdict(int) for _ in range(depth + 1)] for _ in (0, 1))
     for i, (weight, cut) in enumerate(weighted_cuts):

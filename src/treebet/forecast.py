@@ -208,4 +208,6 @@ class ForecastCursor:
         return self._fs.intervals[self._fs._slot(self._position)]
 
     def push(self, bit: str) -> None:
+        if bit not in ("0", "1"):
+            raise DomainError(f"not a bit: {bit!r}")
         self._position = self._fs._follow(self._position, bit)

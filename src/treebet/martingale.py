@@ -35,8 +35,8 @@ class Process:
 
     The value at bits(j, w) is ``table[codes[w][j]]``, an integer pair (numerator, positive
     denominator) not necessarily in lowest terms.  Values repeat heavily, so the table holds each
-    pair once (and, after ``with_root``, maybe the old root's unused), and every reader in this
-    package works on the small-int codes, with one pair's arithmetic per table entry or node read.
+    pair once (and, after ``with_root``, maybe the old root's unused); every derived process is
+    built and read on these small-int codes, with one pair's arithmetic per entry or node read.
     Processes share these lists (``with_root``, negation), so they are never changed in place.
     ``values`` (each situation's Fraction in heap order, the order ``situations_up_to`` yields) is
     the one Fraction view: read-only, built on first access and cached.
@@ -275,15 +275,19 @@ def kelly_gamble(forecast: IntervalForecast, direction: KellyDirection) -> Local
 def kelly_process(
     fs: ForecastingSystem, stake, direction: KellyDirection, depth: int
 ) -> Process:
-    """Multiplicative capital process betting a fixed fraction each step."""
+    """Multiplicative capital process betting a fixed fraction each step, built on the codes."""
     stake = finite_fraction(stake, "stake")
     if not (0 <= stake <= 1):
         raise DomainError("stake must lie in [0, 1]")
+    if depth < 0:
+        raise DomainError("process depth must be non-negative")
     rows = [fs._level(w) for w in range(depth)]  # then the factors after a 0 and a 1 of each slot read
     factors = {k: (1 + stake * g.on0, 1 + stake * g.on1) for k in dict.fromkeys(chain.from_iterable(rows))
                for g in [kelly_gamble(fs.intervals[k], direction)]}
-    capital, level = [Fraction(1)], [Fraction(1)]
-    for row in rows:  # heap order: each node's children follow it, 0 first
-        level = [here * f for here, k in zip(level, row) for f in factors[k]]
-        capital += level
-    return Process(depth, dict(zip(situations_up_to(depth), capital)))
+    code, codes = {Fraction(1): 0}, [[0]]  # each capital's code, in order of first use
+    for row in rows:  # each distinct (capital code, slot) pair of a level is multiplied out once
+        capital, pairs = [*code], dict.fromkeys(zip(codes[-1], row))
+        for c, k in pairs:  # heap order: each node's children follow it, 0 first
+            pairs[c, k] = [code.setdefault(capital[c] * f, len(code)) for f in factors[k]]
+        codes.append([*chain.from_iterable(map(pairs.__getitem__, zip(codes[-1], row)))])
+    return Process._from_codes([(v.numerator, v.denominator) for v in code], codes)

@@ -185,8 +185,6 @@ def supermartingale_from_test(
 
 def _summed_process(fs, weighted_cuts, depth: int, normalize_root: bool, on_root=None) -> Process:
     """Half the weighted sum of the cuts' upper-probability maps, as a Process."""
-    if depth < 0:
-        raise DomainError("process depth must be non-negative")
     process = Process._from_codes(*_fold_sum(fs, weighted_cuts, depth, divisor=2, on_root=on_root))
     if normalize_root:
         if process.root > 1:
@@ -278,6 +276,8 @@ def schnorr_supermartingale_from_test(
     """
     if test.tail is None:
         raise DomainError("test carries no tail bound")
+    if accuracy < 0:
+        raise DomainError("accuracy must be non-negative")
     sigma = sigma_from_tailbound(test.tail)
     level_bound = integer_log_bound(cumulative_bound(fs, s))
     k_cap = accuracy + level_bound

@@ -51,6 +51,22 @@ def test_depth_gamble_refuses_a_value_that_is_not_rational(values):
     assert half.values == (Fraction(1, 2), 1) and cond_upper(FAIR, half) == Fraction(3, 4)
 
 
+NEGATIVE_DEPTH = {
+    "DepthGamble": lambda: DepthGamble(-1, ()),
+    "DepthGamble.constant": lambda: DepthGamble.constant(-1, 0),
+    "DepthGamble.from_function": lambda: DepthGamble.from_function(-1, lambda s: 0),
+    "DepthGamble.indicator": lambda: DepthGamble.indicator([], -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_DEPTH))
+def test_depth_gamble_refuses_a_negative_depth(name):
+    # refused before 2**depth is computed, where the shift itself raises ValueError
+    with pytest.raises(DomainError) as info:
+        NEGATIVE_DEPTH[name]()
+    assert str(info.value) == "gamble depth must be non-negative"
+
+
 NON_FINITE = [float("nan"), float("inf"), float("-inf"),
               Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity")]
 CONVERTERS = {
@@ -263,6 +279,16 @@ def test_oracle_equivalence_sample(seed=47):
         g = rand_gamble(rng, 3)
         assert cond_upper(fs, g) == upper_by_endpoint_enumeration(fs, g)
         assert cond_lower(fs, g) == lower_by_endpoint_enumeration(fs, g)
+
+
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("cut", [[], ["0"], [""]])
+def test_cut_value_map_refuses_a_negative_depth(cut, lower):
+    # one check in _fold_sum, which cut_value_map shares with both assemble_* builders, comes before
+    # any member is read: unchecked, the empty cut gives {} and another one blames its member
+    with pytest.raises(DomainError) as info:
+        cut_value_map(WIDE, cut, -1, lower=lower)
+    assert str(info.value) == "process depth must be non-negative"
 
 
 def test_cut_value_map_matches_pointwise():

@@ -93,6 +93,20 @@ def test_cursor_tracks_system(seed=5):
             prefix += bit
 
 
+@pytest.mark.parametrize("bit", ["x", "2", "", "01", " 1", 0, 1])
+@pytest.mark.parametrize("fs", [FAIR, Table(interval("1/2"), {"1": interval(0, 1)}),
+                                Markov(1, {"": FAIR.interval, "0": interval(0), "1": interval(1)})],
+                         ids=["stationary", "table", "markov"])
+def test_cursor_refuses_anything_but_a_bit(fs, bit):
+    # _follow reads any non-'1' as '0', so the cursor checks; a refused push leaves it where it was
+    cursor = ForecastCursor(fs)
+    cursor.push("1")
+    with pytest.raises(DomainError) as info:
+        cursor.push(bit)
+    assert str(info.value) == f"not a bit: {bit!r}"
+    assert cursor.current() is fs.at("1")
+
+
 # distinct objects, two of them equal, and {0}, {1}, [0, 1]
 POOL = [interval("1/2"), interval("1/2"), interval("2/5", "7/10"), interval(0), interval(1),
         interval(0, 1), interval("1/3", "5/6")]

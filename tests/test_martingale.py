@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,11 +345,33 @@ def test_kelly_process_matches_per_node_reference(kind, seed=83):
     for _ in range(60):  # int bounds 0 and 1 too, which pin the next bit half the time they are drawn twice
         fs = rand_system(rng, depth=5, kind=kind, pool=[0, Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), 1])
         stake, direction = rng.choice([0, Fraction(1, 2), Fraction(2, 3), 1]), rng.choice(["on-one", "on-zero"])
-        depth = rng.randint(0, 6)
+        depth = rng.randint(0, 10)
         got = kelly_outcome(kelly_process, fs, stake, direction, depth)
         assert got == kelly_outcome(kelly_process_by_nodes, fs, stake, direction, depth)
         outcomes.add(got.startswith("betting"))
     assert outcomes == {True, False}  # both processes and refusals were compared
+
+
+def test_kelly_process_builds_on_the_codes(monkeypatch):
+    # neither the checked constructor nor a situation name: each capital is coded once, as it is made
+    table = Table(WIDE.interval, {"01": interval("1/3"), "1": FAIR.interval})
+    cases = [(fs, stake, direction) for fs in (FAIR, WIDE, MARKOV2, table) for stake in (0, Fraction(1, 2), 1)
+             for direction in ("on-one", "on-zero")]
+    expected = [dump_process(kelly_process_by_nodes(*case, 8)) for case in cases]
+
+    def refused(*args):
+        raise AssertionError("kelly_process called Process.__init__ or situations_up_to")
+
+    monkeypatch.setattr(Process, "__init__", refused)
+    monkeypatch.setattr(treebet.martingale, "situations_up_to", refused)
+    for case, dumped in zip(cases, expected):
+        process = kelly_process(*case, 8)
+        assert dump_process(process) == dumped
+        values = [Fraction(*pair) for pair in process.table]
+        assert len(set(values)) == len(values) == len(set(chain.from_iterable(process.codes)))
+    with pytest.raises(DomainError) as info:
+        kelly_process(FAIR, 1, "on-one", -1)
+    assert str(info.value) == "process depth must be non-negative"
 
 
 def test_kelly_process_degenerate_slot_raises_only_when_read():

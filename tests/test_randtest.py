@@ -231,6 +231,15 @@ def test_schnorr_supermartingale_empty_test():
     assert schnorr_supermartingale_from_test(FAIR, empty, "", 4) == (0, 0)
 
 
+@pytest.mark.parametrize("levels", [[{"0" * k} for k in range(1, 12)], [{"0000"}]])
+def test_schnorr_supermartingale_refuses_a_negative_accuracy(levels):
+    # refused before any sum: unchecked, the eleven levels reach 1 << -1 and the one level gets an answer
+    test = RandomnessTest(tuple(map(frozenset, levels)), max_depth=len(max(levels[-1])), tail=affine(1))
+    with pytest.raises(DomainError) as info:
+        schnorr_supermartingale_from_test(FAIR, test, "", accuracy=-1)
+    assert str(info.value) == "accuracy must be non-negative"
+
+
 @pytest.mark.parametrize("normalize_root", [False, True])
 def test_assembled_process_depth_must_be_non_negative(normalize_root):
     empty = RandomnessTest((frozenset(),), 0, tail=affine(1))
