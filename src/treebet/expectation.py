@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 from .errors import DomainError
 from .forecast import ONE, ZERO, ForecastingSystem, IntervalForecast
 from .local import LocalGamble, lower_expectation, upper_expectation
-from .numerals import finite_fraction
+from .numerals import finite_fraction, natural
 from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation
 
 _LocalRule = Callable[[IntervalForecast, LocalGamble], Fraction]
@@ -37,10 +37,9 @@ def _leaf_index(leaf: str) -> int:
 
 
 def _leaf_count(depth: int) -> int:
-    """2**depth, the leaves of a depth-``depth`` gamble, with a negative depth refused before the shift."""
-    if depth < 0:
-        raise DomainError("gamble depth must be non-negative")
-    return 1 << depth
+    """2**depth, the leaves of a depth-``depth`` gamble, with a depth that is no natural number refused
+    before the shift."""
+    return 1 << natural(depth, "gamble depth")
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def _fold_sum(fs, weighted_cuts, depth: int, divisor: int = 1, lower: bool = Fal
     onto the covered nodes by slice doubling.  Level t's values share the denominator
     divisor * L**(depth - t), so the nodes off every trie are coded by their count, and the tries'
     nodes one by one.  on_root(i, v), if given, gets the i-th cut's root v once it is in."""
-    if depth < 0:
-        raise DomainError("process depth must be non-negative")
+    natural(depth, "process depth")
     ends = _pairs(fs, lower)
     scale, (sums, counts) = ends[0], ([defaultdict(int) for _ in range(depth + 1)] for _ in (0, 1))
     for i, (weight, cut) in enumerate(weighted_cuts):

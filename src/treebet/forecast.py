@@ -15,7 +15,7 @@ from numbers import Rational
 from typing import Mapping, Union
 
 from .errors import ConfigError, DomainError
-from .numerals import finite_fraction, format_rational
+from .numerals import finite_fraction, format_rational, natural
 from .tree import require_situation, situations_up_to
 
 ZERO = Fraction(0)
@@ -128,8 +128,10 @@ class Markov:
     rows: Mapping[str, IntervalForecast]
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ConfigError("markov order must be non-negative")
+        try:
+            natural(self.order, "markov order")
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         # context c at slot int("1" + c, 2) - 1; rows longer than the order come last
         slots = []
         for ctx in situations_up_to(self.order):

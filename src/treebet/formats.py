@@ -6,17 +6,18 @@ the end of the line, and blank lines are ignored.  Rationals go through
 situations sorted, so a parse/serialise round trip of our own output is byte identical.
 Each reader runs its loop over the lines inside one try, so a ParseError or
 DomainError that one line decides is refused naming that line.
-A process in dump_process's own layout is read in one pass over its bytes into the
-table of distinct pairs and the codes a Process keeps, any other line by line; the writer
-itself decides which.  The writer makes one text per table entry and fills one '<name> %s'
-bytes template per depth through the codes, building no name per situation.
+A process has one reader: in dump_process's own layout, which the writer itself checks, the values
+are split from the bytes once; in any other the lines are split, comments cut and each value placed
+by its name.  Each distinct value text is then read once into the pairs and codes a Process keeps; the
+line loop runs only to name a refused text's fault.  The writer fills one '<name> %s' bytes template
+per depth with one text per table entry, building no name per situation.
 A test is read line by line in any layout, keys in any order, and each level is checked once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
@@ -24,7 +25,7 @@ from .growth import GrowthFunction
 from .martingale import Process
 from .numerals import format_rational, parse_integer, parse_rational, rational_pairs
 from .randtest import RandomnessTest
-from .tree import ROOT_LABEL, format_situation, is_antichain, parse_situation
+from .tree import ROOT_LABEL, format_situation, is_antichain, parse_situation, situations_up_to
 
 MAX_LEVELS = 4096  # the most levels a .test file may declare
 MAX_BITS = 10**7  # the most bits sample may draw: one byte each, then the text; about 36 MB peak RSS
@@ -128,41 +129,46 @@ def _keyed_text(head: list[str], word: str, rows) -> str:
     return "\n".join(head) + "\n"
 
 
-def _dumped(text: str) -> tuple[int, list[bytes], dict[bytes, tuple[int, int]]] | None:
-    """(depth, the value texts in heap order as ASCII bytes, each distinct text's value as a lowest-terms
-    integer pair) of a text in dump_process's exact layout whose values all parse, read in one pass; else None."""
+def parse_process(text: str) -> Process:
     data = text.encode()
     tokens = data.split()  # 'depth:', D, then a name and a value per situation
     depth = len(tokens).bit_length() - 3  # the one depth with 4 << depth tokens, if any
     literals, count = tokens[3::2], len(tokens)
     del tokens  # the names go before the writer makes its copy of the text, which lowers the peak
-    # the layout: the writer, given the same values, writes the very same text
-    if depth < 0 or count != 4 << depth or _process_bytes(depth, literals) != data:
-        return None
-    distinct = [*set(literals)]  # value texts repeat heavily: each distinct one is decoded and read once
-    pairs = rational_pairs(b"\n".join(distinct).decode())
-    return None if pairs is None else (depth, literals, dict(zip(distinct, pairs)))  # else read line by line
-
-
-def parse_process(text: str) -> Process:
-    dumped = _dumped(text)
-    if dumped is None:
-        return _process_by_lines(text)
-    depth, literals, pairs = dumped  # straight into the Process's codes, one per distinct pair
-    table = [*dict.fromkeys(pairs.values())]
+    if depth < 0 or count != 4 << depth or _process_bytes(depth, literals) != data:  # not what the writer writes
+        del data, literals  # freed before the line split, which lowers its peak
+        depth, literals = _placed(text) or (0, [""])  # a refused text: "" is no numeral
+    distinct = [*set(literals)]  # value texts repeat heavily: each distinct one is read once
+    pairs = rational_pairs(b"\n".join(distinct).decode() if isinstance(distinct[0], bytes) else "\n".join(distinct))
+    if pairs is None:
+        return _process_by_lines(text)  # the line reader names the fault
+    table = [*dict.fromkeys(pairs)]  # straight into the Process's codes, one per distinct pair
     code = {pair: i for i, pair in enumerate(table)}
-    heap = [*map({text: code[pair] for text, pair in pairs.items()}.__getitem__, literals)]
+    heap = [*map(dict(zip(distinct, map(code.__getitem__, pairs))).__getitem__, literals)]
     return Process._from_codes(table, [heap[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)])
+
+
+def _placed(text: str) -> tuple[int, list[str]] | None:
+    """(depth, the value texts in heap order) of a .proc text in any layout: lines split, comments
+    cut, each value placed by its name; None when the head, a line's shape, a name or the count is refused."""
+    lines = text.splitlines()
+    rows = [*filter(None, map(str.split, (line.split("#", 1)[0] for line in lines) if "#" in text else lines))]
+    try:
+        key, value = _key_value(" ".join(rows[0]))
+        depth, placed = _natural(value, "depth"), dict(rows[1:])  # dict() refuses a line that is not a pair
+    except (IndexError, ValueError, ParseError):
+        return None
+    if key == "depth" and depth <= 64 and len(rows) == 2 << depth == len(placed) + 1:  # no name twice
+        literals = [*map(placed.get, chain([ROOT_LABEL], islice(situations_up_to(depth), 1, None)))]
+        if None not in literals:  # every name a situation of that depth
+            return depth, literals
 
 
 def _process_by_lines(text: str) -> Process:
     lines = _meaningful(text)
     if not lines:
         raise ParseError("empty process file")
-    number, first = lines[0]
-    values = {}
-    # value texts repeat heavily, so each distinct one is parsed once
-    rationals: dict[str, Fraction] = {}
+    (number, first), values = lines[0], {}
     try:
         key, value = _key_value(first)
         if key != "depth":
@@ -172,14 +178,10 @@ def _process_by_lines(text: str) -> Process:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"expected '<situation> <rational>', got {line!r}")
-            name, literal = parts
-            s = parse_situation(name)
+            s = parse_situation(parts[0])
             if s in values:
-                raise ParseError(f"duplicate situation {name!r}")
-            v = rationals.get(literal)
-            if v is None:
-                v = rationals[literal] = parse_rational(literal)
-            values[s] = v
+                raise ParseError(f"duplicate situation {parts[0]!r}")
+            values[s] = parse_rational(parts[1])
     except (ParseError, DomainError) as exc:
         raise ParseError(str(exc), number) from None
     try:
@@ -233,9 +235,7 @@ def parse_test(text: str) -> RandomnessTest:
     lines = _meaningful(text)
     if not lines:
         raise ParseError("empty test file")
-    num_levels = None
-    depth = None
-    tail = None
+    num_levels = depth = tail = None
     members: dict[int, set[str]] = {}
     seen = set()
     try:

@@ -20,7 +20,7 @@ from .errors import ContractError, DomainError
 from .expectation import _cut_trie, _pairs
 from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
-from .numerals import finite_fraction, format_rational
+from .numerals import finite_fraction, format_rational, natural
 from .tree import ROOT, bits, require_situation, situations_up_to
 
 # Query interface standing in for a computable process: q(s, N) must be
@@ -45,8 +45,7 @@ class Process:
     __slots__ = ("depth", "table", "codes", "_values")
 
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
-        if depth < 0:
-            raise DomainError("process depth must be non-negative")
+        natural(depth, "process depth")
         if depth > max(64, len(values).bit_length()):  # no count can match; 2**depth may not fit
             head, power = format_rational(depth), format_rational(depth + 1)  # past str()'s digit limit too
             raise DomainError(f"depth-{head} process needs 2**{power} - 1 values, got {len(values)}")
@@ -279,8 +278,7 @@ def kelly_process(
     stake = finite_fraction(stake, "stake")
     if not (0 <= stake <= 1):
         raise DomainError("stake must lie in [0, 1]")
-    if depth < 0:
-        raise DomainError("process depth must be non-negative")
+    natural(depth, "process depth")
     rows = [fs._level(w) for w in range(depth)]  # then the factors after a 0 and a 1 of each slot read
     factors = {k: (1 + stake * g.on0, 1 + stake * g.on1) for k in dict.fromkeys(chain.from_iterable(rows))
                for g in [kelly_gamble(fs.intervals[k], direction)]}

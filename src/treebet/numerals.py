@@ -35,11 +35,22 @@ def parse_rational(text: str) -> Fraction:
 
 
 def finite_fraction(x, what: str) -> Fraction:
-    """Fraction(x), but a NaN or infinite float or Decimal, on which Fraction raises ValueError or
-    OverflowError, is a DomainError naming it."""
+    """Fraction(x), but a bool, or a NaN or infinite float or Decimal, on which Fraction raises
+    ValueError or OverflowError, is a DomainError naming it."""
+    if isinstance(x, bool):
+        raise DomainError(f"{what} is not rational: {x!r}")
     if isinstance(x, float) and not isfinite(x) or isinstance(x, decimal.Decimal) and not x.is_finite():
         raise DomainError(f"{what} is not finite: {x!r}")
     return Fraction(x)
+
+
+def natural(x, what: str) -> int:
+    """x when it is an int, not a bool, and at least 0; anything else is a DomainError naming it."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{what} is not an integer: {x!r}")
+    if x < 0:
+        raise DomainError(f"{what} must be non-negative")
+    return x
 
 
 def rational_pairs(lines: str) -> list[tuple[int, int]] | None:

@@ -24,7 +24,7 @@ from .expectation import _cut_trie, _fold_sum, _pairs, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, _first_passages, _test_failures
-from .numerals import format_rational
+from .numerals import format_rational, natural
 from .tree import ROOT, minimal_antichain, require_antichain
 
 
@@ -35,8 +35,7 @@ class RandomnessTest:
     tail: GrowthFunction | None = None
 
     def __post_init__(self):
-        if self.max_depth < 0:
-            raise DomainError("test depth must be non-negative")
+        natural(self.max_depth, "test depth")
         checked = []
         for cut in self.levels:
             members = require_antichain(cut)
@@ -109,7 +108,7 @@ def _level_reports(mass, test: RandomnessTest) -> list[LevelReport]:
 
 def validate_schnorr_tail(fs: ForecastingSystem, test: RandomnessTest, k_max: int) -> list[TailReport]:
     """Check the tail bound: mass at depth e(K) or beyond stays within 2**-K."""
-    return _tail_reports(_upper_mass(fs), test, k_max)
+    return _tail_reports(_upper_mass(fs), test, natural(k_max, "k_max"))
 
 
 def _tail_reports(mass, test: RandomnessTest, k_max: int) -> list[TailReport]:
@@ -276,8 +275,7 @@ def schnorr_supermartingale_from_test(
     """
     if test.tail is None:
         raise DomainError("test carries no tail bound")
-    if accuracy < 0:
-        raise DomainError("accuracy must be non-negative")
+    natural(accuracy, "accuracy")
     sigma = sigma_from_tailbound(test.tail)
     level_bound = integer_log_bound(cumulative_bound(fs, s))
     k_cap = accuracy + level_bound

@@ -17,6 +17,7 @@ from itertools import chain, count
 
 from .errors import DomainError
 from .forecast import ForecastingSystem, IntervalForecast
+from .numerals import natural
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -66,6 +67,7 @@ def sample_path(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
     """n bits drawn under a compatible precise system chosen by ``selector``."""
     if selector not in SELECTORS:
         raise DomainError(f"unknown selector {selector!r}")
+    natural(n, "path length")
     steps: dict = {}  # position -> (its slot's constants, position after a 0, after a 1)
 
     def step(p: int) -> tuple:

@@ -33,9 +33,16 @@ class CutStatus(Enum):
 
 
 def require_situation(s: str) -> str:
-    if s.strip("01"):
+    if not isinstance(s, str) or s.strip("01"):
         raise DomainError(f"not a situation: {s!r}")
     return s
+
+
+def _members(cut: Iterable[str]) -> Iterable[str]:
+    """The cut's members; a string, which would iterate as one-character situations, is refused."""
+    if isinstance(cut, str):
+        raise DomainError(f"a cut is a collection of situations, not a string: {cut!r}")
+    return cut
 
 
 def parse_situation(text: str) -> str:
@@ -66,7 +73,7 @@ def cut_status(s: str, cut: Iterable[str]) -> CutStatus:
     Membership is reported separately from strict precedence; for a valid
     antichain the four outcomes are mutually exclusive.
     """
-    members = cut if isinstance(cut, (set, frozenset)) else frozenset(cut)
+    members = cut if isinstance(cut, (set, frozenset)) else frozenset(_members(cut))
     if s in members:
         return CutStatus.IN_CUT
     for t in members:
@@ -85,7 +92,7 @@ def is_antichain(members: Iterable[str]) -> bool:
 
 
 def require_antichain(members: Iterable[str]) -> frozenset[str]:
-    cut = frozenset(require_situation(s) for s in members)
+    cut = frozenset(map(require_situation, _members(members)))
     if not is_antichain(cut):
         raise DomainError("not an antichain: some member is a prefix of another")
     return cut
@@ -95,7 +102,7 @@ def minimal_antichain(members: Iterable[str]) -> frozenset[str]:
     """Keep only the prefix-minimal situations; the cylinder union is unchanged.  Sorted, a member
     with a prefix among the members starts with the last member kept before it."""
     kept: list[str] = []
-    for s in sorted(set(map(require_situation, members))):
+    for s in sorted(set(map(require_situation, _members(members)))):
         if not kept or not s.startswith(kept[-1]):
             kept.append(s)
     return frozenset(kept)

@@ -294,7 +294,8 @@ def rand_proc_text(rng: random.Random) -> str:
 
 
 DUMP_MUTATIONS = ["none", "comment line", "blank line", "trailing space", "tab", "crlf", "swapped lines",
-                  "root name", "depth mismatch", "no final newline", "long numeral", "percent value"]
+                  "shuffled lines", "root name", "depth mismatch", "no final newline", "long numeral",
+                  "percent value"]
 
 
 def mutated_dump(rng: random.Random, text: str, kind: str) -> str:
@@ -314,6 +315,13 @@ def mutated_dump(rng: random.Random, text: str, kind: str) -> str:
     elif kind == "swapped lines" and len(lines) > 1:
         i, j = rng.sample(range(len(lines)), 2)
         lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "shuffled lines":  # every body line moved; half the time with tabs or CRLF line ends
+        rng.shuffle(lines)
+        spacing = rng.choice(["", "", "\t", "\r\n"])
+        if spacing == "\t":
+            lines = [line.replace(" ", "\t") for line in lines]
+        elif spacing:
+            return "\r\n".join([head] + lines) + "\r\n"
     elif kind == "root name":
         lines[0] = rng.choice(["", "0", "@@", "r"]) + lines[0][1:]
     elif kind == "depth mismatch":

@@ -434,7 +434,7 @@ def process_text_by_names(depth: int, texts) -> str:
 
 
 def dumped_by_tokens(text: str) -> bool:
-    """Whether the one-pass .proc reader takes a text: it starts with 'depth: D' and has 4 << D
+    """Whether parse_process reads a text as the writer's layout: it starts with 'depth: D' and has 4 << D
     tokens, the tokens joined by a space and a newline in turn spell the text, the names are
     situations_up_to(D)'s with the root written '@', and every value parses."""
     if not (text.startswith("depth: ") and text.count(" ") == text.count("\n")):

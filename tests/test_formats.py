@@ -4,15 +4,15 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebet import Markov, Process, RandomnessTest, Stationary, Table, affine, interval
+from treebet import Markov, Process, RandomnessTest, Stationary, Table, affine, formats, interval
 from treebet.errors import ConfigError, ParseError, ResourceError, TreebetError
 from treebet.formats import (
     MAX_LEVELS,
-    _dumped,
     _process_bytes,
     dump_forecasting_system,
     dump_growth,
@@ -199,17 +199,27 @@ def _levels_outcome(read, text):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+class _Placed(Exception):
+    pass
+
+
+def _read_in_one_pass(text):
+    """Whether parse_process reads the text, as the writer's layout, without placing any value by its name."""
+    with mock.patch.object(formats, "_placed", side_effect=_Placed):
+        try:
+            parse_process(text)
+        except (_Placed, TreebetError):
+            return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_parse_process_matches_line_by_line_reference(seed):
     text = rand_proc_text(random.Random(seed))
     expected = _outcome(parse_process_by_lines, text)
     assert _outcome(parse_process, text) == expected
-    # the one-pass reader refuses a text or reads it as the line-by-line one does
-    parsed = _dumped(text)
-    assert parsed is None or (parsed[0], [parsed[2][t] for t in parsed[1]]) == (
-        expected[0], [(v.numerator, v.denominator) for _, v in expected[1]])
-    assert (parsed is not None) == dumped_by_tokens(text)
+    assert _read_in_one_pass(text) == dumped_by_tokens(text)
     # and its integer levels are the line-by-line values' numerators and denominators
     levels = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
     assert _levels_outcome(_read_levels, text) == levels
@@ -237,11 +247,9 @@ def test_dumped_processes_are_read_in_one_pass(seed=127):
         for _ in range(4):
             span = rng.choice([1, 10**6])
             process = Process.from_function(depth, lambda s: rand_fraction(rng, span))
-            parsed = _dumped(dump_process(process))
-            assert parsed is not None
-            read, literals, made = parsed
-            assert read == depth and [made[t] for t in literals] == [
-                (v.numerator, v.denominator) for v in process.values.values()]
+            text = dump_process(process)
+            assert _read_in_one_pass(text)
+            assert stored_levels(parse_process(text)) == integer_levels(process)
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,27 +266,61 @@ def test_writer_layout_check_and_integer_reader_match_references(seed, kind):
         span = rng.choice([1, 10**6])
         process = Process.from_function(depth, lambda s: rand_fraction(rng, span))
     text = mutated_dump(rng, dump_process(process), kind)
-    assert (_dumped(text) is not None) == dumped_by_tokens(text)
+    assert _read_in_one_pass(text) == dumped_by_tokens(text)
     if kind == "none":
-        assert _dumped(text) is not None
+        assert _read_in_one_pass(text)
     expected = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
     assert _levels_outcome(_read_levels, text) == expected
     assert _levels_outcome(lambda t: integer_levels(parse_process(t)), text) == expected
 
 
-@pytest.mark.parametrize("value", ["2/4", "+1", "-0", "007", "1/0", "%s", "%%", "7" * 4301 + "/3"])
+# value texts dump_process never writes: unreduced, signed, padded, refused, a format directive and
+# a numerator past the digit limit
+ODD_VALUES = ["2/4", "+1", "-0", "007", "1/0", "%s", "%%", "7" * 4301 + "/3"]
+
+
+@pytest.mark.parametrize("value", ODD_VALUES)
 @pytest.mark.parametrize("depth", range(2, 7))
 def test_dumped_layout_with_odd_values_reads_as_line_by_line(depth, value):
-    # the writer's layout around values dump_process never writes: unreduced, signed, padded,
-    # refused, a format directive and a numerator past the digit limit
+    # the writer's layout around values dump_process never writes
     rng = random.Random(depth)
     texts = [format_rational(rand_fraction(rng, 10**6)) for _ in range((2 << depth) - 1)]
     for at in rng.sample(range(len(texts)), 3):
         texts[at] = value
     text = process_text_by_names(depth, texts)
-    assert (_dumped(text) is not None) == dumped_by_tokens(text) == (value in ("2/4", "+1", "-0", "007"))
+    assert _read_in_one_pass(text) == dumped_by_tokens(text) == (value in ("2/4", "+1", "-0", "007"))
     expected = _levels_outcome(lambda t: integer_levels(parse_process_by_lines(t)), text)
     assert _levels_outcome(_read_levels, text) == expected
+
+
+def _proc_text(rng, source):
+    """A .proc text from one source: rand_proc_text, a DUMP_MUTATIONS kind, or the writer's layout
+    around odd values."""
+    if source == "rand_proc_text":
+        return rand_proc_text(rng)
+    depth = rng.randint(0, 5)
+    if source in DUMP_MUTATIONS:
+        process = Process.from_function(depth, lambda s: rand_fraction(rng, rng.choice([1, 10**6])))
+        return mutated_dump(rng, dump_process(process), source)
+    texts = [format_rational(rand_fraction(rng, 10**6)) for _ in range((2 << depth) - 1)]
+    texts[rng.randrange(len(texts))] = rng.choice(ODD_VALUES)
+    return process_text_by_names(depth, texts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(["rand_proc_text", *DUMP_MUTATIONS, "odd value"]))
+def test_the_line_reader_only_names_a_fault(seed, source):
+    # parse_process reads every text the line reader takes: its fault path, run on a text parse_process
+    # refused, always raises, and names the fault as the line-by-line reference does
+    text = _proc_text(random.Random(seed), source)
+    line_reader = formats._process_by_lines
+
+    def must_refuse(text):
+        line_reader(text)
+        raise AssertionError(f"the fault path read a text parse_process refused: {text[:200]!r}")
+
+    with mock.patch.object(formats, "_process_by_lines", must_refuse):
+        assert _outcome(parse_process, text) == _outcome(parse_process_by_lines, text)
 
 
 def _texts(process):

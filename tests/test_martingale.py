@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import treebet.martingale
 from treebet import (
+    DepthGamble,
     IntervalForecast,
     LocalGamble,
     Markov,
     Process,
+    RandomnessTest,
     Stationary,
     Table,
     bound_check,
@@ -21,16 +23,22 @@ from treebet import (
     check_supermartingale,
     check_test_supermartingale,
     cumulative_bound,
+    cut_value_map,
+    integer_log_bound,
     interval,
     kelly_gamble,
     kelly_process,
     martingale_to_test,
     rationalize,
+    schnorr_supermartingale_from_test,
     upper_expectation,
+    validate_schnorr_tail,
     ville_threshold,
 )
-from treebet.errors import ContractError, DomainError
+from treebet.errors import ConfigError, ContractError, DomainError
 from treebet.formats import dump_process
+from treebet.growth import affine
+from treebet.sampling import sample_path
 from treebet.tree import situations_up_to
 
 from gen import FAIR, WIDE, rand_fraction, rand_supermartingale, rand_system
@@ -428,3 +436,38 @@ def test_kelly_random_pass_check(seed=83):
         stake = Fraction(rng.randint(0, 8), 8)
         process = kelly_process(fs, stake, rng.choice(["on-one", "on-zero"]), 5)
         assert check_test_supermartingale(fs, process)
+
+
+_TAILED = RandomnessTest((frozenset({"0"}),), 1, tail=affine(1))
+_MARKOV_ROWS = {"": interval("1/2"), "0": interval("2/5", "3/5"), "1": interval("1/3", "1/2")}
+
+
+@pytest.mark.parametrize(
+    "call, value, error, message",
+    [
+        (lambda v: Process(v, {"": 1, "0": 1, "1": 1}), True, DomainError, "process depth is not an integer: True"),
+        (lambda v: Process(v, {"": 1, "0": 1, "1": 1}), 1.0, DomainError, "process depth is not an integer: 1.0"),
+        (lambda v: kelly_process(FAIR, Fraction(1, 2), "on-one", v), True, DomainError,
+         "process depth is not an integer: True"),
+        (lambda v: kelly_process(FAIR, Fraction(1, 2), "on-one", v), 2.0, DomainError,
+         "process depth is not an integer: 2.0"),
+        (lambda v: cut_value_map(FAIR, {"0"}, v), 2.0, DomainError, "process depth is not an integer: 2.0"),
+        (lambda v: DepthGamble.constant(v, 1), 2.0, DomainError, "gamble depth is not an integer: 2.0"),
+        (lambda v: DepthGamble.from_function(v, len), True, DomainError, "gamble depth is not an integer: True"),
+        (lambda v: RandomnessTest((), v), 2.5, DomainError, "test depth is not an integer: 2.5"),
+        (lambda v: RandomnessTest((), v), True, DomainError, "test depth is not an integer: True"),
+        (lambda v: schnorr_supermartingale_from_test(FAIR, _TAILED, "", v), True, DomainError,
+         "accuracy is not an integer: True"),
+        (lambda v: validate_schnorr_tail(FAIR, _TAILED, v), -1, DomainError, "k_max must be non-negative"),
+        (lambda v: sample_path(FAIR, "low", v, 1), -5, DomainError, "path length must be non-negative"),
+        (lambda v: Markov(v, _MARKOV_ROWS), True, ConfigError, "markov order is not an integer: True"),
+        (lambda v: Markov(v, _MARKOV_ROWS), 2.0, ConfigError, "markov order is not an integer: 2.0"),
+        (integer_log_bound, True, DomainError, "integer_log_bound's x is not rational: True"),
+        (interval, True, DomainError, "forecast bound is not rational: True"),
+    ],
+)
+def test_natural_number_parameters_refuse_a_bool_a_float_and_a_negative(call, value, error, message):
+    # one intake: an int that is no bool and at least 0; a bool is no number to finite_fraction either
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value) == message

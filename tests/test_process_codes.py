@@ -1,7 +1,7 @@
 """A Process keeps its values as small-int codes into one table of distinct integer pairs.
 
 Every way a process is made (the constructor, ``oracles.process_from_levels``, ``parse_process`` in
-the writer's layout and line by line, ``with_root``, negation and the ``assemble_*`` builders) must
+the writer's layout and in an edited one, ``with_root``, negation and the ``assemble_*`` builders) must
 leave a table that holds each pair once, codes that index it, and stored levels
 (``oracles.stored_levels``), a ``values`` view and node reads (``at``, ``delta``, ``max_value``)
 equal to the per-node references in ``oracles``.  Kelly capitals with one class moved put one
@@ -28,7 +28,7 @@ from treebet import (
     interval,
     schnorr_test_from_martingale,
 )
-from treebet.formats import _dumped, dump_process, parse_process
+from treebet.formats import dump_process, parse_process
 from treebet.numerals import format_rational
 from treebet.randtest import _threshold_test
 from treebet.tree import situations_up_to
@@ -98,14 +98,12 @@ def made_processes(rng: random.Random, fs, depth: int):
     yield "constructor", base, True, 0
     yield "from levels", process_from_levels(*unreduced_levels(rng, base)), False, 0
     text = dump_process(base)
-    assert _dumped(text) is not None
     yield "parse dumped", parse_process(text), True, 0
-    yield "parse by lines", parse_process(f"# edited\n{text}\n"), True, 0  # the comment and blank line
+    yield "parse edited", parse_process(f"# edited\n{text}\n"), True, 0  # the comment and blank line
     # the writer's layout with some values written unreduced or signed: texts that differ, pairs that do not
     texts = [rng.choice([format_rational(v), f"{2 * v.numerator}/{2 * v.denominator}", f"+{v}" if v >= 0 else f"{v}"])
              for v in base.values.values()]
     odd = process_text_by_names(base.depth, texts)
-    assert _dumped(odd) is not None
     yield "parse odd texts", parse_process(odd), True, 0
     rooted = base.with_root(rng.choice([Fraction(1), base.root, -base.root, rand_fraction(rng)]))
     assert all(a is b for a, b in zip(rooted.codes[1:], base.codes[1:], strict=True))

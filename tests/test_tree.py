@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebet import CutStatus, Relation, cut_status, minimal_antichain, relation
+from treebet import (
+    CutStatus, DepthGamble, RandomnessTest, Relation, cut_status, cut_upper_prob, cut_value_map, minimal_antichain,
+    relation,
+)
 from treebet.errors import DomainError
 from treebet.tree import (
     bits,
@@ -15,6 +18,7 @@ from treebet.tree import (
     situations_up_to,
 )
 
+from gen import FAIR
 from oracles import is_antichain_by_pairs, minimal_antichain_by_pairs
 
 situations = st.text(alphabet="01", max_size=8)
@@ -171,3 +175,25 @@ def test_situations_up_to_is_total():
 def test_situations_up_to_matches_bits(depth):
     expected = [bits(j, n) for n in range(depth + 1) for j in range(1 << n)]
     assert list(situations_up_to(depth)) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: require_antichain("01"), "a cut is a collection of situations, not a string: '01'"),
+        (lambda: minimal_antichain("01"), "a cut is a collection of situations, not a string: '01'"),
+        (lambda: cut_status("0", "01"), "a cut is a collection of situations, not a string: '01'"),
+        (lambda: cut_upper_prob(FAIR, "01"), "a cut is a collection of situations, not a string: '01'"),
+        (lambda: cut_value_map(FAIR, "1", 2), "a cut is a collection of situations, not a string: '1'"),
+        (lambda: DepthGamble.indicator("0", 1), "a cut is a collection of situations, not a string: '0'"),
+        (lambda: RandomnessTest(("01",), 3), "a cut is a collection of situations, not a string: '01'"),
+        (lambda: minimal_antichain([1]), "not a situation: 1"),
+        (lambda: require_antichain(["0", None]), "not a situation: None"),
+        (lambda: require_situation(b"01"), "not a situation: b'01'"),
+    ],
+)
+def test_a_string_given_as_a_cut_and_a_member_that_is_not_a_string_are_refused(call, message):
+    # a string iterates as its one-character situations, and a member that is no string has no strip
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
