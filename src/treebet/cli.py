@@ -217,7 +217,10 @@ def _parse_kelly(spec: str) -> tuple[Fraction, str]:
     return stake, parts[1]
 
 
-_FLUSH_CHARS = 1 << 20
+# Rows are written in blocks of about 64 KiB, each joined once: a block stays under glibc malloc's
+# default 128 KiB mmap threshold, so its text reuses freed heap memory instead of being mapped and
+# faulted in afresh, and the memory held is the sequence text plus one block, whatever the path length.
+_FLUSH_CHARS = 1 << 16
 
 
 def cmd_analyze(args) -> int:
@@ -260,7 +263,7 @@ def cmd_analyze(args) -> int:
     intervals, slot, follow = fs.intervals, fs._slot, fs._follow
     position = 1
     hits = label_at.get(0, "-")
-    chunk = ["0\t-\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}"]
+    chunk = ["0\t-\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}\n"]
     size = 0
     for n, bit in enumerate(sequence, start=1):
         here = slot(position)
@@ -302,14 +305,13 @@ def cmd_analyze(args) -> int:
                 max_log2 = _log2_label(a, b)
         position = follow(position, bit)
         hits = label_at.get(n, hits)
-        line = f"{n}\t{bit}\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}"
+        line = f"{n}\t{bit}\t" + "\t".join(cols) + f"\t{max_log2}\t{hits}\n"
         chunk.append(line)
         size += len(line)
         if size >= _FLUSH_CHARS:
-            out.write("\n".join(chunk) + "\n")
+            out.write("".join(chunk))
             chunk, size = [], 0
-    if chunk:
-        out.write("\n".join(chunk) + "\n")
+    out.write("".join(chunk))
 
     deficiency = max(hit_levels) + 1 if hit_levels else 0
     # max_capital >= 1, so its inverse is its pair swapped

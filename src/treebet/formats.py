@@ -289,20 +289,32 @@ def dump_test(test: RandomnessTest) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sequence_chars(line: str) -> str:
+    """A .seq line's characters, its comment cut and its whitespace dropped."""
+    return "".join(line.split("#", 1)[0].split())
+
+
 def parse_sequence(text: str) -> str:
-    bits = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        for ch in raw.split("#", 1)[0]:
-            if ch in "01":
-                bits.append(ch)
-            elif not ch.isspace():
-                raise ParseError(f"unexpected character {ch!r} in sequence", number)
-    return "".join(bits)
+    """The bits of a .seq text, by C-level string passes, tested once: a one-line text costs at most
+    one copy of itself.  The lines are walked only to name the first bad character's line."""
+    # empty pieces dropped, so that a comment line above one line of bits copies nothing more
+    bits = "".join(filter(None, map(_sequence_chars, text.splitlines())))
+    if bits.strip("01"):  # a character neither a bit nor whitespace
+        for number, line in enumerate(text.splitlines(), start=1):
+            if bad := _sequence_chars(line).strip("01"):
+                raise ParseError(f"unexpected character {bad[0]!r} in sequence", number)
+    return bits
 
 
 def load(path: str, parser):
+    """parser(the text of the UTF-8 file at path, read with universal newlines); a file that is not
+    UTF-8 is a ParseError naming it and the offset of its first bad byte."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parser(handle.read())
+        try:
+            text = handle.read()  # all bytes decoded in one call, so the error's start is a file offset
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    return parser(text)
 
 
 def save(path: str, text: str) -> None:

@@ -26,6 +26,10 @@ class GrowthFunction:
         values = (*self.prefix, self.a, self.b, self.c)  # a bool among them would be written 'True'
         if bad := [v for v in values if isinstance(v, bool) or not isinstance(v, Integral)]:
             raise DomainError(f"growth function values must be integers, got {bad[0]!r}")
+        # stored as ints, so that every value and cutoff computed from them is an int
+        object.__setattr__(self, "prefix", tuple(map(int, self.prefix)))
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.a < 1 or self.b < 0 or self.c < 1:
             raise DomainError("affine tail needs a >= 1, b >= 0, c >= 1")
         if any(v < 0 for v in self.prefix):

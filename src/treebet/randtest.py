@@ -56,15 +56,17 @@ class RandomnessTest:
         return len(self.levels)
 
     def level(self, n: int) -> frozenset[str]:
-        if not 0 <= n < self.num_levels:
+        if natural(n, "n") >= self.num_levels:
             raise DomainError(f"level {n} not stored (test has {self.num_levels} levels)")
         return self.levels[n]
 
     def level_below(self, n: int, cutoff: int) -> frozenset[str]:
         """The members of level ``n`` of depth strictly less than ``cutoff``."""
+        natural(cutoff, "cutoff")
         return frozenset(t for t in self.level(n) if len(t) < cutoff)
 
     def level_at_least(self, n: int, cutoff: int) -> frozenset[str]:
+        natural(cutoff, "cutoff")
         return frozenset(t for t in self.level(n) if len(t) >= cutoff)
 
     def deepest_member(self) -> int:
@@ -133,7 +135,7 @@ def _require_budgets(fs, test, up_to: int) -> None:
 
 
 def _require_stored(test: RandomnessTest, n_max: int) -> None:
-    if not 0 <= n_max < test.num_levels:
+    if natural(n_max, "n_max") >= test.num_levels:
         raise DomainError(f"levels 0..{n_max} not all stored")
 
 
@@ -413,7 +415,7 @@ def approx_level_prob(
     """
     if test.tail is None:
         raise DomainError("test carries no tail bound")
-    cutoff = test.tail(accuracy)
+    cutoff = test.tail(natural(accuracy, "accuracy"))
     value = _cut_trie(_pairs(fs), test.level_below(n, cutoff))[0]
     exact = not test.level_at_least(n, cutoff)
     error = Fraction(0) if exact else Fraction(1, 1 << accuracy)

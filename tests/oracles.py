@@ -564,6 +564,19 @@ def parse_test_by_lines(text: str) -> RandomnessTest:
         raise ParseError(str(exc)) from None
 
 
+def parse_sequence_by_chars(text: str) -> str:
+    """parse_sequence one character at a time: each line's comment cut, every '0' and '1' kept,
+    whitespace skipped, and any other character refused naming its line."""
+    bits = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        for ch in raw.split("#", 1)[0]:
+            if ch in "01":
+                bits.append(ch)
+            elif not ch.isspace():
+                raise ParseError(f"unexpected character {ch!r} in sequence", number)
+    return "".join(bits)
+
+
 def clip_by_cutoffs(fs: ForecastingSystem, test: RandomnessTest) -> tuple[frozenset[str], ...]:
     """clip_to_budget's levels, with one cut probability per cutoff 1..max_depth+1."""
     clipped = []

@@ -519,3 +519,25 @@ def test_convert_folds_each_cut_once_per_command(workdir, capsys, monkeypatch):
     combine_universal(fs, [parse_test((workdir / "t.test").read_text()), schnorr])
     validate_ml_test(fs, universal)
     assert max(folded.values()) > 1
+
+
+@pytest.mark.parametrize("name, good, bad", [
+    ("bad.fs", b"", b"\xff\xfe"),
+    ("bad.proc", b"depth: 0\r\n@ 1\r\n# ", b"\xc3\r\n"),
+    # past the text reader's 8 KiB chunks, the offset still counts from the file's start
+    ("bad.proc", dump_process(kelly_process(FAIR, 1, "on-one", 9)).encode(), b"\xed\xa0\x80"),
+])
+def test_a_file_that_is_not_utf8_exits_2_naming_its_first_bad_byte(workdir, capsys, name, good, bad):
+    (workdir / name).write_bytes(good + bad)
+    fs = "fair.fs" if name.endswith(".proc") else name
+    assert main(["convert", "to-test", "--process", name, "--fs", fs, "--out", "o.test"]) == 2
+    assert capsys.readouterr() == ("", f"treebet: {name}: not UTF-8 at byte {len(good)}\n")
+    assert not (workdir / "o.test").exists()
+
+
+def test_analyze_reads_crlf_comments_and_blank_lines_like_plain_bits(workdir, capsys):
+    (workdir / "crlf.seq").write_bytes(b"# four bits\r\n11\r\n\r\n1 1 # and no more\r\n")
+    assert main(["analyze", "--fs", "fair.fs", "--seq", "crlf.seq", "--kelly", "1,on-one"]) == 0
+    crlf = capsys.readouterr()
+    assert main(["analyze", "--fs", "fair.fs", "--seq", "seq.txt", "--kelly", "1,on-one"]) == 0
+    assert capsys.readouterr() == crlf and crlf.out.count("\n") == 4 + 3

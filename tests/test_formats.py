@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -33,8 +34,8 @@ from gen import (
     rand_supermartingale, rand_system, rand_test,
 )
 from oracles import (
-    dumped_by_tokens, integer_levels, parse_process_by_lines, parse_test_by_lines, process_from_levels,
-    process_text_by_names, stored_levels,
+    dumped_by_tokens, integer_levels, parse_process_by_lines, parse_sequence_by_chars, parse_test_by_lines,
+    process_from_levels, process_text_by_names, stored_levels,
 )
 
 
@@ -500,6 +501,48 @@ def test_sequence_parsing():
     assert parse_sequence("01 10\n# all ones\n11\n") == "011011"
     with pytest.raises(ParseError):
         parse_sequence("012")
+
+
+# bits, comments, blanks, every line break splitlines knows (CRLF, CR, \x1c, \u2028, ...), tabs and
+# Unicode spaces, and characters that are neither: letters, non-ASCII digits, a lone surrogate
+SEQUENCE_PIECES = ["0", "1", "0", "1", "0110", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                   "\x1e", "\x85", "\u2028", "\u2029", "\xa0", "\u3000", "\u200b", "#", "# note ", "#2\n",
+                   "2", "x", "\u0663", "\uff11", "\u00b9", "\ud800", "-"]
+sequence_texts = st.one_of(
+    st.lists(st.sampled_from(SEQUENCE_PIECES), max_size=40).map("".join),
+    st.text(max_size=40),
+    # one bad character on any line of an otherwise clean text
+    st.tuples(st.lists(st.text("01 \t#\n\r", max_size=12), min_size=1, max_size=8), st.integers(0, 7),
+              st.sampled_from(["2", "a", "\u0661", "\x00"])).map(
+        lambda t: "\n".join(line + t[2] * (i == t[1] % len(t[0])) for i, line in enumerate(t[0]))),
+)
+
+
+def _sequence_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ParseError, str(exc), exc.line
+
+
+@settings(max_examples=500, deadline=None)
+@given(sequence_texts)
+def test_parse_sequence_matches_the_character_walk(text):
+    # the same bits, or the same refusal naming the same line
+    assert _sequence_outcome(parse_sequence, text) == _sequence_outcome(parse_sequence_by_chars, text)
+
+
+@pytest.mark.parametrize("comment", ["", "# a million bits\r\n"])
+def test_parse_sequence_peaks_under_twice_the_text(comment):
+    # the bits take no list entry each: a one-line million-bit text costs at most about one more copy
+    text = comment + "".join(random.Random(5).choices("01", k=10**6)) + "\n"
+    tracemalloc.start()
+    try:
+        bits = parse_sequence(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bits) == 10**6 and peak < 2 * len(text)
 
 
 @pytest.mark.parametrize("count", ["4097", "100000", "9" * 4300])

@@ -1,5 +1,6 @@
 """Randomness tests, budgets, tail bounds, and both conversion directions."""
 
+import numbers
 import random
 from fractions import Fraction
 
@@ -238,6 +239,60 @@ def test_schnorr_supermartingale_refuses_a_negative_accuracy(levels):
     with pytest.raises(DomainError) as info:
         schnorr_supermartingale_from_test(FAIR, test, "", accuracy=-1)
     assert str(info.value) == "accuracy must be non-negative"
+
+
+_TWO_LEVELS = RandomnessTest((frozenset({"0"}), frozenset({"00"})), max_depth=2, tail=affine(1))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda v: _TWO_LEVELS.level(v)),
+    ("n", lambda v: _TWO_LEVELS.level_below(v, 1)),
+    ("cutoff", lambda v: _TWO_LEVELS.level_below(0, v)),
+    ("n", lambda v: _TWO_LEVELS.level_at_least(v, 1)),
+    ("cutoff", lambda v: _TWO_LEVELS.level_at_least(0, v)),
+    ("n_max", lambda v: assemble_test_supermartingale(FAIR, _TWO_LEVELS, v)),
+    ("cutoff", lambda v: assemble_test_supermartingale(FAIR, _TWO_LEVELS, 1, cutoff=v)),
+    ("n_max", lambda v: supermartingale_from_test(FAIR, _TWO_LEVELS, v, 3)),
+    ("cutoff", lambda v: supermartingale_from_test(FAIR, _TWO_LEVELS, 1, v)),
+    ("n", lambda v: approx_level_prob(FAIR, _TWO_LEVELS, v, 1)),
+    ("accuracy", lambda v: approx_level_prob(FAIR, _TWO_LEVELS, 0, v)),
+])
+@pytest.mark.parametrize("value", [True, 1.0, -1])
+def test_level_indices_and_cutoffs_refuse_a_bool_a_float_and_a_negative(name, call, value):
+    # each is an int that is no bool and at least 0: True was read as level 1, 1.0 raised TypeError
+    with pytest.raises(DomainError) as info:
+        call(value)
+    want = f"{name} must be non-negative" if value == -1 else f"{name} is not an integer: {value!r}"
+    assert str(info.value) == want
+
+
+class _BoxedInt:
+    """An Integral that is not an int, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+    __index__ = __int__
+
+
+numbers.Integral.register(_BoxedInt)
+
+
+@pytest.mark.parametrize("kind", ["boxed", "numpy"])
+def test_a_tail_of_integrals_that_are_not_ints_gives_the_int_tails_answers(kind):
+    # the cutoffs the library computes from a tail pass the natural-number intake
+    wrap = _BoxedInt if kind == "boxed" else pytest.importorskip("numpy").int64
+    boxed = GrowthFunction((wrap(0), wrap(1)), wrap(1), wrap(0), wrap(1))
+    plain = GrowthFunction((0, 1), 1, 0, 1)
+    assert boxed == plain and all(type(boxed(n)) is int for n in range(5))
+    tests = [RandomnessTest(_TWO_LEVELS.levels, max_depth=2, tail=tail) for tail in (boxed, plain)]
+    answers = [(validate_schnorr_tail(FAIR, t, 3), approx_level_prob(FAIR, t, 1, 2),
+                schnorr_supermartingale_from_test(FAIR, t, accuracy=1),
+                sigma_sharp(sigma_from_tailbound(t.tail), 9)) for t in tests]
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("normalize_root", [False, True])

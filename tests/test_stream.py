@@ -9,15 +9,17 @@ import io
 import random
 import sys
 import tempfile
+from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebet import Markov, RandomnessTest, Stationary, Table, interval, sampling
+from treebet import Markov, RandomnessTest, Stationary, Table, cli, interval, sampling
 from treebet.cli import DEFAULT_BATTERY, main
 from treebet.errors import DomainError
 from treebet.formats import (
@@ -114,6 +116,36 @@ def test_analyze_matches_fraction_rows(data, fs, sequence, specs):
         return
     assert (code, err) == (0, "")
     assert out == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.one_of(systems(), st.none()), st.text("01", max_size=120), st.one_of(st.none(), kelly_specs))
+def test_analyze_in_64_char_blocks_matches_fraction_rows(data, fs, sequence, specs):
+    # a block every row or two: the rows come out whole and in order, and a run that exits 2 at
+    # a bit has written every block finished before it, leaving under one block's rows unwritten
+    if fs is None:  # a {0} forecast on the path, which a live bettor on one refuses to bet against
+        fs = Table(INTERVALS[5], {sequence[:data.draw(st.integers(0, len(sequence)))]: INTERVALS[0]})
+    tests = data.draw(st.lists(randomness_tests(sequence), max_size=2))
+    strategies = [parsed(spec) for spec in specs or DEFAULT_BATTERY]
+    with mock.patch.object(cli, "_FLUSH_CHARS", 64), tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run(analyze_argv(Path(tmp), fs, sequence, specs, tests))
+
+    def rows(m: int) -> str | None:  # the header and rows 0..m, or None when the oracle refuses bit m or before
+        try:
+            return analyze_by_fractions(fs, sequence[:m], strategies, tests).rsplit("# summary", 1)[0]
+        except DomainError:
+            return None
+
+    try:
+        want = analyze_by_fractions(fs, sequence, strategies, tests)
+    except DomainError as exc:
+        assert (code, err) == (2, f"treebet: {exc}\n")
+        written = rows(bisect_left(range(len(sequence) + 1), True, key=lambda m: rows(m) is None) - 1)
+        assert written.startswith(out) and out.endswith("\n")
+        unwritten = written[len(out):].splitlines(keepends=True)
+        assert sum(len(row) for row in unwritten if not row.startswith("0\t")) < 64
+        return
+    assert (code, out, err) == (0, want, "")
 
 
 def test_analyze_hits_and_mixed_stakes_match():
@@ -386,6 +418,23 @@ deep_members = st.builds(str.__mul__, st.sampled_from("01"), st.one_of(st.intege
 
 
 @st.composite
+def encoded(draw, text: str) -> bytes:
+    """text's UTF-8 bytes; one draw in sixteen with a byte put in that makes them no UTF-8."""
+    data = text.encode()
+    if draw(st.integers(0, 15)):
+        return data
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from([b"\xff", b"\xfe", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + data[at:]
+
+
+@st.composite
+def with_bytes(draw, lines):
+    """A drawn (argv, {name: text}) of ``lines``, each text encoded."""
+    argv, files = draw(lines)
+    return argv, {name: draw(encoded(text)) for name, text in files.items()}
+
+
+@st.composite
 def command_lines(draw):
     """(argv naming its files by bare name, {name: text}); missing.fs is never written."""
     files = {"a.fs": draw(fs_texts)}
@@ -494,10 +543,10 @@ def test_convert_past_the_int_str_limit(tmp_path):
 
 
 def run_in_tmp(argv, files) -> tuple[int, str]:
-    """(exit code, stderr) of ``argv`` with its bare file names in a fresh directory."""
+    """(exit code, stderr) of ``argv`` with its bare file names, holding their bytes, in a fresh directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in files.items():
-            (Path(tmp) / name).write_text(text)
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
         argv = [str(Path(tmp) / a) if a in files or a.startswith(("missing.", "out.")) else a
                 for a in argv]
         code, _, err = run(argv)
@@ -505,7 +554,7 @@ def run_in_tmp(argv, files) -> tuple[int, str]:
 
 
 @settings(max_examples=500, deadline=None)
-@given(command_lines())
+@given(with_bytes(command_lines()))
 def test_every_command_line_ends_in_a_documented_exit_code(case):
     code, err = run_in_tmp(*case)
     assert code in (0, 2, 3, 4)
@@ -613,7 +662,7 @@ def convert_lines(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(convert_lines())
+@given(with_bytes(convert_lines()))
 def test_every_convert_line_ends_in_a_documented_exit_code(case):
     code, err = run_in_tmp(*case)
     assert code in (0, 2, 3, 4)
