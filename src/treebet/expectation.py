@@ -21,13 +21,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
 from .forecast import ONE, ZERO, ForecastingSystem, IntervalForecast
 from .local import LocalGamble, lower_expectation, upper_expectation
-from .numerals import finite_fraction, natural
-from .tree import ROOT, CutStatus, bits, cut_status, require_antichain, require_situation
+from .numerals import collection, finite_fraction, natural
+from .tree import ROOT, CutStatus, _status, bits, require_antichain, require_situation
 
 _LocalRule = Callable[[IntervalForecast, LocalGamble], Fraction]
 
@@ -54,6 +54,7 @@ class DepthGamble:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        collection(self.values, "gamble values are a sequence of rationals", Sequence)
         if len(self.values) != (leaves := _leaf_count(self.depth)):
             raise DomainError(f"depth-{self.depth} gamble needs {leaves} values, got {len(self.values)}")
         # a float would reach the folds: each type is checked once, the first bad value named
@@ -77,7 +78,7 @@ class DepthGamble:
         return cls(depth, tuple(ONE if v else ZERO for v in leaves))
 
     def at(self, leaf: str) -> Fraction:
-        if len(leaf) != self.depth:
+        if len(require_situation(leaf)) != self.depth:
             raise DomainError(f"expected a depth-{self.depth} leaf, got {leaf!r}")
         return self.values[_leaf_index(leaf)]
 
@@ -218,7 +219,7 @@ def _sparse_cut_value(fs, t: str, p: int, below: list[str], rule: _LocalRule) ->
 
 def _cut_prob(fs, cut, s, rule: _LocalRule) -> Fraction:
     members = require_antichain(cut)
-    status = cut_status(s, members)
+    status = _status(require_situation(s), members)  # each checked once
     if status in (CutStatus.IN_CUT, CutStatus.FOLLOWS_STRICTLY):
         return Fraction(1)
     if status is CutStatus.INCOMPARABLE:

@@ -15,7 +15,7 @@ from numbers import Rational
 from typing import Mapping, Union
 
 from .errors import ConfigError, DomainError
-from .numerals import finite_fraction, format_rational, natural
+from .numerals import collection, finite_fraction, format_rational, natural
 from .tree import require_situation, situations_up_to
 
 ZERO = Fraction(0)
@@ -91,7 +91,8 @@ class Table:
 
     def __post_init__(self):
         # slot 0 is the default, which every position past the deepest override reads
-        slots = {int("1" + require_situation(s), 2): k for k, s in enumerate(self.overrides, 1)}
+        overrides = collection(self.overrides, "table overrides are a mapping of situations to forecasts", Mapping)
+        slots = {int("1" + require_situation(s), 2): k for k, s in enumerate(overrides, 1)}
         patches: dict[int, list[tuple[int, int]]] = {}  # level w: (index in the level, slot) per override
         for p, k in slots.items():
             patches.setdefault(w := p.bit_length() - 1, []).append((p ^ (1 << w), k))
@@ -130,6 +131,8 @@ class Markov:
     def __post_init__(self):
         try:
             natural(self.order, "markov order")
+            for ctx in collection(self.rows, "markov rows are a mapping of contexts to forecasts", Mapping):
+                require_situation(ctx)
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
         # context c at slot int("1" + c, 2) - 1; rows longer than the order come last

@@ -1,15 +1,14 @@
 """Text formats for forecasting systems, processes, tests, and sequences.
 
-All formats are line oriented UTF-8; ``#`` starts a comment that runs to
-the end of the line, and blank lines are ignored.  Rationals go through
-``numerals``.  Serialisation is canonical: fixed key order, levels ascending,
-situations sorted, so a parse/serialise round trip of our own output is byte identical.
-Each reader runs its loop over the lines inside one try, so a ParseError or
+All formats are line oriented UTF-8; ``#`` starts a comment that runs to the end of the line, and
+blank lines are ignored.  Rationals go through ``numerals``.  Serialisation is canonical: fixed key
+order, levels ascending, situations sorted, so a parse/serialise round trip of our own output is byte
+identical.  The line readers stream the lines and run their loop inside one try, so a ParseError or
 DomainError that one line decides is refused naming that line.
-A process has one reader: in dump_process's own layout, which the writer itself checks, the values
-are split from the bytes once; in any other the lines are split, comments cut and each value placed
-by its name.  Each distinct value text is then read once into the pairs and codes a Process keeps; the
-line loop runs only to name a refused text's fault.  The writer fills one '<name> %s' bytes template
+A process is read on one of two paths.  A text in dump_process's own layout, which the writer itself
+checks on the bytes, has its values split from the bytes once.  Any other text goes to one line reader,
+which checks each line's shape, name and value as it streams the lines.  Each distinct value text is
+read once into the pairs and codes a Process keeps.  The writer fills one '<name> %s' bytes template
 per depth with one text per table entry, building no name per situation.
 A test is read line by line in any layout, keys in any order, and each level is checked once.
 """
@@ -17,7 +16,7 @@ A test is read line by line in any layout, keys in any order, and each level is 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import DomainError, ParseError, ResourceError
 from .forecast import ForecastingSystem, IntervalForecast, Markov, Stationary, Table
@@ -32,10 +31,11 @@ MAX_BITS = 10**7  # the most bits sample may draw: one byte each, then the text;
 MAX_DEPTH = 22  # the deepest .test convert to-martingale folds: 2**(depth + 1) - 1 situations per level
 
 
-def _meaningful(text: str) -> list[tuple[int, str]]:
-    """(line number, text) of each line not blank once its comment is cut."""
-    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [(number, line) for number, line in enumerate(stripped, start=1) if line]
+def _meaningful(text: str):
+    """(number, text) of each line not blank once its comment is cut."""
+    for number, line in enumerate(text.splitlines(), 1):
+        if line := line.partition("#")[0].strip():
+            yield number, line
 
 
 def _natural(text: str, what: str) -> int:
@@ -74,9 +74,9 @@ _KEYS = {
 def parse_forecasting_system(text: str) -> ForecastingSystem:
     """A config read by one keyed reader for every kind: 'kind:', the kind's one key, its rows; each once."""
     lines = _meaningful(text)
-    if not lines:
+    number, first = next(lines, (None, None))
+    if first is None:
         raise ParseError("empty forecasting-system config")
-    number, first = lines[0]
     found, rows = None, {}
     try:
         key, kind = _key_value(first)
@@ -86,7 +86,7 @@ def parse_forecasting_system(text: str) -> ForecastingSystem:
             raise ParseError(f"unknown kind {kind!r}")
         wanted, read, row, make = _KEYS[kind]
         word = row.partition(" ")[0] + " " if row else None  # what starts a row line
-        for number, line in lines[1:]:
+        for number, line in lines:
             if word and line.startswith(word):
                 parts = line.split()
                 if len(parts) != 4:
@@ -136,58 +136,55 @@ def parse_process(text: str) -> Process:
     literals, count = tokens[3::2], len(tokens)
     del tokens  # the names go before the writer makes its copy of the text, which lowers the peak
     if depth < 0 or count != 4 << depth or _process_bytes(depth, literals) != data:  # not what the writer writes
-        del data, literals  # freed before the line split, which lowers its peak
-        depth, literals = _placed(text) or (0, [""])  # a refused text: "" is no numeral
-    distinct = [*set(literals)]  # value texts repeat heavily: each distinct one is read once
+        del data, literals  # freed before the lines are read, which lowers their peak
+        return _coded(*_placed(text))
+    return _coded(depth, literals) or _coded(*_placed(text))  # a value that is no numeral: read by lines
+
+
+def _coded(depth: int, literals: list) -> Process | None:
+    """The process of the value texts in heap order, each distinct one read once; None if one is no numeral."""
+    distinct = [*set(literals)]  # value texts repeat heavily
     pairs = rational_pairs(b"\n".join(distinct).decode() if isinstance(distinct[0], bytes) else "\n".join(distinct))
     if pairs is None:
-        return _process_by_lines(text)  # the line reader names the fault
+        return None
     table = [*dict.fromkeys(pairs)]  # straight into the Process's codes, one per distinct pair
     code = {pair: i for i, pair in enumerate(table)}
     heap = [*map(dict(zip(distinct, map(code.__getitem__, pairs))).__getitem__, literals)]
     return Process._from_codes(table, [heap[(1 << w) - 1:(2 << w) - 1] for w in range(depth + 1)])
 
 
-def _placed(text: str) -> tuple[int, list[str]] | None:
-    """(depth, the value texts in heap order) of a .proc text in any layout: lines split, comments
-    cut, each value placed by its name; None when the head, a line's shape, a name or the count is refused."""
-    lines = text.splitlines()
-    rows = [*filter(None, map(str.split, (line.split("#", 1)[0] for line in lines) if "#" in text else lines))]
-    try:
-        key, value = _key_value(" ".join(rows[0]))
-        depth, placed = _natural(value, "depth"), dict(rows[1:])  # dict() refuses a line that is not a pair
-    except (IndexError, ValueError, ParseError):
-        return None
-    if key == "depth" and depth <= 64 and len(rows) == 2 << depth == len(placed) + 1:  # no name twice
-        literals = [*map(placed.get, chain([ROOT_LABEL], islice(situations_up_to(depth), 1, None)))]
-        if None not in literals:  # every name a situation of that depth
-            return depth, literals
-
-
-def _process_by_lines(text: str) -> Process:
-    lines = _meaningful(text)
-    if not lines:
+def _placed(text: str) -> tuple[int, list[str]]:
+    """(depth, the value texts in heap order) of a .proc in any layout, each line checked as the line-by-line
+    reference checks it and each distinct value text read once; a fault is refused as the reference does."""
+    lines, values, texts = _meaningful(text), {}, {}
+    number, head = next(lines, (None, None))
+    if head is None:
         raise ParseError("empty process file")
-    (number, first), values = lines[0], {}
     try:
-        key, value = _key_value(first)
+        key, value = _key_value(head)
         if key != "depth":
-            raise ParseError(f"process file must start with 'depth:', got {first!r}")
+            raise ParseError(f"process file must start with 'depth:', got {head!r}")
         depth = _natural(value, "depth")
-        for number, line in lines[1:]:
+        for number, line in lines:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"expected '<situation> <rational>', got {line!r}")
-            s = parse_situation(parts[0])
+            name, value = parts
+            s = parse_situation(name)
             if s in values:
-                raise ParseError(f"duplicate situation {parts[0]!r}")
-            values[s] = parse_rational(parts[1])
+                raise ParseError(f"duplicate situation {name!r}")
+            if value not in texts:
+                parse_rational(value)
+                texts[value] = value
+            values[s] = texts[value]  # one string per distinct value text
+        number = None  # from here a fault is the count's, or a name's that this depth has no place for
+        full = depth <= 64 and len(values) == (2 << depth) - 1
+        literals = [*map(values.get, situations_up_to(depth))] if full else [None]
+        if None in literals:
+            Process(depth, values)  # the checked constructor names the fault
     except (ParseError, DomainError) as exc:
         raise ParseError(str(exc), number) from None
-    try:
-        return Process(depth, values)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from None
+    return depth, literals
 
 
 def dump_process(process: Process) -> str:
@@ -232,14 +229,11 @@ def dump_growth(g: GrowthFunction) -> str:
 
 
 def parse_test(text: str) -> RandomnessTest:
-    lines = _meaningful(text)
-    if not lines:
-        raise ParseError("empty test file")
-    num_levels = depth = tail = None
+    num_levels = depth = tail = number = None
     members: dict[int, set[str]] = {}
     seen = set()
     try:
-        for number, line in lines:
+        for number, line in _meaningful(text):
             if line.startswith("level "):
                 parts = line.split()
                 if len(parts) != 3:
@@ -263,6 +257,8 @@ def parse_test(text: str) -> RandomnessTest:
                 raise ParseError(f"unexpected key {key!r} in test file")
     except (ParseError, DomainError) as exc:
         raise ParseError(str(exc), number) from None
+    if number is None:
+        raise ParseError("empty test file")
     if num_levels is None:
         raise ParseError("test file missing 'levels:'")
     if depth is None:

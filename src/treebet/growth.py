@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .errors import DomainError
+from .numerals import collection, integer
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,7 @@ class GrowthFunction:
     c: int = 1
 
     def __post_init__(self):
+        collection(self.prefix, "a growth prefix is a collection of integers")
         object.__setattr__(self, "prefix", tuple(self.prefix))
         values = (*self.prefix, self.a, self.b, self.c)  # a bool among them would be written 'True'
         if bad := [v for v in values if isinstance(v, bool) or not isinstance(v, Integral)]:
@@ -43,7 +45,7 @@ class GrowthFunction:
         return (self.a * n + self.b) // self.c
 
     def __call__(self, n: int) -> int:
-        if n < 0:
+        if (n := integer(n, "n")) < 0:
             raise DomainError("growth functions are defined on the naturals")
         if n < len(self.prefix):
             return self.prefix[n]
@@ -51,6 +53,7 @@ class GrowthFunction:
 
     def first_at_least(self, value: int) -> int:
         """Smallest n with g(n) >= value."""
+        value = integer(value, "value")
         for n, v in enumerate(self.prefix):
             if v >= value:
                 return n
@@ -59,7 +62,7 @@ class GrowthFunction:
 
     def last_at_most(self, bound: int) -> int:
         """Largest n with g(n) <= bound, or -1 when even g(0) exceeds it."""
-        tail_start = len(self.prefix)
+        bound, tail_start = integer(bound, "bound"), len(self.prefix)
         if self(0) > bound:
             return -1
         # largest tail index with (a*n + b) // c <= bound
@@ -73,6 +76,7 @@ class GrowthFunction:
 
     def precompose_affine(self, m: int, k: int) -> "GrowthFunction":
         """The growth function n -> g(m*n + k) for m >= 1, k >= 0."""
+        m, k = integer(m, "m"), integer(k, "k")
         if m < 1 or k < 0:
             raise DomainError("precompose needs m >= 1, k >= 0")
         head = max(0, -(-(len(self.prefix) - k) // m))

@@ -20,7 +20,7 @@ from .errors import ContractError, DomainError
 from .expectation import _cut_trie, _pairs
 from .forecast import ForecastingSystem, IntervalForecast, local_scale
 from .local import LocalGamble
-from .numerals import finite_fraction, format_rational, natural
+from .numerals import collection, finite_fraction, format_rational, natural
 from .tree import ROOT, bits, require_situation, situations_up_to
 
 # Query interface standing in for a computable process: q(s, N) must be
@@ -46,6 +46,7 @@ class Process:
 
     def __init__(self, depth: int, values: Mapping[str, Fraction]):
         natural(depth, "process depth")
+        collection(values, "process values are a mapping of situations to rationals", Mapping)
         if depth > max(64, len(values).bit_length()):  # no count can match; 2**depth may not fit
             head, power = format_rational(depth), format_rational(depth + 1)  # past str()'s digit limit too
             raise DomainError(f"depth-{head} process needs 2**{power} - 1 values, got {len(values)}")
@@ -74,7 +75,7 @@ class Process:
     @classmethod
     def from_function(cls, depth: int, fn: Callable[[str], Fraction]) -> "Process":
         return cls(depth, {s: finite_fraction(fn(s), f"process value at {s or '@'!r}")
-                           for s in situations_up_to(depth)})
+                           for s in situations_up_to(natural(depth, "process depth"))})
 
     @property
     def values(self) -> Mapping[str, Fraction]:

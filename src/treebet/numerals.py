@@ -9,8 +9,10 @@ from __future__ import annotations
 import decimal
 import re
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, isfinite
+from numbers import Integral
 
 from .errors import DomainError, ParseError
 
@@ -35,13 +37,24 @@ def parse_rational(text: str) -> Fraction:
 
 
 def finite_fraction(x, what: str) -> Fraction:
-    """Fraction(x), but a bool, or a NaN or infinite float or Decimal, on which Fraction raises
-    ValueError or OverflowError, is a DomainError naming it."""
-    if isinstance(x, bool):
-        raise DomainError(f"{what} is not rational: {x!r}")
+    """Fraction(x), but a bool, a NaN or infinite float or Decimal, or anything Fraction refuses (None,
+    'abc', '1/0') is a DomainError naming it."""
     if isinstance(x, float) and not isfinite(x) or isinstance(x, decimal.Decimal) and not x.is_finite():
         raise DomainError(f"{what} is not finite: {x!r}")
-    return Fraction(x)
+    if not isinstance(x, bool):  # Fraction(True) would be 1
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):  # None, 'abc', '1/0'
+            pass
+    raise DomainError(f"{what} is not rational: {x!r}")
+
+
+def integer(x, what: str) -> int:
+    """int(x) when x is an Integral (an int, or one such as numpy.int64) and not a bool, as GrowthFunction
+    takes its integers; anything else is a DomainError naming it."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise DomainError(f"{what} is not an integer: {x!r}")
+    return int(x)
 
 
 def natural(x, what: str) -> int:
@@ -50,6 +63,14 @@ def natural(x, what: str) -> int:
         raise DomainError(f"{what} is not an integer: {x!r}")
     if x < 0:
         raise DomainError(f"{what} must be non-negative")
+    return x
+
+
+def collection(x, what: str, kind=Iterable):
+    """x when it is a ``kind`` (any iterable by default) and not a string, which would iterate as its
+    characters; anything else is a DomainError saying what x should be."""
+    if isinstance(x, str) or not isinstance(x, kind):
+        raise DomainError(f"{what}, not {'a string: ' if isinstance(x, str) else ''}{x!r}")
     return x
 
 

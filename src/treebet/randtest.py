@@ -24,8 +24,8 @@ from .expectation import _cut_trie, _fold_sum, _pairs, cut_upper_prob
 from .forecast import ForecastingSystem, cumulative_bound, integer_log_bound, is_precise
 from .growth import GrowthFunction
 from .martingale import Process, _first_passages, _test_failures
-from .numerals import format_rational, natural
-from .tree import ROOT, minimal_antichain, require_antichain
+from .numerals import collection, format_rational, integer, natural
+from .tree import ROOT, minimal_antichain, require_antichain, require_situation
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class RandomnessTest:
     def __post_init__(self):
         natural(self.max_depth, "test depth")
         checked = []
-        for cut in self.levels:
+        for cut in collection(self.levels, "a test's levels are a collection of cuts"):
             members = require_antichain(cut)
             if any(len(t) > self.max_depth for t in members):
                 raise DomainError("level member deeper than the declared test depth")
@@ -175,6 +175,7 @@ def supermartingale_from_test(
     ``cutoff``; the remainder bound cumulative_bound(s) * 2**-n_max covers
     the discarded tail of the untruncated series.
     """
+    require_situation(s)
     _require_stored(test, n_max)
     _require_budgets(fs, test, n_max)
     value = Fraction(0)
@@ -261,7 +262,7 @@ def sigma_from_tailbound(tail: GrowthFunction) -> GrowthFunction:
 
 def sigma_sharp(sigma: GrowthFunction, cutoff: int) -> int:
     """The largest k with sigma(k) <= cutoff; 0 when there is none."""
-    return max(0, sigma.last_at_most(cutoff))
+    return max(0, sigma.last_at_most(integer(cutoff, "cutoff")))
 
 
 def schnorr_supermartingale_from_test(
@@ -381,7 +382,7 @@ def combine_universal(fs: ForecastingSystem, tests: Sequence[RandomnessTest]) ->
     The shift makes the budgets sum geometrically, so every combined level
     stays within 2**-n while covering each member's shifted level.
     """
-    return _combine(_upper_mass(fs), tests)
+    return _combine(_upper_mass(fs), collection(tests, "tests are a collection of randomness tests"))
 
 
 def _combine(mass, tests: Sequence[RandomnessTest]) -> RandomnessTest:
@@ -400,6 +401,7 @@ def _combine(mass, tests: Sequence[RandomnessTest]) -> RandomnessTest:
 
 def levels_hit(test: RandomnessTest, w: str) -> set[int]:
     """The levels having some member that is a prefix of ``w``."""
+    require_situation(w)
     return {
         n for n, cut in enumerate(test.levels) if any(w.startswith(t) for t in cut)
     }

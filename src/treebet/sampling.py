@@ -17,7 +17,7 @@ from itertools import chain, count
 
 from .errors import DomainError
 from .forecast import ForecastingSystem, IntervalForecast
-from .numerals import natural
+from .numerals import integer, natural
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -68,6 +68,7 @@ def sample_path(fs: ForecastingSystem, selector: str, n: int, seed: int) -> str:
     if selector not in SELECTORS:
         raise DomainError(f"unknown selector {selector!r}")
     natural(n, "path length")
+    seed = integer(seed, "seed")
     steps: dict = {}  # position -> (its slot's constants, position after a 0, after a 1)
 
     def step(p: int) -> tuple:

@@ -13,6 +13,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .errors import DomainError
+from .numerals import collection
 
 ROOT = ""
 ROOT_LABEL = "@"
@@ -39,10 +40,9 @@ def require_situation(s: str) -> str:
 
 
 def _members(cut: Iterable[str]) -> Iterable[str]:
-    """The cut's members; a string, which would iterate as one-character situations, is refused."""
-    if isinstance(cut, str):
-        raise DomainError(f"a cut is a collection of situations, not a string: {cut!r}")
-    return cut
+    """The cut's members; a string, which would iterate as one-character situations, and anything that
+    does not iterate are refused."""
+    return collection(cut, "a cut is a collection of situations")
 
 
 def parse_situation(text: str) -> str:
@@ -58,7 +58,7 @@ def format_situation(s: str) -> str:
 
 def relation(s: str, t: str) -> Relation:
     """Order two situations in the prefix order on the event tree."""
-    if s == t:
+    if require_situation(s) == require_situation(t):
         return Relation.EQUAL
     if t.startswith(s):
         return Relation.STRICTLY_PRECEDES
@@ -73,7 +73,12 @@ def cut_status(s: str, cut: Iterable[str]) -> CutStatus:
     Membership is reported separately from strict precedence; for a valid
     antichain the four outcomes are mutually exclusive.
     """
-    members = cut if isinstance(cut, (set, frozenset)) else frozenset(_members(cut))
+    members = frozenset(map(require_situation, _members(cut)))
+    return _status(require_situation(s), members)
+
+
+def _status(s: str, members: frozenset[str]) -> CutStatus:
+    """cut_status of a checked situation and a checked set of situations."""
     if s in members:
         return CutStatus.IN_CUT
     for t in members:

@@ -311,17 +311,25 @@ def _proc_text(rng, source):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from(["rand_proc_text", *DUMP_MUTATIONS, "odd value"]))
 def test_the_line_reader_only_names_a_fault(seed, source):
-    # parse_process reads every text the line reader takes: its fault path, run on a text parse_process
-    # refused, always raises, and names the fault as the line-by-line reference does
+    # parse_process reads every text the line-by-line reference takes, and names each fault as it does
     text = _proc_text(random.Random(seed), source)
-    line_reader = formats._process_by_lines
+    assert _outcome(parse_process, text) == _outcome(parse_process_by_lines, text)
 
-    def must_refuse(text):
-        line_reader(text)
-        raise AssertionError(f"the fault path read a text parse_process refused: {text[:200]!r}")
 
-    with mock.patch.object(formats, "_process_by_lines", must_refuse):
-        assert _outcome(parse_process, text) == _outcome(parse_process_by_lines, text)
+@pytest.mark.parametrize("form", ["writer", "comment", "shuffled"])
+def test_a_depth_16_proc_peaks_under_ten_times_its_text(form):
+    # 3.28 MB of text: the line reader holds the text's lines and one string per name and per distinct value
+    text = dump_process(kelly_process(Stationary(interval("2/5", "3/5")), Fraction(1, 2), "on-one", 16))
+    head, *body = text.splitlines(keepends=True)
+    random.Random(16).shuffle(body)
+    edited = {"writer": text, "comment": "# a note\n" + text, "shuffled": head + "".join(body)}[form]
+    tracemalloc.start()
+    try:
+        process = parse_process(edited)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stored_levels(process) == stored_levels(parse_process(text)) and peak < 10 * len(edited)
 
 
 def _texts(process):
