@@ -11,7 +11,7 @@ import re
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, inf, isfinite
 from numbers import Integral
 
 from .errors import DomainError, ParseError
@@ -20,6 +20,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # fullmatched: ASCII digits, n
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _PAIR = r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?"  # _RATIONAL with no zero denominator
 _PAIR_LINES = re.compile(f"{_PAIR}(?:\n{_PAIR})*")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")  # the exponent field of a str Fraction reads
 
 
 def parse_rational(text: str) -> Fraction:
@@ -37,10 +38,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def finite_fraction(x, what: str) -> Fraction:
-    """Fraction(x), but a bool, a NaN or infinite float or Decimal, or anything Fraction refuses (None,
-    'abc', '1/0') is a DomainError naming it."""
+    """Fraction(x), but a bool, a NaN or infinite float or Decimal, an exponent whose magnitude passes
+    sys.get_int_max_str_digits(), or anything Fraction refuses (None, 'abc', '1/0') is a DomainError
+    naming it."""
     if isinstance(x, float) and not isfinite(x) or isinstance(x, decimal.Decimal) and not x.is_finite():
         raise DomainError(f"{what} is not finite: {x!r}")
+    field = _EXPONENT.search(x) if isinstance(x, str) else None
+    try:  # Fraction(x) raises 10 to a Decimal's or a str's exponent before any check
+        power = abs(x.as_tuple().exponent if isinstance(x, decimal.Decimal) else int(field[1]) if field else 0)
+    except ValueError:  # int() refuses an exponent field past the digit limit
+        power = inf
+    if 0 < (limit := sys.get_int_max_str_digits()) < power:
+        raise DomainError(f"{what} has an exponent past {limit}: {x!r}")
     if not isinstance(x, bool):  # Fraction(True) would be 1
         try:
             return Fraction(x)

@@ -1,5 +1,8 @@
 """Golden tests for the command-line interface."""
 
+import errno
+import os
+import stat
 import time
 from collections import Counter
 from fractions import Fraction
@@ -533,6 +536,71 @@ def test_a_file_that_is_not_utf8_exits_2_naming_its_first_bad_byte(workdir, caps
     assert main(["convert", "to-test", "--process", name, "--fs", fs, "--out", "o.test"]) == 2
     assert capsys.readouterr() == ("", f"treebet: {name}: not UTF-8 at byte {len(good)}\n")
     assert not (workdir / "o.test").exists()
+
+
+TO_TEST = ["convert", "to-test", "--process", "doubler.proc", "--fs", "fair.fs", "--out"]
+
+
+@pytest.fixture
+def written(workdir, capsys):
+    """The bytes to-test writes to a new --out file, and what it prints."""
+    assert main([*TO_TEST, "fresh.test"]) == 0
+    return (workdir / "fresh.test").read_bytes(), capsys.readouterr()
+
+
+def test_an_out_file_is_rewritten_in_place_to_exactly_the_new_bytes(workdir, capsys, written):
+    out = workdir / "o.test"
+    out.write_bytes(b"\x00" * 40_000 + b"old" * 20_000)  # 100 KB
+    os.chmod(out, 0o600)
+    inode = out.stat().st_ino
+    assert main([*TO_TEST, "o.test"]) == 0
+    assert (out.read_bytes(), capsys.readouterr()) == written
+    assert out.stat().st_ino == inode and stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+def test_a_new_out_file_gets_the_umask_mode(workdir, capsys, written):
+    umask = os.umask(0o027)
+    try:
+        assert main([*TO_TEST, "new.test"]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((workdir / "new.test").stat().st_mode) == 0o640
+    assert (workdir / "new.test").read_bytes() == written[0]
+
+
+def test_out_to_a_device_is_written_and_not_cut(workdir, capsys, written):
+    # ftruncate on a character device fails with EINVAL: only a regular file is cut
+    assert main([*TO_TEST, os.devnull]) == 0
+    assert capsys.readouterr() == written[1]
+
+
+@pytest.mark.parametrize("out, message", [
+    ("sub", "[Errno 21] Is a directory: 'sub'"),
+    ("nope/o.test", "[Errno 2] No such file or directory: 'nope/o.test'"),
+])
+def test_an_out_path_that_cannot_be_opened_exits_2_with_the_os_message(workdir, capsys, out, message):
+    (workdir / "sub").mkdir()
+    assert main([*TO_TEST, out]) == 2
+    assert capsys.readouterr().err == f"treebet: {message}\n"
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_a_write_that_fails_leaves_only_the_bytes_written(workdir, capsys, monkeypatch, written, n):
+    out = workdir / "o.test"
+    out.write_bytes(b"x" * 100_000)
+    real, left = os.write, n
+
+    def full_after_n_bytes(fd, data):
+        nonlocal left
+        if not left:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        wrote, left = real(fd, data[:left]), 0
+        return wrote
+
+    monkeypatch.setattr(os, "write", full_after_n_bytes)
+    assert main([*TO_TEST, "o.test"]) == 2
+    assert capsys.readouterr() == (written[1].out, "treebet: [Errno 28] No space left on device\n")
+    assert out.read_bytes() == written[0][:n]
 
 
 def test_analyze_reads_crlf_comments_and_blank_lines_like_plain_bits(workdir, capsys):

@@ -8,6 +8,9 @@ test, forecast, gamble or growth function stays duck-typed: those arguments are 
 
 import math
 import numbers
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,7 +39,7 @@ _COLLECTIONS = [True, 1.5, math.nan, Decimal("NaN"), -1, None, "01", ""]
 HOSTILE = {
     "natural": [*_NUMBERS, *range(-3, 11)],
     "integer": [*_NUMBERS, *range(-3, 11)],
-    "rational": [*_NUMBERS, "abc", "1/0", "nan", "1e9", Fraction(-1, 2), 7],
+    "rational": [*_NUMBERS, "abc", "1/0", "nan", "1e9", "1e999999999", Decimal("1E-999999999"), Fraction(-1, 2), 7],
     "situation": [*_NUMBERS, "2", "0 1", "@", "", "0101", b"01", ["0"]],
     "bit": [*_NUMBERS, "01", "", "2"],
     "word": [*_NUMBERS, "sideways", ""],
@@ -218,6 +221,31 @@ def test_each_refusal_names_its_parameter(call, message):
     with pytest.raises(TreebetError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_a_rational_whose_exponent_passes_the_digit_limit_is_refused_before_fraction_reads_it():
+    # Fraction builds 10**|exponent| first: 10**999999999 runs for minutes in C, where no alarm
+    # interrupts it, so the calls run in a child the timeout kills
+    script = """if True:
+        from decimal import Decimal
+        import treebet as tb
+        assert tb.gamble("1e9", Decimal("1.5")) == tb.gamble(10**9, 1.5)
+        for x in ("1e999999999", " 1E+1_000_000 ", "1e" + "9" * 5000, Decimal("1E-999999999")):
+            try:
+                tb.gamble(x, 0)
+            except tb.DomainError as exc:
+                print(exc)
+        """
+    src = os.path.dirname(os.path.dirname(tb.__file__))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stderr == ""
+    assert run.stdout.splitlines() == [
+        "gamble value has an exponent past 4300: '1e999999999'",
+        "gamble value has an exponent past 4300: ' 1E+1_000_000 '",
+        f"gamble value has an exponent past 4300: '1e{'9' * 5000}'",
+        "gamble value has an exponent past 4300: Decimal('1E-999999999')",
+    ]
 
 
 def test_negative_integers_stay_valid_where_they_are_defined():
